@@ -200,11 +200,14 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "c": cfg.c,
         "residual_sup": res.residual_sup,
         "iterations": res.iterations,
+        "residual_history": res.residual_history,
+        "damping": res.damping,
+        "residual_evaluations": res.residual_evaluations,
         "umin": float(res.u.values.min()),
         "umax": float(res.u.values.max()),
         "echo": _echo(cfg, seed, p),
     }
-    if cfg.trials >= 2 and cfg.alpha < 1.0 - cfg.k * cfg.beta:
+    if cfg.trials >= 2 and p.q < 0:
         payload["uniqueness_spread"] = uniqueness_spread(prob, grid, cfg.trials, seed)
     _write_json(out / "summary.json", payload)
     return 0
@@ -356,8 +359,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int = 0) -> int:
 
 
 def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
-    """Fan independent runs over one swept scalar key, one subdirectory each."""
-    from concurrent.futures import ThreadPoolExecutor
+    """Run one variant per value of a swept scalar key, one subdirectory each.
+
+    The variants run in sequence: the work holds the GIL, so threads only
+    add overhead.
+    """
     from dataclasses import replace
     from .config import _SCALARS, _validate
 
@@ -372,12 +378,9 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
         _validate(variant)
         variants.append(variant)
     base = Path(out_dir if out_dir is not None else cfg.out)
-    with ThreadPoolExecutor(max_workers=min(8, len(variants))) as pool:
-        futures = [
-            pool.submit(run_experiment, variant, base / f"sweep_{i}", seed)
-            for i, variant in enumerate(variants)
-        ]
-        codes = [fut.result() for fut in futures]
+    codes = [
+        run_experiment(variant, base / f"sweep_{i}", seed) for i, variant in enumerate(variants)
+    ]
     return max(codes)
 
 

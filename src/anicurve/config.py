@@ -7,10 +7,12 @@ derived quantities (gamma, q, the regime flag) can never be set.
 
 from dataclasses import dataclass, field
 
+from .flow import MODES
+from .functionals import critical_offset
+
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 EXPERIMENTS = ("flow", "soliton", "counterexample", "validate", "barriers")
-MODES = ("raw", "round_normalized", "volume_normalized", "dual_radial")
 
 _DERIVED = {
     "gamma": "gamma is derived from k and beta, it cannot be set",
@@ -163,8 +165,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("anisotropy must be positive")
     if cfg.tol_conv < 0 or cfg.t_max <= 0 or cfg.record_every < 1:
         raise ConfigError("stopping configuration must be positive")
+    q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
     if cfg.experiment == "soliton":
-        if cfg.alpha > 1.0 - cfg.k * cfg.beta:
+        if q > 0:
             raise ConfigError(
                 "soliton experiments need alpha <= 1 - k*beta "
                 f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
@@ -172,7 +175,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.c <= 0:
             raise ConfigError("speed constant c must be positive")
     if cfg.experiment == "counterexample":
-        if cfg.alpha <= 1.0 - cfg.k * cfg.beta:
+        if q <= 0:
             raise ConfigError(
                 "counterexample experiments need alpha > 1 - k*beta "
                 f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"

@@ -319,11 +319,13 @@ def blowup_experiment(
     is left unchanged) and declares
     "supports blowup" when the ratio R = max u / min u grows monotonically to
     at least twice its initial value, or when the run dies by ratio blowup or
-    convexity loss with R having increased.  A control run at the critical
-    exponent alpha' = 1 - k*beta from the same body is reported alongside;
-    there R must decrease.
+    convexity loss with R having increased.  A ratio_blowup stop only shows
+    that R crossed the threshold while rising: a threshold below a transient
+    peak gives this verdict to a body that later rounds out.  A control run
+    at the critical exponent alpha' = 1 - k*beta from the same body is
+    reported alongside; there R must decrease.
     """
-    if p.alpha <= 1.0 - p.k * p.beta:
+    if p.q <= 0:
         raise ValueError("blowup experiment requires alpha > 1 - k*beta")
     stop = replace(stop or StoppingConfig(), t_max=horizon)
 

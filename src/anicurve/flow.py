@@ -263,7 +263,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         elif mode == "dual_radial":
             _record(traj, eng, p, vals, s, s, powers)
         elif mode == "round_normalized":
-            m = 1.0 - p.k * p.beta - p.alpha
+            m = -p.q
             t_phys = s if m == 0.0 else float(np.expm1(m * s) / (m * p.gamma))
             _record(traj, eng, p, vals, t_phys, s, powers)
         else:
@@ -349,7 +349,7 @@ def scale_factor(t: float, p: FlowParams) -> float:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m = 1.0 - p.k * p.beta - p.alpha
+    m = -p.q
     if m == 0.0:
         return float(np.exp(p.gamma * t))
     base = 1.0 + m * p.gamma * t
@@ -367,7 +367,7 @@ def normalized_time(t: float, p: FlowParams) -> float:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m = 1.0 - p.k * p.beta - p.alpha
+    m = -p.q
     if m == 0.0:
         return float(t)
     base = 1.0 + m * p.gamma * t

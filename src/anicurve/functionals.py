@@ -21,6 +21,7 @@ __all__ = [
     "Anisotropy",
     "FlowParams",
     "DiagnosticsRecord",
+    "critical_offset",
     "constant_anisotropy",
     "power_of_linear_anisotropy",
     "tabulated_anisotropy",
@@ -67,6 +68,21 @@ def tabulated_anisotropy(grid: Grid, values) -> Anisotropy:
     return Anisotropy(f, "tabulated")
 
 
+def critical_offset(k: int, beta: float, alpha: float) -> float:
+    """q = alpha + k*beta - 1, the signed distance from the critical line.
+
+    q is 0.0 when it lies within rounding of zero (|q| <= 8 eps max(1,
+    |alpha|, k*beta)), so that a point on the line given in decimals, such
+    as k=1, beta=2.2, alpha=-1.2, is critical rather than q = 2.2e-16.
+    FlowParams.q and every regime test read this value; 1 - k*beta - alpha
+    is -q.
+    """
+    q = alpha + k * beta - 1.0
+    if abs(q) <= 8.0 * np.finfo(float).eps * max(1.0, abs(alpha), k * beta):
+        return 0.0
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class FlowParams:
     """Flow exponents (k, beta, alpha) and the anisotropy f (None means f = 1).
@@ -97,7 +113,7 @@ class FlowParams:
 
     @property
     def q(self) -> float:
-        return self.alpha + self.k * self.beta - 1.0
+        return critical_offset(self.k, self.beta, self.alpha)
 
     @property
     def regime(self) -> str:

@@ -188,12 +188,21 @@ def test_blowup_experiment_leaves_caller_stop_unchanged(grid64):
 
 
 def test_blowup_experiment_supports_blowup_on_capped_body(grid200):
-    # the supercritical run pushes R from ~33 up through 40 before the flat
-    # rim reshapes the body; a threshold inside that window turns the run
-    # into a ratio-blowup stop with R increasing, while the critical control
-    # from the same body contracts the ratio
-    sp = SubsolutionParams.from_exponents(alpha=0.5, k=1, beta=1.5, theta=2.0)
-    p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
+    """A/B run from the paper's counterexample body at alpha = 1.
+
+    The supercritical run drives R up through R_blowup = 40 and keeps going
+    (with no threshold R reaches 3766 by tau = 3 at N = 100), so the
+    ratio-blowup stop with R increasing is a real blowup; the critical
+    control from the same body contracts the ratio.
+
+    At alpha = 0.5 the same threshold sits inside a transient: from its own
+    cap body at N = 200, R peaks at 41.73 (tau = 0.24) and the body then
+    rounds out to R = 1.17 by tau = 3.  A ratio-blowup stop there would
+    only show that R crossed 40 while rising.
+    """
+    alpha = 1.0
+    sp = SubsolutionParams.from_exponents(alpha=alpha, k=1, beta=1.5, theta=2.0)
+    p = ac.FlowParams(k=1, beta=1.5, alpha=alpha)
     body = capped_profile_body(grid200, sp, t=-0.3)
     rep = blowup_experiment(
         p,

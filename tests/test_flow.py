@@ -99,6 +99,12 @@ def test_scale_factor_and_time():
     assert ac.scale_factor(1.0, pc) == pytest.approx(np.exp(2.0), rel=1e-14)
     assert ac.normalized_time(5.0, pc) == 5.0
 
+    # on the critical line given in decimals (q = 2.2e-16 before snapping)
+    # the closed form is exp(gamma*t), not (1 + m*gamma*t)^(1/m)
+    pd = p_of(1, 2.2, -1.2)
+    assert ac.scale_factor(1.0, pd) == pytest.approx(np.exp(pd.gamma), rel=1e-14)
+    assert ac.normalized_time(5.0, pd) == 5.0
+
     p = p_of(1, 1.0, -2.0)
     assert ac.scale_factor(0.0, p) == 1.0
     assert ac.scale_factor(2.0, p) == pytest.approx(3.0, rel=1e-14)

@@ -22,7 +22,7 @@ from anicurve import (
     tabulated_anisotropy,
     translated_ball,
 )
-from anicurve.functionals import diagnostics_csv_header, diagnostics_csv_row
+from anicurve.functionals import critical_offset, diagnostics_csv_header, diagnostics_csv_row
 from conftest import random_convex_body
 
 
@@ -38,6 +38,15 @@ def test_flow_params_validation(grid200):
     assert FlowParams(k=1, beta=1.5, alpha=-0.5).regime == "critical"
     assert FlowParams(k=1, beta=1.5, alpha=0.5).regime == "supercritical"
     assert FlowParams(k=2, beta=1.0, alpha=0.0).gamma == 1.0
+
+
+def test_regime_on_critical_line_given_in_decimals():
+    # alpha + k*beta - 1 evaluates to 2.2e-16 here, not 0
+    p = FlowParams(k=1, beta=2.2, alpha=-1.2)
+    assert p.q == 0.0
+    assert p.regime == "critical"
+    assert critical_offset(1, 2.2, -1.2) == 0.0
+    assert critical_offset(1, 2.2, -1.2 + 1e-12) > 0.0
 
 
 def test_require_convergent_regime():

@@ -71,6 +71,10 @@ def test_parse_regime_consistency():
         parse_config("experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = -2\n")
     with pytest.raises(ConfigError, match="requires f = constant 1"):
         parse_config("experiment = flow\nmode = round_normalized\nf = power-of-linear 0.2 5\n")
+    # 1 - 1*2.2 rounds to -1.2000000000000002; the line itself is accepted
+    parse_config("experiment = soliton\nk = 1\nbeta = 2.2\nalpha = -1.2\n")
+    with pytest.raises(ConfigError, match="alpha > 1 - k\\*beta"):
+        parse_config("experiment = counterexample\nk = 1\nbeta = 2.2\nalpha = -1.2\n")
 
 
 def test_flow_experiment_outputs(tmp_path):
@@ -106,6 +110,11 @@ def test_soliton_experiment(tmp_path):
     assert summary["uniqueness_spread"] < 1e-6
     # round case: u = 4
     assert summary["umin"] == pytest.approx(4.0, abs=1e-8)
+    # Newton statistics
+    assert len(summary["residual_history"]) == summary["iterations"] + 1
+    assert summary["residual_history"][-1] == summary["residual_sup"]
+    assert len(summary["damping"]) == summary["iterations"]
+    assert summary["residual_evaluations"] >= 1 + 11 * summary["iterations"]
 
 
 def test_barriers_experiment(tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 
 import anicurve as ac
 from anicurve.soliton import (
+    _FD_STEP,
     NewtonStagnationError,
+    _banded_jacobian,
     SolitonProblem,
     round_soliton_radius,
     solve_soliton,
@@ -20,6 +22,18 @@ def test_problem_validation(grid200):
         SolitonProblem(ac.FlowParams(k=1, beta=1.5, alpha=0.5))
     with pytest.raises(ValueError):
         solve_soliton(SolitonProblem(p))  # neither grid nor init
+
+
+def test_problem_accepts_critical_line_given_in_decimals():
+    # 1 - 1*2.2 rounds to -1.2000000000000002, just below alpha = -1.2
+    p = ac.FlowParams(k=1, beta=2.2, alpha=-1.2)
+    assert SolitonProblem(p).params.q == 0.0
+
+
+def test_round_radius_rejects_critical_line(grid64):
+    p = ac.FlowParams(k=1, beta=2.0, alpha=-1.0)
+    with pytest.raises(ValueError, match="critical line"):
+        round_soliton_radius(SolitonProblem(p, 1.0), grid64)
 
 
 def test_residual_closed_forms(grid200):
@@ -139,3 +153,81 @@ def test_stagnation_reports_last_iterate(grid64):
         solve_soliton(SolitonProblem(p, 1.0, u0), tol_factor=1e-18)
     assert np.max(np.abs(exc.value.last_iterate.values - 4.0)) < 1e-6
     assert exc.value.residual_sup < 1e-8
+
+
+def _problem(grid, k):
+    """Criterion 6's cases: k=1 with power-of-linear f, k=2 with tabulated f."""
+    if k == 1:
+        f = ac.power_of_linear_anisotropy(grid, 0.2, 5.0)
+        return SolitonProblem(ac.FlowParams(k=1, beta=2.0, alpha=-2.0, f=f), 1.0)
+    f = ac.tabulated_anisotropy(grid, 1.0 + 0.3 * np.cos(2 * grid.theta))
+    return SolitonProblem(ac.FlowParams(k=2, beta=1.0, alpha=-2.0, f=f), 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [1, 2])
+def test_coloured_jacobian_equals_dense(n, k):
+    # perturbing 5 colours of columns at once reproduces the column-by-column
+    # central differences bit for bit, because the Jacobian has bandwidth 2
+    grid = ac.make_grid(n)
+    prob = _problem(grid, k)
+    th = grid.theta
+    vals = round_soliton_radius(prob, grid) * (
+        1.07 + 0.05 * np.cos(th) - 0.03 * np.cos(2 * th) + 0.02 * np.cos(3 * th)
+    )
+
+    def residual(v):
+        return soliton_residual(ac.ScalarField(grid, v), prob).values
+
+    dense = np.empty((n, n))
+    for j in range(n):
+        step = _FD_STEP * max(1.0, abs(vals[j]))
+        up = vals.copy()
+        dn = vals.copy()
+        up[j] += step
+        dn[j] -= step
+        dense[:, j] = (residual(up) - residual(dn)) / (2.0 * step)
+    rows, cols = np.nonzero(dense)
+    assert np.max(np.abs(rows - cols)) == 2
+
+    ab = _banded_jacobian(residual, vals)
+    assert ab.shape == (5, n)
+    band = np.zeros((n, n))
+    for d in range(-2, 3):
+        j = np.arange(max(0, -d), min(n, n - d))
+        band[j + d, j] = ab[2 + d, j]
+    assert np.array_equal(band, dense)
+
+
+def test_residual_evaluations_independent_of_n():
+    # one residual for the start, then 10 per Jacobian plus one per
+    # line-search trial; every full step is accepted from this start
+    per_iteration = []
+    for n in (64, 200):
+        grid = ac.make_grid(n)
+        th = grid.theta
+        u0 = ac.ScalarField(grid, 4.0 * (1 + 0.1 * np.cos(th) + 0.05 * np.cos(2 * th)))
+        res = solve_soliton(SolitonProblem(ac.FlowParams(k=1, beta=2.0, alpha=-2.0), 1.0, u0))
+        assert res.iterations > 0
+        assert res.damping == [1.0] * res.iterations
+        per_iteration.append((res.residual_evaluations - 1) / res.iterations)
+    assert per_iteration == [11.0, 11.0]
+
+
+def test_newton_statistics(grid200):
+    prob = _problem(grid200, 1)
+    th = grid200.theta
+    r0 = round_soliton_radius(prob, grid200)
+    u0 = ac.ScalarField(grid200, 1.3 * r0 * (1 + 0.05 * np.cos(th)))
+    res = solve_soliton(SolitonProblem(prob.params, prob.c, u0))
+    hist = res.residual_history
+    assert len(hist) == res.iterations + 1
+    assert len(res.damping) == res.iterations
+    assert hist[0] == pytest.approx(np.max(np.abs(soliton_residual(u0, prob).values)))
+    assert hist[-1] == res.residual_sup
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert all(0.0 < lam <= 1.0 for lam in res.damping)
+    assert min(res.damping) < 1.0  # this start needs damping
+    # trials rejected by the convexity guard cost no residual evaluation
+    trials = sum(round(-np.log2(lam)) + 1 for lam in res.damping)
+    assert 1 + 11 * res.iterations <= res.residual_evaluations <= 1 + 10 * res.iterations + trials
