@@ -88,6 +88,43 @@ def _curvature_entries(values: np.ndarray, grid: Grid):
     return b11, b22, d1
 
 
+# Central-difference step relative to max(1, |u_j|).  Forward differences
+# leave enough Jacobian error near the poles to degrade Newton to a damped
+# linear crawl.
+_FD_STEP = 6.0e-8
+# Half-bandwidth of the Jacobian of a node-wise function of u, b11 and b22:
+# the 5-point stencil and the even pole ghosts (weights on nodes 0..2).
+_BAND = 2
+
+
+def _banded_jacobian(func, vals: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of func at vals, in solve_banded storage.
+
+    func maps vals to a vector whose entry i reads only nodes i-2..i+2.
+    Returns ab of shape (5, n) with ab[2 + i - j, j] = d func_i / d u_j.  The
+    columns j = c (mod 5) of one colour are perturbed together (Curtis,
+    Powell and Reid, IMA J. Appl. Math. 13, 1974); row i reads exactly one
+    of them.  10 evaluations at any n.
+    """
+    n = vals.size
+    colours = 2 * _BAND + 1
+    steps = _FD_STEP * np.maximum(1.0, np.abs(vals))
+    rows = np.arange(n)
+    ab = np.zeros((colours, n))
+    for colour in range(colours):
+        up = vals.copy()
+        dn = vals.copy()
+        up[colour::colours] += steps[colour::colours]
+        dn[colour::colours] -= steps[colour::colours]
+        diff = func(up) - func(dn)
+        offset = (rows - colour + _BAND) % colours - _BAND  # i - j
+        cols = rows - offset
+        inside = (cols >= 0) & (cols < n)
+        cols = cols[inside]
+        ab[_BAND + offset[inside], cols] = diff[inside] / (2.0 * steps[cols])
+    return ab
+
+
 def curvature_matrix(u: ScalarField) -> CurvatureMatrix:
     b11, b22, _ = _curvature_entries(u.values, u.grid)
     return CurvatureMatrix(ScalarField(u.grid, b11), ScalarField(u.grid, b22))

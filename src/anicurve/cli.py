@@ -11,6 +11,7 @@ decimal separator, so identical configs and seeds replay bit-identically.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,6 @@ def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
         "R_blowup": cfg.R_blowup,
         "dt_min": cfg.dt_min,
         "record_every": cfg.record_every,
-        "cfl": cfg.cfl,
         "seed": seed,
     }
     if p is not None:
@@ -163,7 +163,6 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         R_blowup=cfg.R_blowup,
         dt_min=cfg.dt_min,
         record_every=cfg.record_every,
-        cfl=cfg.cfl,
     )
     traj = run(u0, p, cfg.mode, stop)
     _write_trajectory(out, traj, p)
@@ -177,6 +176,7 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "usigma_initial": usigma[0] if usigma else None,
         "usigma_final": usigma[-1] if usigma else None,
         "usigma_max_drift": max(abs(v - usigma[0]) for v in usigma) if usigma else None,
+        "stats": asdict(traj.stats),
         "echo": _echo(cfg, seed, p),
     }
     _write_json(out / "summary.json", summary)
@@ -190,7 +190,8 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     grid = make_grid(cfg.N)
     f = _build_anisotropy(cfg, grid)
     p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
-    prob = SolitonProblem(p, cfg.c)
+    # on the critical line no round radius is singled out: start from `initial`
+    prob = SolitonProblem(p, cfg.c, _build_initial(cfg, grid) if p.q == 0 else None)
     res = solve_soliton(prob, grid)
     with open(out / "snapshot_0.csv", "w", encoding="utf-8") as fh:
         fh.write("theta,u\n")
@@ -225,7 +226,6 @@ def _counterexample_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> i
         R_blowup=cfg.R_blowup,
         tol_conv=cfg.tol_conv,
         dt_min=cfg.dt_min,
-        cfl=cfg.cfl,
     )
     rep = blowup_experiment(p, u0, cfg.horizon, stop)
     _write_trajectory(out, rep.trajectory, p)
@@ -241,7 +241,9 @@ def _counterexample_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> i
         "echo": _echo(cfg, seed, p),
     }
     _write_json(out / "report.json", report)
-    _write_json(out / "summary.json", report)
+    stats = asdict(rep.trajectory.stats)
+    control_stats = asdict(rep.control_trajectory.stats)
+    _write_json(out / "summary.json", {**report, "stats": stats, "control_stats": control_stats})
     return 0
 
 
@@ -253,9 +255,7 @@ def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         return 1
     a = cfg.initial[1] if cfg.initial[0] == "round" else 0.5
     u0 = round_body(grid, a)
-    stop = StoppingConfig(
-        t_max=cfg.t_max, tol_conv=0.0, record_every=cfg.record_every, cfl=cfg.cfl
-    )
+    stop = StoppingConfig(t_max=cfg.t_max, tol_conv=0.0, record_every=cfg.record_every)
     traj = run(u0, p, "round_normalized", stop)
     worst = 0.0
     with open(out / "barrier_comparison.csv", "w", encoding="utf-8") as fh:

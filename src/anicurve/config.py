@@ -40,7 +40,6 @@ class ExperimentConfig:
     R_blowup: float = 50.0
     dt_min: float = 1e-12
     record_every: int = 50
-    cfl: float = 0.4
     c: float = 1.0
     trials: int = 3
     theta: float = 2.0
@@ -101,7 +100,6 @@ _SCALARS = {
     "tol_conv": float,
     "R_blowup": float,
     "dt_min": float,
-    "cfl": float,
     "c": float,
     "theta": float,
     "horizon": float,

@@ -7,12 +7,17 @@ Four right-hand sides operate on the nodal profile:
     volume_normalized du/dtau = f * u^alpha * sigma_k^beta - eta(u) * u
     dual_radial       dr/dt  = -r^(2-alpha) * sigma_k^beta(W_{1/r})    (f must be 1)
 
-The integrator is classical RK4 under a parabolic CFL step.  The drift
-coefficient eta of the volume-normalized flow is re-evaluated at every RK
-stage, which preserves the discrete decrease of the monotone functionals up
-to O(dt^4).  Loss of uniform convexity inside a step triggers a rollback
-with halved step size; a frozen-coefficient semi-implicit fallback engages
-when the explicit CFL step underflows.
+Runs with StoppingConfig.fixed_dt take classical RK4 steps.  All other runs
+take error-controlled steps of Ros3, the L-stable, order-3 Rosenbrock method
+of Sandu et al. (Atmos. Environ. 31, 1997) with an embedded order-2
+estimate, in the form of Hairer & Wanner, Solving ODEs II, IV.7; being
+linearly implicit, it is not held to the parabolic bound dt ~ h^2.  Its
+Jacobian is exact up to central differences: the node-local part of the
+right side has bandwidth 2 (body._banded_jacobian, shared with the soliton
+Newton solver), and the drift eta(u) of the volume-normalized flow adds the
+rank-1 term -u (x) grad eta, whose gradient follows from the speed's band by
+the chain rule and which Sherman-Morrison folds into each (2, 2) banded
+solve.  A step that loses uniform convexity is retried at half the size.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +26,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import SPHERE_AREA, _curvature_entries, _sigma_values
+from .body import SPHERE_AREA, _BAND, _banded_jacobian, _curvature_entries, _sigma_values
 from .functionals import DiagnosticsRecord, FlowParams, diagnostics, moment_powers
 
 __all__ = [
     "MODES",
     "ConvexityLostError",
     "StoppingConfig",
+    "RunStats",
     "Trajectory",
     "speed",
     "adaptive_dt",
@@ -39,6 +45,22 @@ __all__ = [
 ]
 
 MODES = ("raw", "round_normalized", "volume_normalized", "dual_radial")
+
+# Ros3: stage i solves (I/(dt*gamma) - J) K_i = F(y + sum_j a_ij K_j) +
+# sum_j (c_ij/dt) K_j with a_21 = a_31 = 1, a_32 = 0 (stage 3 reuses the
+# function value of stage 2); y_new = y + sum m_i K_i, error sum e_i K_i.
+_ROS_GAMMA = 0.43586652150845899941601945119356
+_ROS_C = (-1.0156171083877702091975600115545, 4.0759956452537699824805835358067,
+          9.2076794298330791242156818474003)  # c_21, c_31, c_32
+_ROS_M = (1.0, 6.1697947043828245592553615689730, -0.42772256543218573326238373806514)
+_ROS_E = (0.5, -2.9079558716805469821718236208017, 0.22354069897811569627360909276199)
+# Tolerances of the scaled RMS error; the step cap, which also keeps
+# record_every accepted steps a bounded span of integration time; the first
+# step; the bounds on one step change.
+_RTOL = _ATOL = 1e-8
+_DT_MAX = 0.002
+_DT_START = 1e-4
+_FAC_MIN, _FAC_MAX = 0.2, 6.0
 
 
 class ConvexityLostError(RuntimeError):
@@ -54,9 +76,25 @@ class StoppingConfig:
     R_blowup: float = 50.0
     dt_min: float = 1e-12
     record_every: int = 50
-    cfl: float = 0.4
     fixed_dt: float | None = None
     max_steps: int = 20_000_000
+
+
+@dataclass
+class RunStats:
+    """Deterministic work counts of one run(): rejected counts every rejected
+    attempt, convexity_rejections those that lost convexity; a Jacobian
+    costs 10 node-local evaluations beyond rhs_evaluations; record_steps is
+    the accepted-step count at each record."""
+
+    accepted: int = 0
+    rejected: int = 0
+    convexity_rejections: int = 0
+    rhs_evaluations: int = 0
+    jacobian_evaluations: int = 0
+    step_min: float | None = None
+    step_max: float | None = None
+    record_steps: list[int] = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -66,6 +104,7 @@ class Trajectory:
     diagnostics: list[DiagnosticsRecord] = field(default_factory=list)
     usigma: list[float] = field(default_factory=list)
     stop_reason: str = ""
+    stats: RunStats = field(default_factory=RunStats)
 
     def final(self) -> ScalarField:
         return self.snapshots[-1]
@@ -89,6 +128,7 @@ class _Engine:
         self.mode = mode
         self.f = p.f_values(grid)
         self.gamma = p.gamma
+        self.stats = RunStats()
 
     def _sigma(self, vals):
         if vals.min() <= 0:
@@ -98,7 +138,12 @@ class _Engine:
             raise ConvexityLostError("uniform convexity lost")
         return _sigma_values(b11, b22, self.p.k), b11, b22
 
-    def rhs(self, vals: np.ndarray) -> np.ndarray:
+    def _speed(self, vals):
+        sig, _, _ = self._sigma(vals)
+        return self.f * vals**self.p.alpha * sig**self.p.beta, sig
+
+    def _local(self, vals: np.ndarray) -> np.ndarray:
+        """Node-local part of the right side: all of it but -eta(u) * u."""
         p = self.p
         if self.mode == "dual_radial":
             if vals.min() <= 0:
@@ -106,28 +151,48 @@ class _Engine:
             s = 1.0 / vals
             sig, _, _ = self._sigma(s)
             return -(vals ** (2.0 - p.alpha)) * sig**p.beta
-        sig, _, _ = self._sigma(vals)
-        spd = self.f * vals**p.alpha * sig**p.beta
-        if self.mode == "raw":
-            return spd
+        spd, _ = self._speed(vals)
         if self.mode == "round_normalized":
             return spd - self.gamma * vals
+        return spd
+
+    def rhs(self, vals: np.ndarray) -> np.ndarray:
+        self.stats.rhs_evaluations += 1
+        if self.mode != "volume_normalized":
+            return self._local(vals)
+        spd, sig = self._speed(vals)
         eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
         return spd - eta * vals
+
+    def jacobian(self, vals: np.ndarray):
+        """(B, eta, g) with rhs'(vals) = B - eta*I - vals (x) g, B in (2, 2)
+        band storage; eta and g vanish outside the volume-normalized mode."""
+        self.stats.jacobian_evaluations += 1
+        ab = _banded_jacobian(self._local, vals)
+        n = vals.size
+        if self.mode != "volume_normalized":
+            return ab, 0.0, np.zeros(n)
+        # eta = w.(speed * sigma_k) / |S^2|, and speed = f u^alpha sigma_k^beta
+        # gives d(speed sigma_k)_i/du_j = (1 + 1/beta) sigma_k,i B_ij
+        # - delta_ij (alpha/beta) speed_i sigma_k,i / u_i: grad eta follows from
+        # the band B (column j holds rows j-2..j+2) without further evaluations
+        p = self.p
+        spd, sig = self._speed(vals)
+        w = self.grid.weights
+        rows = np.clip(np.arange(n) + np.arange(-_BAND, _BAND + 1)[:, None], 0, n - 1)
+        col_sums = ((w * sig)[rows] * ab).sum(axis=0)
+        grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
+        return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
 
     def margin(self, vals: np.ndarray) -> float:
         work = 1.0 / vals if self.mode == "dual_radial" else vals
         b11, b22, _ = _curvature_entries(work, self.grid)
         return float(min(b11.min(), b22.min()))
 
-    def diffusivity(self, vals: np.ndarray) -> float:
-        """Max node-wise coefficient of the linearized second-order term."""
-        p = self.p
-        work = 1.0 / vals if self.mode == "dual_radial" else vals
-        sig, b11, b22 = self._sigma(work)
-        eig = 1.0 if p.k == 1 else np.maximum(b11, b22)
-        d = p.beta * self.f * work**p.alpha * sig ** (p.beta - 1.0) * eig
-        return float(np.max(d))
+    def _checked(self, new: np.ndarray) -> np.ndarray:
+        if not (new.min() > 0 and self.margin(new) > 0):
+            raise ConvexityLostError("uniform convexity lost after step")
+        return new
 
     def rk4(self, vals: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
         if k1 is None:
@@ -135,49 +200,32 @@ class _Engine:
         k2 = self.rhs(vals + 0.5 * dt * k1)
         k3 = self.rhs(vals + 0.5 * dt * k2)
         k4 = self.rhs(vals + dt * k3)
-        new = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if new.min() <= 0 or self.margin(new) <= 0:
-            raise ConvexityLostError("uniform convexity lost after step")
-        return new
+        return self._checked(vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
-    def semi_implicit(self, vals: np.ndarray, dt: float) -> np.ndarray:
-        """Backward-Euler step with the frozen linearized diffusion operator.
+    def ros3(self, vals: np.ndarray, dt: float, f0=None, jac=None):
+        """One Ros3 step: (new state, scaled RMS error estimate); a retry from
+        the same state passes f0 = rhs(vals) and jac = jacobian(vals) in."""
+        f0 = self.rhs(vals) if f0 is None else f0
+        band, eta, g = self.jacobian(vals) if jac is None else jac
+        ab = -band
+        ab[_BAND] += 1.0 / (_ROS_GAMMA * dt) + eta
+        # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
+        # z = A^-1 vals / (1 + g.A^-1 vals)
+        k1, z = solve_banded((_BAND, _BAND), ab, np.stack((f0, vals), axis=1)).T
+        z = z / (1.0 + g @ z)
+        k1 = k1 - z * (g @ k1)
 
-        The implicit matrix uses second-order differences (tridiagonal plus
-        diagonal) with even-parity closure at the poles; it only stabilizes,
-        the explicit right side keeps the 4th-order spatial accuracy.
-        """
-        if self.mode == "dual_radial":
-            raise ConvexityLostError("no implicit fallback for the dual radial mode")
-        g = self.grid
-        p = self.p
-        n = g.n
-        h = g.h
-        sig, b11, b22 = self._sigma(vals)
-        common = p.beta * self.f * vals**p.alpha * sig ** (p.beta - 1.0)
-        d11 = common * (np.ones(n) if p.k == 1 else b22)
-        d22 = common * (np.ones(n) if p.k == 1 else b11)
-        chi = d22 * g.cot
-        lower = d11 / h**2 - chi / (2.0 * h)
-        diag = -2.0 * d11 / h**2
-        upper = d11 / h**2 + chi / (2.0 * h)
-        # Even closure u(pole) ~ (4*u1 - u2)/3 folds the ghost column in.
-        diag = diag.copy()
-        upper = upper.copy()
-        lower = lower.copy()
-        diag[0] += lower[0] * (4.0 / 3.0)
-        upper[0] += lower[0] * (-1.0 / 3.0)
-        diag[-1] += upper[-1] * (4.0 / 3.0)
-        lower[-1] += upper[-1] * (-1.0 / 3.0)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * upper[:-1]
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * lower[1:]
-        delta = solve_banded((1, 1), ab, dt * self.rhs(vals))
-        new = vals + delta
-        if new.min() <= 0 or self.margin(new) <= 0:
-            raise ConvexityLostError("uniform convexity lost after implicit step")
-        return new
+        def solve(r):
+            x = solve_banded((_BAND, _BAND), ab, r)
+            return x - z * (g @ x)
+
+        f2 = self.rhs(vals + k1)
+        k2 = solve(f2 + (_ROS_C[0] / dt) * k1)
+        k3 = solve(f2 + (_ROS_C[1] / dt) * k1 + (_ROS_C[2] / dt) * k2)
+        new = self._checked(vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3)
+        est = _ROS_E[0] * k1 + _ROS_E[1] * k2 + _ROS_E[2] * k3
+        scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
+        return new, float(np.sqrt(np.mean((est / scale) ** 2)))
 
 
 def speed(u: ScalarField, p: FlowParams) -> ScalarField:
@@ -190,34 +238,20 @@ def speed(u: ScalarField, p: FlowParams) -> ScalarField:
 
 
 def adaptive_dt(u: ScalarField, p: FlowParams, cfl: float = 0.4) -> float:
-    """Parabolic CFL step cfl * h^2 / D_max for the support-side flows."""
-    eng = _Engine(u.grid, p, "raw")
-    return cfl * u.grid.h**2 / eng.diffusivity(u.values)
+    """Parabolic CFL step cfl * h^2 / D_max of explicit raw-flow steps, D the
+    node-wise coefficient of the linearized second-order term."""
+    sig, b11, b22 = _Engine(u.grid, p, "raw")._sigma(u.values)
+    eig = 1.0 if p.k == 1 else np.maximum(b11, b22)
+    d = p.beta * p.f_values(u.grid) * u.values**p.alpha * sig ** (p.beta - 1.0) * eig
+    return cfl * u.grid.h**2 / float(np.max(d))
 
 
 def step(u: ScalarField, p: FlowParams, mode: str, dt: float) -> ScalarField:
-    """One RK4 update; raises ConvexityLostError to signal rollback."""
+    """One RK4 update; raises ConvexityLostError when the result is not convex."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     eng = _Engine(u.grid, p, mode)
     return ScalarField(u.grid, eng.rk4(u.values, dt))
-
-
-def _record(traj, eng, p, vals, t_phys, tau, powers):
-    u = ScalarField(eng.grid, vals.copy())
-    traj.times.append(tau if eng.mode in ("round_normalized", "volume_normalized") else t_phys)
-    traj.snapshots.append(u)
-    if eng.mode == "dual_radial":
-        rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, t_phys, tau, powers)
-        rec.R = float(vals.max() / vals.min())
-        rec.umin, rec.umax = float(vals.min()), float(vals.max())
-        traj.diagnostics.append(rec)
-        traj.usigma.append(float("nan"))
-    else:
-        traj.diagnostics.append(diagnostics(u, p, t_phys, tau, powers))
-        b11, b22, _ = _curvature_entries(vals, eng.grid)
-        sig = _sigma_values(b11, b22, p.k)
-        traj.usigma.append(float(eng.grid.weights @ (vals * sig)))
 
 
 def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None = None) -> Trajectory:
@@ -226,12 +260,14 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     The integration variable is tau for the normalized modes and t for the
     raw and dual modes; the companion variable recorded in the diagnostics
     is reconstructed by the closed-form reparametrization (round case) or by
-    quadrature of the normalization factor (volume case).
+    quadrature of the normalization factor (volume case).  Steps are RK4 at
+    stop.fixed_dt if set, else Ros3 under error control, taken at dt_min
+    when the controller asks for less.  Work counts go to traj.stats.
 
     Stop reasons: converged (sup norm of the right side below tol_conv),
-    t_max, convexity_lost (after three rollbacks with halved dt),
-    ratio_blowup (max u / min u at R_blowup), step_underflow (dt below
-    dt_min).
+    t_max, convexity_lost (a step and three halvings of it all lost uniform
+    convexity), ratio_blowup (max u / min u at R_blowup), step_underflow (a
+    halved step below dt_min).
     """
     if stop is None:
         stop = StoppingConfig()
@@ -243,7 +279,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     if eng.margin(vals) <= 0:
         raise ValueError("initial body must be uniformly convex")
 
-    traj = Trajectory()
+    traj = Trajectory(stats=eng.stats)
+    stats = traj.stats
     s = 0.0  # integration variable
     # Quadrature state for reconstructing the physical time of the
     # volume-normalized flow: dt/dtau = (V_{k+1}/|S^2|)^(q/(k+1)).
@@ -252,6 +289,20 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
 
     def record(vals, s):
         nonlocal quad_t, quad_prev
+        stats.record_steps.append(stats.accepted)
+        u = ScalarField(eng.grid, vals.copy())
+        traj.snapshots.append(u)
+        if mode == "dual_radial":
+            rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, s, s, powers)
+            rec.R = float(vals.max() / vals.min())
+            rec.umin, rec.umax = float(vals.min()), float(vals.max())
+            traj.times.append(s)
+            traj.diagnostics.append(rec)
+            traj.usigma.append(float("nan"))
+            return
+        b11, b22, _ = _curvature_entries(vals, eng.grid)
+        usigma = float(eng.grid.weights @ (vals * _sigma_values(b11, b22, p.k)))
+        t_phys, tau = s, s
         if mode == "raw":
             # the closed-form remap is undefined past the supercritical
             # blowup horizon and for general anisotropies
@@ -259,80 +310,82 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
                 tau = normalized_time(s, p) if p.f is None else float("nan")
             except ValueError:
                 tau = float("nan")
-            _record(traj, eng, p, vals, s, tau, powers)
-        elif mode == "dual_radial":
-            _record(traj, eng, p, vals, s, s, powers)
         elif mode == "round_normalized":
             m = -p.q
             t_phys = s if m == 0.0 else float(np.expm1(m * s) / (m * p.gamma))
-            _record(traj, eng, p, vals, t_phys, s, powers)
         else:
-            b11, b22, _ = _curvature_entries(vals, eng.grid)
-            sig = _sigma_values(b11, b22, p.k)
-            vol = float(eng.grid.weights @ (vals * sig))
-            rate = (vol / SPHERE_AREA) ** (p.q / (p.k + 1.0))
+            rate = (usigma / SPHERE_AREA) ** (p.q / (p.k + 1.0))
             if quad_prev is not None:
                 s_prev, rate_prev = quad_prev
                 quad_t += 0.5 * (rate + rate_prev) * (s - s_prev)
             quad_prev = (s, rate)
-            _record(traj, eng, p, vals, quad_t, s, powers)
+            t_phys = quad_t
+        traj.times.append(t_phys if mode == "raw" else tau)
+        traj.diagnostics.append(diagnostics(u, p, t_phys, tau, powers))
+        traj.usigma.append(usigma)
 
     record(vals, s)
-    steps = 0
     just_recorded = True
+    fixed = stop.fixed_dt is not None
+    dt = stop.fixed_dt if fixed else max(stop.dt_min, _DT_START)
+    f0 = jac = None  # right side and Jacobian at vals, once evaluated
+    failures = 0  # convexity losses of the current step
+    grow = _FAC_MAX  # largest step increase; 1 right after a rejection
     while True:
-        k1 = eng.rhs(vals)
-        if float(np.max(np.abs(k1))) < stop.tol_conv:
-            traj.stop_reason = "converged"
-            break
-        if s >= stop.t_max:
-            traj.stop_reason = "t_max"
-            break
-        if float(vals.max() / vals.min()) >= stop.R_blowup:
-            traj.stop_reason = "ratio_blowup"
-            break
-        if steps >= stop.max_steps:
-            raise RuntimeError("step budget exceeded; loosen the stopping rules")
+        if f0 is None:
+            f0, jac = eng.rhs(vals), None
+            if float(np.max(np.abs(f0))) < stop.tol_conv:
+                traj.stop_reason = "converged"
+                break
+            if s >= stop.t_max:
+                traj.stop_reason = "t_max"
+                break
+            if float(vals.max() / vals.min()) >= stop.R_blowup:
+                traj.stop_reason = "ratio_blowup"
+                break
+            if stats.accepted >= stop.max_steps:
+                raise RuntimeError("step budget exceeded; loosen the stopping rules")
 
         remaining = stop.t_max - s
         if remaining <= stop.dt_min:
             traj.stop_reason = "t_max"
             break
-        implicit = False
-        if stop.fixed_dt is not None:
-            dt = stop.fixed_dt
-        else:
-            dt = stop.cfl * eng.grid.h**2 / eng.diffusivity(vals)
-            if dt < stop.dt_min:
-                implicit = True
-                dt = stop.cfl * eng.grid.h
-        dt = min(dt, remaining)
-
-        advanced = False
-        for _ in range(4):  # initial attempt plus three halvings
-            if dt < stop.dt_min:
-                traj.stop_reason = "step_underflow"
+        h = min(dt, remaining)
+        if h < stop.dt_min:
+            traj.stop_reason = "step_underflow"
+            break
+        try:
+            if fixed:
+                new, err = eng.rk4(vals, h, k1=f0), 0.0
+            else:
+                jac = eng.jacobian(vals) if jac is None else jac
+                new, err = eng.ros3(vals, h, f0, jac)
+        except ConvexityLostError:
+            stats.rejected += 1
+            stats.convexity_rejections += 1
+            failures += 1
+            if failures == 4:
+                traj.stop_reason = "convexity_lost"
                 break
-            try:
-                if implicit:
-                    new = eng.semi_implicit(vals, dt)
-                else:
-                    new = eng.rk4(vals, dt, k1=k1)
-            except ConvexityLostError:
-                dt *= 0.5
+            dt, grow = 0.5 * h, 1.0
+            continue
+        if not fixed:
+            # err below 3.4e-3 already gives the largest increase; 1e-4 keeps 0 finite
+            fac = min(grow, max(_FAC_MIN, 0.9 * max(err, 1e-4) ** (-1.0 / 3.0)))
+            dt = max(stop.dt_min, min(_DT_MAX, fac * h))
+            if not err <= 1.0 and h > stop.dt_min:
+                stats.rejected += 1
+                grow = 1.0
                 continue
-            vals = new
-            s += dt
-            advanced = True
-            break
-        if traj.stop_reason:
-            break
-        if not advanced:
-            traj.stop_reason = "convexity_lost"
-            break
 
-        steps += 1
-        just_recorded = steps % stop.record_every == 0
+        vals, s, f0 = new, s + h, None
+        failures, grow = 0, _FAC_MAX
+        if fixed:
+            dt = stop.fixed_dt
+        stats.accepted += 1
+        stats.step_min = min(h, stats.step_min or h)
+        stats.step_max = max(h, stats.step_max or h)
+        just_recorded = stats.accepted % stop.record_every == 0
         if just_recorded:
             record(vals, s)
 

@@ -5,14 +5,11 @@ A self-similar solution of the anisotropic flow satisfies
     f * u^(alpha-1) * sigma_k(W_u)^beta = c
 
 for a positive constant c.  The solver runs a damped Newton iteration on
-the nodal vector of u.  Its Jacobian comes from central differences of the
-residual and has bandwidth 2: the residual at node i reads only nodes
-i-2..i+2, through the 5-point stencil of sphere._differentiate_values and
-the pole ghosts, whose even extrapolation weights reach nodes 0..2; f does
-not depend on u.  So columns j = c (mod 5) share no row, and perturbing
-each of the 5 colours together (Curtis, Powell and Reid, IMA J. Appl.
-Math. 13, 1974) recovers every entry with 10 residual evaluations at any
-N.  The Newton step is one (2, 2) banded solve.
+the nodal vector of u.  The residual at node i reads only nodes i-2..i+2 (f
+does not depend on u), so its central-difference Jacobian has bandwidth 2
+and comes from 10 residual evaluations at any N (body._banded_jacobian, the
+linearization the flow integrator shares).  The Newton step is one (2, 2)
+banded solve.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +18,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import _curvature_entries, _sigma_values
+from .body import _BAND, _banded_jacobian, _curvature_entries, _sigma_values
+from .body import _FD_STEP  # noqa: F401  (re-exported for the Jacobian tests)
 from .functionals import Anisotropy, FlowParams, anisotropy_condition_margin
 
 __all__ = [
@@ -111,40 +109,6 @@ def round_soliton_radius(prob: SolitonProblem, grid: Grid) -> float:
 def _margin(vals: np.ndarray, grid: Grid) -> float:
     b11, b22, _ = _curvature_entries(vals, grid)
     return float(min(b11.min(), b22.min()))
-
-
-# Central-difference step relative to max(1, |u_j|).  Forward differences
-# leave enough Jacobian error near the poles to degrade Newton to a damped
-# linear crawl.
-_FD_STEP = 6.0e-8
-# Half-bandwidth of the residual's Jacobian (see the module docstring).
-_BAND = 2
-
-
-def _banded_jacobian(residual, vals: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of residual at vals, in solve_banded storage.
-
-    Returns ab of shape (5, n) with ab[2 + i - j, j] = d residual_i / d u_j.
-    The columns j = c (mod 5) of one colour c are perturbed together; row i
-    reads exactly one of them, the one with |i - j| <= 2.
-    """
-    n = vals.size
-    colours = 2 * _BAND + 1
-    steps = _FD_STEP * np.maximum(1.0, np.abs(vals))
-    rows = np.arange(n)
-    ab = np.zeros((colours, n))
-    for colour in range(colours):
-        up = vals.copy()
-        dn = vals.copy()
-        up[colour::colours] += steps[colour::colours]
-        dn[colour::colours] -= steps[colour::colours]
-        diff = residual(up) - residual(dn)
-        offset = (rows - colour + _BAND) % colours - _BAND  # i - j
-        cols = rows - offset
-        inside = (cols >= 0) & (cols < n)
-        cols = cols[inside]
-        ab[_BAND + offset[inside], cols] = diff[inside] / (2.0 * steps[cols])
-    return ab
 
 
 def solve_soliton(

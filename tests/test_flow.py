@@ -3,7 +3,7 @@ import pytest
 
 import anicurve as ac
 from anicurve import FlowParams, StoppingConfig
-from anicurve.flow import _Engine
+from anicurve.flow import _DT_MAX, _Engine
 
 
 def p_of(k, beta, alpha, f=None):
@@ -235,7 +235,7 @@ def test_raw_supercritical_pinches_translate(grid64):
     assert traj.stop_reason in ("convexity_lost", "ratio_blowup", "step_underflow")
 
 
-def test_semi_implicit_agrees_with_explicit(grid64):
+def test_rosenbrock_agrees_with_explicit(grid64):
     p = p_of(1, 2.0, -2.0)
     eng = _Engine(grid64, p, "round_normalized")
     u = ac.translated_ball(grid64, 0.3).values.copy()
@@ -243,17 +243,17 @@ def test_semi_implicit_agrees_with_explicit(grid64):
     dt = 2e-5
     for _ in range(400):
         u = eng.rk4(u, dt)
-        v = eng.semi_implicit(v, dt)
+        v, _ = eng.ros3(v, dt)
     assert np.max(np.abs(u - v)) < 1e-4
 
 
-def test_semi_implicit_stable_beyond_cfl(grid64):
+def test_rosenbrock_stable_beyond_cfl(grid64):
     # 100x the explicit CFL limit: still marches to the round fixed point
     p = p_of(1, 2.0, -2.0)
     eng = _Engine(grid64, p, "round_normalized")
     v = ac.translated_ball(grid64, 0.3).values.copy()
     for _ in range(600):
-        v = eng.semi_implicit(v, 0.01)
+        v, _ = eng.ros3(v, 0.01)
     assert np.max(np.abs(v - 1.0)) < 1e-5
 
 
@@ -277,3 +277,90 @@ def test_trajectory_records(grid64):
     # physical time is reconstructed alongside the normalized time
     for rec in traj.diagnostics:
         assert rec.t >= 0.0 and np.isfinite(rec.t)
+
+
+def test_rosenbrock_order_against_barrier():
+    # round bodies stay round, so the only error left is the time error
+    g = ac.make_grid(16)
+    p = p_of(1, 1.0, -2.0)
+    exact = ac.barrier(0.5, 1.0, p)
+    errs = []
+    for n in (20, 40):
+        eng = _Engine(g, p, "round_normalized")
+        v = ac.round_body(g, 0.5).values.copy()
+        for _ in range(n):
+            v, _ = eng.ros3(v, 1.0 / n)
+        errs.append(np.max(np.abs(v - exact)))
+    assert np.log2(errs[0] / errs[1]) >= 2.8
+
+
+def test_rk4_order_on_fixed_dt_path():
+    g = ac.make_grid(16)
+    p = p_of(1, 1.0, -2.0)
+    errs = []
+    for n in (160, 320):
+        stop = StoppingConfig(t_max=1.0, tol_conv=0.0, record_every=10**9, fixed_dt=1.0 / n)
+        traj = ac.run(ac.round_body(g, 0.5), p, "round_normalized", stop)
+        assert traj.stats.accepted == n and traj.stats.rhs_evaluations == 4 * n + 1
+        errs.append(np.max(np.abs(traj.final().values - ac.barrier(0.5, 1.0, p))))
+    assert np.log2(errs[0] / errs[1]) >= 3.8
+
+
+def test_conserved_integral_drift(grid64):
+    """int u sigma_k dmu along the volume-normalized flow.
+
+    The semi-discrete flow itself does not conserve the integral: by
+    tau = 0.05 it has moved by about 3e-7 here, under fixed-step RK4 as under
+    Ros3.  The integrator's own share is the difference between the two,
+    and it must stay below 1e-8.  At a steady state eta * int u sigma_k =
+    eta * |S^2|, so a run to convergence ends where it started.
+    """
+    f = ac.power_of_linear_anisotropy(grid64, 0.2, 5.0)
+    p = p_of(1, 2.0, -2.0, f=f)
+    u0 = ac.normalize_body(ac.spheroid_support(grid64, 1.0, 1.5), 1)
+    ros = ac.run(u0, p, "volume_normalized", StoppingConfig(t_max=0.05, tol_conv=0.0))
+    ref = ac.run(
+        u0, p, "volume_normalized", StoppingConfig(t_max=0.05, tol_conv=0.0, fixed_dt=2.5e-5)
+    )
+    assert ros.stats.jacobian_evaluations == ros.stats.accepted > 0
+    assert abs(ros.usigma[-1] - ref.usigma[-1]) <= 1e-8
+    traj = ac.run(u0, p, "volume_normalized", StoppingConfig(t_max=30.0, tol_conv=1e-7))
+    assert traj.stop_reason == "converged"
+    assert abs(traj.usigma[-1] - traj.usigma[0]) <= 1e-8
+
+
+def test_run_stats(grid64):
+    p = p_of(1, 2.0, -2.0)
+    stop = StoppingConfig(t_max=0.05, tol_conv=0.0, record_every=7)
+    traj = ac.run(ac.translated_ball(grid64, 0.1), p, "round_normalized", stop)
+    st = traj.stats
+    assert st.accepted > 0 and st.jacobian_evaluations == st.accepted
+    # one right side per state reached and one per attempted step (stage 2)
+    assert st.rhs_evaluations == 2 * st.accepted + st.rejected + 1
+    assert 0 < st.step_min <= st.step_max <= _DT_MAX
+    assert st.record_steps == list(range(0, st.accepted, 7)) + [st.accepted]
+    assert len(st.record_steps) == len(traj.times)
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+def test_jacobian_matches_dense_differences(mode):
+    # B - eta*I - u (x) grad_eta against column-by-column central differences
+    # of the full right side; eta couples every node in the volume mode
+    g = ac.make_grid(16)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
+    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
+    eng = _Engine(g, p, mode)
+    band, eta, grad = eng.jacobian(u)
+    jac = -eta * np.eye(g.n) - np.outer(u, grad)
+    for d in range(-2, 3):
+        j = np.arange(max(0, -d), min(g.n, g.n - d))
+        jac[j + d, j] += band[2 + d, j]
+    dense = np.empty((g.n, g.n))
+    for j in range(g.n):
+        e = np.zeros(g.n)
+        e[j] = 6e-8 * max(1.0, u[j])
+        dense[:, j] = (eng.rhs(u + e) - eng.rhs(u - e)) / (2.0 * e[j])
+    assert np.max(np.abs(jac - dense)) <= 1e-9 * np.max(np.abs(dense))
+    if mode != "volume_normalized":
+        assert eta == 0.0 and not grad.any()

@@ -89,6 +89,9 @@ def test_flow_experiment_outputs(tmp_path):
     assert summary["stop_reason"] == "t_max"
     assert summary["echo"]["seed"] == 0
     assert summary["echo"]["derived"]["gamma"] == 4.0
+    stats = summary["stats"]
+    assert stats["accepted"] == stats["record_steps"][-1] > 0
+    assert stats["rhs_evaluations"] > stats["jacobian_evaluations"] > 0
     header = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()[0]
     assert header.startswith("t,tau,R,eta,J,Z_")
 
@@ -115,6 +118,34 @@ def test_soliton_experiment(tmp_path):
     assert summary["residual_history"][-1] == summary["residual_sup"]
     assert len(summary["damping"]) == summary["iterations"]
     assert summary["residual_evaluations"] >= 1 + 11 * summary["iterations"]
+
+
+def test_soliton_experiment_on_critical_line(tmp_path):
+    # no round radius is singled out at q = 0, so Newton starts from `initial`
+    # (the unit sphere, an exact solution for c = 2^beta)
+    cfg_path = tmp_path / "crit.cfg"
+    cfg_path.write_text(
+        "experiment = soliton\nN = 32\nk = 1\nbeta = 2.2\nalpha = -1.2\nc = 4.59479341998814\n"
+    )
+    code = main(["soliton", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["echo"]["derived"]["regime"] == "critical"
+    assert summary["residual_sup"] < 1e-10 * 2**2.2
+    assert "uniqueness_spread" not in summary
+
+
+def test_counterexample_experiment_stats(tmp_path):
+    text = (
+        "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
+        "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+    )
+    assert run_experiment(parse_config(text), tmp_path, seed=0) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for key in ("stats", "control_stats"):
+        assert summary[key]["accepted"] == summary[key]["record_steps"][-1] > 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == {k: v for k, v in summary.items() if k not in ("stats", "control_stats")}
 
 
 def test_barriers_experiment(tmp_path, capsys):
