@@ -16,6 +16,7 @@ from .sphere import (
 )
 from .body import (
     SPHERE_AREA,
+    ConvexityLostError,
     CurvatureMatrix,
     BodyGeometry,
     round_body,
@@ -52,7 +53,6 @@ from .functionals import (
 )
 from .flow import (
     MODES,
-    ConvexityLostError,
     StoppingConfig,
     Trajectory,
     speed,

@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .sphere import Grid, ScalarField, make_field, _differentiate_values, _POLE_WEIGHTS
+from .sphere import Grid, ScalarField, make_field, _differentiate_values, _extend
 
 __all__ = [
+    "ConvexityLostError",
     "CurvatureMatrix",
     "BodyGeometry",
     "round_body",
@@ -39,6 +40,11 @@ __all__ = [
 SPHERE_AREA = 4.0 * np.pi
 
 _log = logging.getLogger(__name__)
+
+
+class ConvexityLostError(ValueError):
+    """Raised for a body outside the admissible class: u > 0 and both
+    principal radii b11, b22 > 0 at every node."""
 
 
 @dataclass(eq=False)
@@ -88,6 +94,34 @@ def _curvature_entries(values: np.ndarray, grid: Grid):
     return b11, b22, d1
 
 
+def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
+    if k == 1:
+        return b11 + b22
+    if k == 2:
+        return b11 * b22
+    raise ValueError(f"k must be 1 or 2, got {k}")
+
+
+def _radii(values: np.ndarray, grid: Grid, k: int):
+    """(b11, b22, d1, sigma_k) of an admissible body.
+
+    The one admissibility rule of every speed, rho and diagnostic: u > 0 and
+    b11, b22 > 0 at every node, else ConvexityLostError.
+    """
+    if values.min() <= 0:
+        raise ConvexityLostError("support values must be positive")
+    b11, b22, d1 = _curvature_entries(values, grid)
+    if b11.min() <= 0 or b22.min() <= 0:
+        raise ConvexityLostError("uniform convexity lost")
+    return b11, b22, d1, _sigma_values(b11, b22, k)
+
+
+def _margin(values: np.ndarray, grid: Grid) -> float:
+    """Smallest principal radius over the grid."""
+    b11, b22, _ = _curvature_entries(values, grid)
+    return float(min(b11.min(), b22.min()))
+
+
 # Central-difference step relative to max(1, |u_j|).  Forward differences
 # leave enough Jacobian error near the poles to degrade Newton to a damped
 # linear crawl.
@@ -130,14 +164,6 @@ def curvature_matrix(u: ScalarField) -> CurvatureMatrix:
     return CurvatureMatrix(ScalarField(u.grid, b11), ScalarField(u.grid, b22))
 
 
-def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        return b11 + b22
-    if k == 2:
-        return b11 * b22
-    raise ValueError(f"k must be 1 or 2, got {k}")
-
-
 def sigma_k(W: CurvatureMatrix, k: int) -> ScalarField:
     """Elementary symmetric function of the principal radii (diagonal frame)."""
     return ScalarField(W.b11.grid, _sigma_values(W.b11.values, W.b22.values, k))
@@ -145,8 +171,7 @@ def sigma_k(W: CurvatureMatrix, k: int) -> ScalarField:
 
 def convexity_margin(u: ScalarField) -> float:
     """Smallest eigenvalue of W_u over the grid; positive iff uniformly convex."""
-    b11, b22, _ = _curvature_entries(u.values, u.grid)
-    return float(min(b11.min(), b22.min()))
+    return _margin(u.values, u.grid)
 
 
 def body_geometry(u: ScalarField) -> BodyGeometry:
@@ -171,6 +196,8 @@ def mixed_volume(v: ScalarField, us: Sequence[ScalarField], k: int) -> float:
     sigma_2[A, B] = (a11*b22 + a22*b11) / 2, the unique symmetric bilinear
     form restricting to sigma_2 on the diagonal.
     """
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
     if len(us) != k:
         raise ValueError(f"expected {k} support functions, got {len(us)}")
     g = v.grid
@@ -199,11 +226,8 @@ def normalize_body(u: ScalarField, k: int) -> ScalarField:
 
 def _with_pole_values(values: np.ndarray, grid: Grid):
     """Nodal profile augmented by even-extrapolated pole values."""
-    p0 = float(_POLE_WEIGHTS @ values[:3])
-    ppi = float(_POLE_WEIGHTS @ values[-1:-4:-1])
     angles = np.concatenate(([0.0], grid.theta, [np.pi]))
-    vals = np.concatenate(([p0], values, [ppi]))
-    return angles, vals
+    return angles, _extend(values, "even")[1:-1]
 
 
 def radial_from_support(u: ScalarField) -> ScalarField:

@@ -65,6 +65,12 @@ def _build_anisotropy(cfg: ExperimentConfig, grid: Grid) -> Anisotropy | None:
     return tabulated_anisotropy(grid, values)
 
 
+def _build_params(cfg: ExperimentConfig) -> tuple[Grid, FlowParams]:
+    grid = make_grid(cfg.N)
+    f = _build_anisotropy(cfg, grid)
+    return grid, FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
+
+
 def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
     kind = cfg.initial[0]
     if kind == "round":
@@ -104,6 +110,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_snapshot(path: Path, u: ScalarField) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("theta,u\n")
+        for th, val in zip(u.grid.theta, u.values):
+            fh.write(f"{_fmt(th)},{_fmt(val)}\n")
+
+
 def _record_dict(rec) -> dict:
     d = {
         "t": rec.t,
@@ -133,19 +146,13 @@ def _write_trajectory(out: Path, traj: Trajectory, p: FlowParams, prefix: str = 
     n = len(traj.snapshots)
     take = sorted(set(np.linspace(0, n - 1, min(n, 33)).astype(int)))
     for idx_out, idx in enumerate(take):
-        snap = traj.snapshots[idx]
-        with open(out / f"{prefix}snapshot_{idx_out}.csv", "w", encoding="utf-8") as fh:
-            fh.write("theta,u\n")
-            for th, val in zip(snap.grid.theta, snap.values):
-                fh.write(f"{_fmt(th)},{_fmt(val)}\n")
+        _write_snapshot(out / f"{prefix}snapshot_{idx_out}.csv", traj.snapshots[idx])
 
 
 def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid = make_grid(cfg.N)
-    f = _build_anisotropy(cfg, grid)
-    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
-    if cfg.mode == "volume_normalized" and f is not None and cfg.k == 1:
-        margin = anisotropy_condition_margin(f, p)
+    grid, p = _build_params(cfg)
+    if cfg.mode == "volume_normalized" and p.f is not None and cfg.k == 1:
+        margin = anisotropy_condition_margin(p.f, p)
         if margin <= 0:
             print(
                 "refusing to run: the anisotropy fails the admissibility condition "
@@ -187,16 +194,11 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid = make_grid(cfg.N)
-    f = _build_anisotropy(cfg, grid)
-    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
+    grid, p = _build_params(cfg)
     # on the critical line no round radius is singled out: start from `initial`
     prob = SolitonProblem(p, cfg.c, _build_initial(cfg, grid) if p.q == 0 else None)
     res = solve_soliton(prob, grid)
-    with open(out / "snapshot_0.csv", "w", encoding="utf-8") as fh:
-        fh.write("theta,u\n")
-        for th, val in zip(grid.theta, res.u.values):
-            fh.write(f"{_fmt(th)},{_fmt(val)}\n")
+    _write_snapshot(out / "snapshot_0.csv", res.u)
     payload = {
         "c": cfg.c,
         "residual_sup": res.residual_sup,
@@ -215,9 +217,7 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _counterexample_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid = make_grid(cfg.N)
-    f = _build_anisotropy(cfg, grid)
-    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
+    grid, p = _build_params(cfg)
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
     bounds = verify_case_bounds(sp, p, samples=cfg.samples, seed=seed)
     u0 = _build_initial(cfg, grid)

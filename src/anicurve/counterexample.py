@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sphere import Grid, ScalarField
-from .body import convexity_margin, normalize_body, spheroid_support
+from .body import _sigma_values, convexity_margin, normalize_body, spheroid_support
 from .functionals import FlowParams
 from .flow import StoppingConfig, Trajectory, run
 
@@ -79,16 +79,8 @@ def _check_domain(rho: float, t: float) -> None:
 
 def subsolution_profile(rho: float, t: float, sp: SubsolutionParams) -> float:
     """Cap height psi(rho, t); C^1 across rho = |t|^theta by construction."""
-    _check_domain(rho, t)
-    s = -t
-    split = s**sp.theta
-    if rho < split:
-        return float(-(s**sp.theta) + s ** (sp.theta * (sp.mu - 1.0)) * rho * rho)
-    return float(
-        -(s**sp.theta)
-        - (1.0 - sp.mu) / (1.0 + sp.mu) * s ** (sp.theta * (1.0 + sp.mu))
-        + 2.0 / (1.0 + sp.mu) * rho ** (1.0 + sp.mu)
-    )
+    inner, outer = profile_branch_values(rho, t, sp)
+    return inner if rho < (-t) ** sp.theta else outer
 
 
 def profile_branch_values(rho: float, t: float, sp: SubsolutionParams) -> tuple[float, float]:
@@ -130,13 +122,10 @@ def subsolution_profile_dt(rho: float, t: float, sp: SubsolutionParams) -> float
 
 def _profile_derivatives(rho: float, t: float, sp: SubsolutionParams):
     s = -t
+    inner, outer = profile_branch_slopes(rho, t, sp)
     if rho < s**sp.theta:
-        d1 = 2.0 * s ** (sp.theta * (sp.mu - 1.0)) * rho
-        d2 = 2.0 * s ** (sp.theta * (sp.mu - 1.0))
-    else:
-        d1 = 2.0 * rho**sp.mu
-        d2 = 2.0 * sp.mu * rho ** (sp.mu - 1.0)
-    return d1, d2
+        return inner, 2.0 * s ** (sp.theta * (sp.mu - 1.0))
+    return outer, 2.0 * sp.mu * rho ** (sp.mu - 1.0)
 
 
 def profile_radii(sp: SubsolutionParams, rho: float, t: float) -> tuple[float, float]:
@@ -198,11 +187,7 @@ def verify_case_bounds(
             branch = "outer"
         rho = min(rho, 1.0)
         t = -s
-        lam_r, lam_t = profile_radii(sp, rho, t)
-        if p.k == 1:
-            sig = lam_r + lam_t
-        else:
-            sig = lam_r * lam_t
+        sig = _sigma_values(*profile_radii(sp, rho, t), p.k)
         z = subsolution_profile(rho, t, sp)
         r = float(np.hypot(rho, z))
         base = s ** (sp.theta - 1.0)

@@ -17,7 +17,9 @@ right side has bandwidth 2 (body._banded_jacobian, shared with the soliton
 Newton solver), and the drift eta(u) of the volume-normalized flow adds the
 rank-1 term -u (x) grad eta, whose gradient follows from the speed's band by
 the chain rule and which Sherman-Morrison folds into each (2, 2) banded
-solve.  A step that loses uniform convexity is retried at half the size.
+solve.  Every right side applies the one admissibility rule of body._radii
+(u > 0 and both principal radii > 0, else ConvexityLostError, a ValueError);
+a step that loses uniform convexity is retried at half the size.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +28,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import SPHERE_AREA, _BAND, _banded_jacobian, _curvature_entries, _sigma_values
-from .functionals import DiagnosticsRecord, FlowParams, diagnostics, moment_powers
+from .body import SPHERE_AREA, _BAND, ConvexityLostError, _banded_jacobian, _margin, _radii
+from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
 
 __all__ = [
     "MODES",
@@ -61,10 +63,6 @@ _RTOL = _ATOL = 1e-8
 _DT_MAX = 0.002
 _DT_START = 1e-4
 _FAC_MIN, _FAC_MAX = 0.2, 6.0
-
-
-class ConvexityLostError(RuntimeError):
-    """Raised when a state stops being a uniformly convex positive body."""
 
 
 @dataclass
@@ -126,21 +124,12 @@ class _Engine:
         self.grid = grid
         self.p = p
         self.mode = mode
-        self.f = p.f_values(grid)
         self.gamma = p.gamma
         self.stats = RunStats()
 
-    def _sigma(self, vals):
-        if vals.min() <= 0:
-            raise ConvexityLostError("support values must stay positive")
-        b11, b22, _ = _curvature_entries(vals, self.grid)
-        if min(b11.min(), b22.min()) <= 0:
-            raise ConvexityLostError("uniform convexity lost")
-        return _sigma_values(b11, b22, self.p.k), b11, b22
-
     def _speed(self, vals):
-        sig, _, _ = self._sigma(vals)
-        return self.f * vals**self.p.alpha * sig**self.p.beta, sig
+        spd, *_, sig = _evaluate(vals, self.grid, self.p, self.p.alpha)
+        return spd, sig
 
     def _local(self, vals: np.ndarray) -> np.ndarray:
         """Node-local part of the right side: all of it but -eta(u) * u."""
@@ -148,8 +137,7 @@ class _Engine:
         if self.mode == "dual_radial":
             if vals.min() <= 0:
                 raise ConvexityLostError("radial values must stay positive")
-            s = 1.0 / vals
-            sig, _, _ = self._sigma(s)
+            sig = _radii(1.0 / vals, self.grid, p.k)[3]
             return -(vals ** (2.0 - p.alpha)) * sig**p.beta
         spd, _ = self._speed(vals)
         if self.mode == "round_normalized":
@@ -185,9 +173,7 @@ class _Engine:
         return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
 
     def margin(self, vals: np.ndarray) -> float:
-        work = 1.0 / vals if self.mode == "dual_radial" else vals
-        b11, b22, _ = _curvature_entries(work, self.grid)
-        return float(min(b11.min(), b22.min()))
+        return _margin(1.0 / vals if self.mode == "dual_radial" else vals, self.grid)
 
     def _checked(self, new: np.ndarray) -> np.ndarray:
         if not (new.min() > 0 and self.margin(new) > 0):
@@ -229,25 +215,23 @@ class _Engine:
 
 
 def speed(u: ScalarField, p: FlowParams) -> ScalarField:
-    """Node-wise flow speed f * u^alpha * sigma_k^beta."""
-    eng = _Engine(u.grid, p, "raw")
-    try:
-        return ScalarField(u.grid, eng.rhs(u.values))
-    except ConvexityLostError as exc:
-        raise ValueError(str(exc)) from None
+    """Node-wise flow speed f * u^alpha * sigma_k^beta; raises
+    ConvexityLostError for a body outside the admissible class."""
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha)[0])
 
 
 def adaptive_dt(u: ScalarField, p: FlowParams, cfl: float = 0.4) -> float:
     """Parabolic CFL step cfl * h^2 / D_max of explicit raw-flow steps, D the
     node-wise coefficient of the linearized second-order term."""
-    sig, b11, b22 = _Engine(u.grid, p, "raw")._sigma(u.values)
+    b11, b22, _, sig = _radii(u.values, u.grid, p.k)
     eig = 1.0 if p.k == 1 else np.maximum(b11, b22)
     d = p.beta * p.f_values(u.grid) * u.values**p.alpha * sig ** (p.beta - 1.0) * eig
     return cfl * u.grid.h**2 / float(np.max(d))
 
 
 def step(u: ScalarField, p: FlowParams, mode: str, dt: float) -> ScalarField:
-    """One RK4 update; raises ConvexityLostError when the result is not convex."""
+    """One RK4 update; raises ConvexityLostError (a ValueError) when a stage or
+    the result leaves the admissible class of body._radii."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     eng = _Engine(u.grid, p, mode)
@@ -300,8 +284,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             traj.diagnostics.append(rec)
             traj.usigma.append(float("nan"))
             return
-        b11, b22, _ = _curvature_entries(vals, eng.grid)
-        usigma = float(eng.grid.weights @ (vals * _sigma_values(b11, b22, p.k)))
+        usigma = float(eng.grid.weights @ (vals * _radii(vals, eng.grid, p.k)[3]))
         t_phys, tau = s, s
         if mode == "raw":
             # the closed-form remap is undefined past the supercritical

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .sphere import Grid, ScalarField, make_field
-from .body import SPHERE_AREA, _curvature_entries, _sigma_values
+from .body import SPHERE_AREA, _margin, _radii
 
 __all__ = [
     "Anisotropy",
@@ -137,31 +137,29 @@ def require_convergent_regime(p: FlowParams) -> None:
         raise ValueError(f"beta must exceed 1/k (beta={p.beta}, k={p.k})")
 
 
-def _speed_factor_values(values: np.ndarray, grid: Grid, p: FlowParams) -> np.ndarray:
-    b11, b22, _ = _curvature_entries(values, grid)
-    sig = _sigma_values(b11, b22, p.k)
-    if sig.min() <= 0:
-        raise ValueError("sigma_k must be positive (body not admissible)")
-    f = p.f_values(grid)
-    return f * values ** (p.alpha - 1.0) * sig**p.beta
+def _evaluate(values: np.ndarray, grid: Grid, p: FlowParams, power: float):
+    """(f * u^power * sigma_k^beta, b11, b22, d1, sigma_k) of an admissible body.
+
+    power = alpha - 1 gives the speed factor rho, power = alpha the flow
+    speed.  A body outside the admissible class (body._radii) raises
+    ConvexityLostError.  With f = 1 the factor f is skipped, which is exact.
+    """
+    b11, b22, d1, sig = _radii(values, grid, p.k)
+    term = values**power
+    if p.f is not None:
+        term = p.f_values(grid) * term
+    return term * sig**p.beta, b11, b22, d1, sig
 
 
 def speed_factor(u: ScalarField, p: FlowParams) -> ScalarField:
     """Node-wise f * u^(alpha-1) * sigma_k^beta."""
-    if u.values.min() <= 0:
-        raise ValueError("support function must be positive")
-    return ScalarField(u.grid, _speed_factor_values(u.values, u.grid, p))
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha - 1.0)[0])
 
 
 def speed_moment(u: ScalarField, p: FlowParams, power: float) -> float:
     """Weighted moment of the speed factor: integral of u * sigma_k * rho^power."""
-    g = u.grid
-    b11, b22, _ = _curvature_entries(u.values, g)
-    sig = _sigma_values(b11, b22, p.k)
-    if sig.min() <= 0:
-        raise ValueError("sigma_k must be positive (body not admissible)")
-    rho = p.f_values(g) * u.values ** (p.alpha - 1.0) * sig**p.beta
-    return float(g.weights @ (u.values * sig * rho**power))
+    rho, *_, sig = _evaluate(u.values, u.grid, p, p.alpha - 1.0)
+    return float(u.grid.weights @ (u.values * sig * rho**power))
 
 
 def mean_speed_factor(u: ScalarField, p: FlowParams) -> float:
@@ -190,10 +188,7 @@ def anisotropy_condition_margin(f: Anisotropy, p: FlowParams) -> float:
     expo = 1.0 + p.k * p.beta - p.alpha
     if expo <= 0:
         raise ValueError("1 + k*beta - alpha must be positive")
-    grid = f.field.grid
-    g = f.field.values ** (1.0 / expo)
-    b11, b22, _ = _curvature_entries(g, grid)
-    return float(min(b11.min(), b22.min()))
+    return _margin(f.field.values ** (1.0 / expo), f.field.grid)
 
 
 def alexandrov_fenchel_margin(v: ScalarField, u: ScalarField, k: int) -> float:
@@ -249,11 +244,7 @@ def diagnostics(
     vals = u.values
     if powers is None:
         powers = moment_powers(p.beta)
-    b11, b22, d1 = _curvature_entries(vals, g)
-    sig = _sigma_values(b11, b22, p.k)
-    if sig.min() <= 0 or vals.min() <= 0:
-        raise ValueError("diagnostics need a uniformly convex positive body")
-    rho = p.f_values(g) * vals ** (p.alpha - 1.0) * sig**p.beta
+    rho, b11, b22, d1, sig = _evaluate(vals, g, p, p.alpha - 1.0)
     # near-degenerate bodies can push high moments past the float range;
     # record them as inf rather than warn
     with np.errstate(over="ignore", invalid="ignore"):

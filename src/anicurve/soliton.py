@@ -18,9 +18,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import _BAND, _banded_jacobian, _curvature_entries, _sigma_values
+from .body import _BAND, _banded_jacobian, _margin
 from .body import _FD_STEP  # noqa: F401  (re-exported for the Jacobian tests)
-from .functionals import Anisotropy, FlowParams, anisotropy_condition_margin
+from .functionals import FlowParams, _evaluate, anisotropy_condition_margin
 
 __all__ = [
     "SolitonProblem",
@@ -78,19 +78,11 @@ class SolitonResult:
     residual_evaluations: int = 0
 
 
-def _residual_values(vals: np.ndarray, grid: Grid, p: FlowParams, c: float) -> np.ndarray:
-    if vals.min() <= 0:
-        raise ValueError("support values must be positive")
-    b11, b22, _ = _curvature_entries(vals, grid)
-    sig = _sigma_values(b11, b22, p.k)
-    if sig.min() <= 0:
-        raise ValueError("sigma_k must stay positive")
-    return p.f_values(grid) * vals ** (p.alpha - 1.0) * sig**p.beta - c
-
-
 def soliton_residual(u: ScalarField, prob: SolitonProblem) -> ScalarField:
-    """Node-wise defect f * u^(alpha-1) * sigma_k^beta - c."""
-    return ScalarField(u.grid, _residual_values(u.values, u.grid, prob.params, prob.c))
+    """Node-wise defect f * u^(alpha-1) * sigma_k^beta - c; raises
+    ConvexityLostError for a body outside the admissible class."""
+    p = prob.params
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha - 1.0)[0] - prob.c)
 
 
 def round_soliton_radius(prob: SolitonProblem, grid: Grid) -> float:
@@ -104,11 +96,6 @@ def round_soliton_radius(prob: SolitonProblem, grid: Grid) -> float:
         raise ValueError("no round soliton radius on the critical line alpha = 1 - k*beta")
     fbar = float(np.mean(p.f_values(grid)))
     return float((prob.c / (fbar * p.gamma)) ** (1.0 / p.q))
-
-
-def _margin(vals: np.ndarray, grid: Grid) -> float:
-    b11, b22, _ = _curvature_entries(vals, grid)
-    return float(min(b11.min(), b22.min()))
 
 
 def solve_soliton(
@@ -154,7 +141,7 @@ def solve_soliton(
     def residual(v: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return _residual_values(v, grid, p, prob.c)
+        return _evaluate(v, grid, p, p.alpha - 1.0)[0] - prob.c
 
     tol = tol_factor * prob.c
     res = residual(vals)

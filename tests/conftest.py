@@ -29,3 +29,12 @@ def random_convex_body(grid, rng, scale=1.0, modes=4):
         if vals.min() > 0 and convexity_margin(u) > 0.05 * r0:
             return u
     raise RuntimeError("failed to draw a convex body")
+
+
+def observed_orders(errs_and_h):
+    """Observed orders of accuracy log(e0/e1) / log(h0/h1) between successive
+    (error, h) pairs of a grid refinement."""
+    return [
+        np.log(e0 / e1) / np.log(h0 / h1)
+        for (e0, h0), (e1, h1) in zip(errs_and_h, errs_and_h[1:])
+    ]

@@ -21,7 +21,7 @@ from anicurve import (
     translated_ball,
     write_profile_csv,
 )
-from conftest import random_convex_body
+from conftest import observed_orders, random_convex_body
 
 
 def test_unit_ball_curvature(grid200):
@@ -50,6 +50,24 @@ def test_spheroid_sigma2(grid200):
     assert np.max(np.abs(geom.sigma2.values - oracle) / oracle) < 1e-5
     # pole limit: both radii tend to a^2/b, so sigma_2 -> 0.25
     assert geom.sigma2.values[0] == pytest.approx(0.25, abs=2e-3)
+
+
+def test_curvature_matrix_order_spheroid():
+    # radii of the spheroid with semiaxes (a, a, b): meridian a^2 b^2 / u^3,
+    # parallel a^2 / u; the 4th-order stencil and the pole ghosts must keep
+    # 4th order (measured 3.95, 3.99, 4.00)
+    a, b = 1.0, 1.5
+    errs = []
+    for n in (50, 100, 200, 400):
+        g = make_grid(n)
+        u = spheroid_support(g, a, b)
+        W = curvature_matrix(u)
+        err = max(
+            np.max(np.abs(W.b11.values - a * a * b * b / u.values**3)),
+            np.max(np.abs(W.b22.values - a * a / u.values)),
+        )
+        errs.append((err, g.h))
+    assert min(observed_orders(errs)) >= 3.8
 
 
 def test_sigma_k_round(grid200):
@@ -99,6 +117,12 @@ def test_mixed_volume_arity(grid200):
         mixed_volume(one, [one, one], 1)
     with pytest.raises(ValueError):
         mixed_volume(one, [one], 2)
+    # k outside {1, 2} is rejected before the arity check
+    sph = spheroid_support(make_grid(64), 1.0, 1.5)
+    with pytest.raises(ValueError, match="k must be 1 or 2"):
+        mixed_volume(sph, [sph, sph, sph], 3)
+    with pytest.raises(ValueError, match="k must be 1 or 2"):
+        mixed_volume(sph, [], 0)
 
 
 def test_mixed_volume_symmetry(grid200):

@@ -2,20 +2,26 @@ import numpy as np
 import pytest
 
 from anicurve import (
+    ConvexityLostError,
     FlowParams,
     ScalarField,
     SPHERE_AREA,
+    SolitonProblem,
     alexandrov_fenchel_margin,
     anisotropy_condition_margin,
+    body_geometry,
     constant_anisotropy,
     diagnostics,
     lyapunov_functional,
     make_field,
+    make_grid,
     mean_speed_factor,
     moment_powers,
     power_of_linear_anisotropy,
     require_convergent_regime,
     round_body,
+    soliton_residual,
+    speed,
     speed_factor,
     speed_moment,
     spheroid_support,
@@ -215,3 +221,25 @@ def test_diagnostics_record(grid200):
     row = diagnostics_csv_row(rec)
     assert header.startswith("t,tau,R,eta,J,Z_-0.5")
     assert len(header.split(",")) == len(row.split(","))
+
+
+def test_one_admissibility_rule():
+    # sigma_1 > 0 everywhere, yet one principal radius is negative near the
+    # poles: every evaluator must reject the body with the same error
+    grid = make_grid(200)
+    u = make_field(grid, lambda t: 1.0 + 0.44 * np.cos(2 * t) - 0.05 * np.cos(4 * t))
+    geom = body_geometry(u)
+    assert geom.sigma1.values.min() > 0
+    assert geom.convexity_margin < 0
+    p = FlowParams(k=1, beta=2.0, alpha=-2.0)
+    calls = (
+        lambda: speed_factor(u, p),
+        lambda: speed_moment(u, p, 1.0),
+        lambda: diagnostics(u, p, 0.0, 0.0),
+        lambda: soliton_residual(u, SolitonProblem(p, 1.0)),
+        lambda: speed(u, p),
+    )
+    for call in calls:
+        with pytest.raises(ConvexityLostError):
+            call()
+    assert issubclass(ConvexityLostError, ValueError)
