@@ -163,6 +163,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("anisotropy must be positive")
     if cfg.tol_conv < 0 or cfg.t_max <= 0 or cfg.record_every < 1:
         raise ConfigError("stopping configuration must be positive")
+    if not cfg.dt_min > 0:
+        raise ConfigError("dt_min must be positive")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
     if cfg.experiment == "soliton":
         if q > 0:

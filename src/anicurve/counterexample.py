@@ -306,9 +306,13 @@ def blowup_experiment(
     at least twice its initial value, or when the run dies by ratio blowup or
     convexity loss with R having increased.  A ratio_blowup stop only shows
     that R crossed the threshold while rising: a threshold below a transient
-    peak gives this verdict to a body that later rounds out.  A control run
-    at the critical exponent alpha' = 1 - k*beta from the same body is
-    reported alongside; there R must decrease.
+    peak gives this verdict to a body that later rounds out.  R is read only
+    at the records of flow.run, one per record_every * 0.002 of tau plus the
+    stop: with record_every = 200, a ratio_blowup stop before tau = 0.4
+    leaves two records, so "increasing" then compares R at the start and at
+    the stop alone.  A control run at the critical exponent
+    alpha' = 1 - k*beta from the same body is reported alongside; there R
+    must decrease.
     """
     if p.q <= 0:
         raise ValueError("blowup experiment requires alpha > 1 - k*beta")

@@ -56,11 +56,11 @@ _ROS_C = (-1.0156171083877702091975600115545, 4.0759956452537699824805835358067,
           9.2076794298330791242156818474003)  # c_21, c_31, c_32
 _ROS_M = (1.0, 6.1697947043828245592553615689730, -0.42772256543218573326238373806514)
 _ROS_E = (0.5, -2.9079558716805469821718236208017, 0.22354069897811569627360909276199)
-# Tolerances of the scaled RMS error; the step cap, which also keeps
-# record_every accepted steps a bounded span of integration time; the first
-# step; the bounds on one step change.
+# Tolerances of the scaled RMS error; the record spacing of adaptive runs,
+# which record at each multiple of record_every * _RECORD_DT in the
+# integration variable; the first step; the bounds on one step change.
 _RTOL = _ATOL = 1e-8
-_DT_MAX = 0.002
+_RECORD_DT = 0.002
 _DT_START = 1e-4
 _FAC_MIN, _FAC_MAX = 0.2, 6.0
 
@@ -245,8 +245,11 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     raw and dual modes; the companion variable recorded in the diagnostics
     is reconstructed by the closed-form reparametrization (round case) or by
     quadrature of the normalization factor (volume case).  Steps are RK4 at
-    stop.fixed_dt if set, else Ros3 under error control, taken at dt_min
-    when the controller asks for less.  Work counts go to traj.stats.
+    stop.fixed_dt if set, recorded every record_every steps; else Ros3 under
+    error control, taken at dt_min when the controller asks for less and
+    landed on each multiple of record_every * _RECORD_DT of the integration
+    variable, where it is recorded (t_max is the last such mark).  The final
+    state is always recorded.  Work counts go to traj.stats.
 
     Stop reasons: converged (sup norm of the right side below tol_conv),
     t_max, convexity_lost (a step and three halvings of it all lost uniform
@@ -255,8 +258,10 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     """
     if stop is None:
         stop = StoppingConfig()
-    if stop.t_max <= 0 or stop.tol_conv < 0 or stop.record_every < 1:
+    if stop.t_max <= 0 or stop.tol_conv < 0 or stop.record_every < 1 or not stop.dt_min > 0:
         raise ValueError("invalid stopping configuration")
+    if stop.fixed_dt is not None and not stop.fixed_dt > 0:
+        raise ValueError("fixed_dt must be positive")
     eng = _Engine(u0.grid, p, mode)
     powers = moment_powers(p.beta)
     vals = u0.values.copy()
@@ -311,6 +316,13 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     just_recorded = True
     fixed = stop.fixed_dt is not None
     dt = stop.fixed_dt if fixed else max(stop.dt_min, _DT_START)
+    span, marks = stop.record_every * _RECORD_DT, 1  # adaptive records at marks * span
+
+    def onto_mark(dt):
+        # a step that would pass the next mark or stop less than dt_min short
+        # of it lands on it; a rejected step is retried only if this shortens it
+        return dt if mark - s - dt >= stop.dt_min else mark - s
+
     f0 = jac = None  # right side and Jacobian at vals, once evaluated
     failures = 0  # convexity losses of the current step
     grow = _FAC_MAX  # largest step increase; 1 right after a rejection
@@ -329,11 +341,15 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             if stats.accepted >= stop.max_steps:
                 raise RuntimeError("step budget exceeded; loosen the stopping rules")
 
-        remaining = stop.t_max - s
-        if remaining <= stop.dt_min:
-            traj.stop_reason = "t_max"
-            break
-        h = min(dt, remaining)
+        if fixed:
+            remaining = stop.t_max - s
+            if remaining <= stop.dt_min:
+                traj.stop_reason = "t_max"
+                break
+            h = min(dt, remaining)
+        else:
+            mark = marks * span if marks * span < stop.t_max - stop.dt_min else stop.t_max
+            h = onto_mark(dt)
         if h < stop.dt_min:
             traj.stop_reason = "step_underflow"
             break
@@ -355,20 +371,24 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         if not fixed:
             # err below 3.4e-3 already gives the largest increase; 1e-4 keeps 0 finite
             fac = min(grow, max(_FAC_MIN, 0.9 * max(err, 1e-4) ** (-1.0 / 3.0)))
-            dt = max(stop.dt_min, min(_DT_MAX, fac * h))
-            if not err <= 1.0 and h > stop.dt_min:
+            dt = max(stop.dt_min, fac * h)
+            if not err <= 1.0 and onto_mark(dt) < h:
                 stats.rejected += 1
                 grow = 1.0
                 continue
 
-        vals, s, f0 = new, s + h, None
-        failures, grow = 0, _FAC_MAX
-        if fixed:
-            dt = stop.fixed_dt
         stats.accepted += 1
         stats.step_min = min(h, stats.step_min or h)
         stats.step_max = max(h, stats.step_max or h)
-        just_recorded = stats.accepted % stop.record_every == 0
+        vals, f0 = new, None
+        failures, grow = 0, _FAC_MAX
+        if fixed:
+            s, dt = s + h, stop.fixed_dt
+            just_recorded = stats.accepted % stop.record_every == 0
+        else:
+            just_recorded = h == mark - s
+            s = mark if just_recorded else s + h
+            marks += just_recorded
         if just_recorded:
             record(vals, s)
 

@@ -3,7 +3,7 @@ import pytest
 
 import anicurve as ac
 from anicurve import FlowParams, StoppingConfig
-from anicurve.flow import _DT_MAX, _Engine
+from anicurve.flow import _RECORD_DT, _Engine
 
 
 def p_of(k, beta, alpha, f=None):
@@ -258,7 +258,7 @@ def test_rosenbrock_stable_beyond_cfl(grid64):
 
 
 def test_implicit_fallback_engages(grid64):
-    # an artificially high dt_min forces the fallback path inside run()
+    # an artificially high dt_min puts the step floor to work inside run()
     p = p_of(1, 2.0, -2.0)
     stop = StoppingConfig(t_max=6.0, tol_conv=1e-5, record_every=50, dt_min=1e-3)
     traj = ac.run(ac.translated_ball(grid64, 0.2), p, "round_normalized", stop)
@@ -337,9 +337,59 @@ def test_run_stats(grid64):
     assert st.accepted > 0 and st.jacobian_evaluations == st.accepted
     # one right side per state reached and one per attempted step (stage 2)
     assert st.rhs_evaluations == 2 * st.accepted + st.rejected + 1
-    assert 0 < st.step_min <= st.step_max <= _DT_MAX
-    assert st.record_steps == list(range(0, st.accepted, 7)) + [st.accepted]
+    assert 0 < st.step_min <= st.step_max
+    # adaptive runs record at the time marks, not every record_every steps
+    assert st.record_steps[0] == 0 and st.record_steps[-1] == st.accepted
+    assert all(b > a for a, b in zip(st.record_steps, st.record_steps[1:]))
     assert len(st.record_steps) == len(traj.times)
+
+
+def test_records_on_time_marks(grid64):
+    p = p_of(1, 2.0, -2.0)
+    u0 = ac.translated_ball(grid64, 0.1)
+    stop = StoppingConfig(t_max=2.0, tol_conv=0.0, record_every=100)
+    traj = ac.run(u0, p, "round_normalized", stop)
+    span = stop.record_every * _RECORD_DT
+    assert traj.stop_reason == "t_max"
+    assert traj.times == [j * span for j in range(len(traj.times) - 1)] + [2.0]
+    assert len(traj.times) == 11
+    # no step cap: the controller's steps exceed the record spacing constant
+    assert traj.stats.step_max > 0.002
+
+    # t_max is the last mark: a 0.0005 gap below dt_min = 1e-3 is not a step
+    # of its own, so the run neither underflows nor stops short of t_max; a
+    # stretched step that fails error control must not be retried unchanged
+    stop = StoppingConfig(t_max=0.3005, tol_conv=0.0, record_every=50, dt_min=1e-3)
+    traj = ac.run(u0, p, "round_normalized", stop)
+    span = stop.record_every * _RECORD_DT
+    assert traj.stop_reason in ("t_max", "converged")
+    assert traj.times == [0.0, span, 2 * span, 0.3005]
+    assert traj.stats.step_min >= 1e-3
+
+
+def test_adaptive_step_count_case_b():
+    # criterion 5's case B at N = 32: with steps capped at 0.002 the run took
+    # 1361 accepted steps; the error controller alone needs about 231
+    g = ac.make_grid(32)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f)
+    u0 = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.5), 2)
+    stop = StoppingConfig(t_max=30.0, tol_conv=1e-7, record_every=200)
+    traj = ac.run(u0, p, "volume_normalized", stop)
+    assert traj.stop_reason == "converged"
+    assert traj.stats.accepted < 1361 // 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(fixed_dt=0.0, dt_min=0.0), dict(fixed_dt=-1e-3), dict(dt_min=0.0), dict(dt_min=-1.0)],
+)
+def test_run_rejects_nonpositive_steps(grid64, bad):
+    # a zero step and floor would spin to max_steps, a negative step would
+    # stop at once with step_underflow: both are configuration errors
+    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, max_steps=1000, **bad)
+    with pytest.raises(ValueError):
+        ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
 
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])

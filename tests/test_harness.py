@@ -54,6 +54,14 @@ def test_parse_rejects_duplicate():
         parse_config("k = 1\nk = 2\n")
 
 
+def test_parse_rejects_nonpositive_dt_min():
+    # a zero floor lets a step shrink without end instead of stopping the run
+    for value in ("0", "-1e-3", "nan"):
+        with pytest.raises(ConfigError, match="dt_min must be positive"):
+            parse_config(f"dt_min = {value}\n")
+    assert parse_config("dt_min = 1e-6\n").dt_min == 1e-6
+
+
 def test_parse_initial_and_f_specs():
     cfg = parse_config("initial = spheroid 1 2\nf = power-of-linear 0.2 5\n")
     assert cfg.initial == ("spheroid", 1.0, 2.0)
