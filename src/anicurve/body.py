@@ -105,13 +105,14 @@ def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
 def _radii(values: np.ndarray, grid: Grid, k: int):
     """(b11, b22, d1, sigma_k) of an admissible body.
 
-    The one admissibility rule of every speed, rho and diagnostic: u > 0 and
-    b11, b22 > 0 at every node, else ConvexityLostError.
+    The one admissibility rule of every speed, rho, diagnostic, flow step
+    and Newton trial: u > 0 and b11, b22 > 0 at every node, else
+    ConvexityLostError.  The tests are written so that NaN fails them.
     """
-    if values.min() <= 0:
+    if not (values.min() > 0):
         raise ConvexityLostError("support values must be positive")
     b11, b22, d1 = _curvature_entries(values, grid)
-    if b11.min() <= 0 or b22.min() <= 0:
+    if not (b11.min() > 0 and b22.min() > 0):
         raise ConvexityLostError("uniform convexity lost")
     return b11, b22, d1, _sigma_values(b11, b22, k)
 

@@ -11,7 +11,7 @@ decimal separator, so identical configs and seeds replay bit-identically.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .functionals import (
 from .flow import StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import _SCALARS, ConfigError, ExperimentConfig, _validate, load_config
 
 __all__ = ["main", "run_experiment"]
 
@@ -85,22 +85,14 @@ def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
 
 
 def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
-    echo = {
-        "experiment": cfg.experiment,
-        "N": cfg.N,
-        "k": cfg.k,
-        "beta": cfg.beta,
-        "alpha": cfg.alpha,
-        "f": list(cfg.f),
-        "mode": cfg.mode,
-        "initial": list(cfg.initial),
-        "t_max": cfg.t_max,
-        "tol_conv": cfg.tol_conv,
-        "R_blowup": cfg.R_blowup,
-        "dt_min": cfg.dt_min,
-        "record_every": cfg.record_every,
-        "seed": seed,
-    }
+    echo = {key: getattr(cfg, key) for key in _SCALARS}
+    echo.update(
+        experiment=cfg.experiment,
+        f=list(cfg.f),
+        mode=cfg.mode,
+        initial=list(cfg.initial),
+        seed=seed,
+    )
     if p is not None:
         echo["derived"] = {"gamma": p.gamma, "q": p.q, "regime": p.regime}
     return echo
@@ -118,20 +110,7 @@ def _write_snapshot(path: Path, u: ScalarField) -> None:
 
 
 def _record_dict(rec) -> dict:
-    d = {
-        "t": rec.t,
-        "tau": rec.tau,
-        "R": rec.R,
-        "eta": rec.eta,
-        "J": rec.J,
-        "umin": rec.umin,
-        "umax": rec.umax,
-        "gradmax": rec.gradmax,
-        "lambda_min": rec.lambda_min,
-        "lambda_max": rec.lambda_max,
-        "Q_min": rec.Q_min,
-        "Q_max": rec.Q_max,
-    }
+    d = asdict(rec)
     d["Z"] = {f"{pw:g}": val for pw, val in rec.Z.items()}
     return d
 
@@ -364,9 +343,6 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
     The variants run in sequence: the work holds the GIL, so threads only
     add overhead.
     """
-    from dataclasses import replace
-    from .config import _SCALARS, _validate
-
     key, _, values = sweep.partition("=")
     key = key.strip()
     if key not in _SCALARS or not values:

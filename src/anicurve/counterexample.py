@@ -60,8 +60,6 @@ class SubsolutionParams:
     def from_exponents(cls, alpha: float, k: int, beta: float, theta: float, a: float = 1.0):
         alpha_hat = 2.0 - alpha
         q = k * beta + 1.0 - alpha_hat
-        if q <= 0:
-            raise ValueError("q = k*beta + 1 - alpha_hat must be positive")
         mu = (q * theta - 1.0) / (k * beta * theta)
         return cls(alpha_hat=alpha_hat, q=q, theta=theta, mu=mu, a=a)
 

@@ -18,8 +18,10 @@ Newton solver), and the drift eta(u) of the volume-normalized flow adds the
 rank-1 term -u (x) grad eta, whose gradient follows from the speed's band by
 the chain rule and which Sherman-Morrison folds into each (2, 2) banded
 solve.  Every right side applies the one admissibility rule of body._radii
-(u > 0 and both principal radii > 0, else ConvexityLostError, a ValueError);
-a step that loses uniform convexity is retried at half the size.
+(u > 0 and both principal radii > 0, else ConvexityLostError, a ValueError),
+and the right side at a step's result is both its admissibility test and the
+next step's first stage; a step whose stages or result lose uniform
+convexity is retried at half the size.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import SPHERE_AREA, _BAND, ConvexityLostError, _banded_jacobian, _margin, _radii
+from .body import SPHERE_AREA, _BAND, ConvexityLostError, _banded_jacobian, _radii
 from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
 
 __all__ = [
@@ -81,9 +83,11 @@ class StoppingConfig:
 @dataclass
 class RunStats:
     """Deterministic work counts of one run(): rejected counts every rejected
-    attempt, convexity_rejections those that lost convexity; a Jacobian
-    costs 10 node-local evaluations beyond rhs_evaluations; record_steps is
-    the accepted-step count at each record."""
+    attempt, convexity_rejections those that lost convexity; an attempt that
+    reaches its result evaluates the right side there, whether it is
+    accepted or not; a Jacobian costs 10 node-local evaluations beyond
+    rhs_evaluations; record_steps is the accepted-step count at each
+    record."""
 
     accepted: int = 0
     rejected: int = 0
@@ -135,8 +139,6 @@ class _Engine:
         """Node-local part of the right side: all of it but -eta(u) * u."""
         p = self.p
         if self.mode == "dual_radial":
-            if vals.min() <= 0:
-                raise ConvexityLostError("radial values must stay positive")
             sig = _radii(1.0 / vals, self.grid, p.k)[3]
             return -(vals ** (2.0 - p.alpha)) * sig**p.beta
         spd, _ = self._speed(vals)
@@ -172,25 +174,19 @@ class _Engine:
         grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
         return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
 
-    def margin(self, vals: np.ndarray) -> float:
-        return _margin(1.0 / vals if self.mode == "dual_radial" else vals, self.grid)
-
-    def _checked(self, new: np.ndarray) -> np.ndarray:
-        if not (new.min() > 0 and self.margin(new) > 0):
-            raise ConvexityLostError("uniform convexity lost after step")
-        return new
-
     def rk4(self, vals: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+        """One RK4 step; the result is unchecked until rhs() is evaluated there."""
         if k1 is None:
             k1 = self.rhs(vals)
         k2 = self.rhs(vals + 0.5 * dt * k1)
         k3 = self.rhs(vals + 0.5 * dt * k2)
         k4 = self.rhs(vals + dt * k3)
-        return self._checked(vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def ros3(self, vals: np.ndarray, dt: float, f0=None, jac=None):
         """One Ros3 step: (new state, scaled RMS error estimate); a retry from
-        the same state passes f0 = rhs(vals) and jac = jacobian(vals) in."""
+        the same state passes f0 = rhs(vals) and jac = jacobian(vals) in.  The
+        new state is unchecked until rhs() is evaluated there."""
         f0 = self.rhs(vals) if f0 is None else f0
         band, eta, g = self.jacobian(vals) if jac is None else jac
         ab = -band
@@ -208,7 +204,7 @@ class _Engine:
         f2 = self.rhs(vals + k1)
         k2 = solve(f2 + (_ROS_C[0] / dt) * k1)
         k3 = solve(f2 + (_ROS_C[1] / dt) * k1 + (_ROS_C[2] / dt) * k2)
-        new = self._checked(vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3)
+        new = vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3
         est = _ROS_E[0] * k1 + _ROS_E[1] * k2 + _ROS_E[2] * k3
         scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
         return new, float(np.sqrt(np.mean((est / scale) ** 2)))
@@ -235,7 +231,9 @@ def step(u: ScalarField, p: FlowParams, mode: str, dt: float) -> ScalarField:
     if dt <= 0:
         raise ValueError("dt must be positive")
     eng = _Engine(u.grid, p, mode)
-    return ScalarField(u.grid, eng.rk4(u.values, dt))
+    new = eng.rk4(u.values, dt)
+    eng.rhs(new)
+    return ScalarField(u.grid, new)
 
 
 def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None = None) -> Trajectory:
@@ -243,8 +241,10 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
 
     The integration variable is tau for the normalized modes and t for the
     raw and dual modes; the companion variable recorded in the diagnostics
-    is reconstructed by the closed-form reparametrization (round case) or by
-    quadrature of the normalization factor (volume case).  Steps are RK4 at
+    follows from the closed-form reparametrization of the raw and round
+    cases and is nan where there is none: raw flows past the blowup horizon
+    or with f != 1, and every volume-normalized flow, whose t depends on the
+    integral of eta along the run rather than on the state.  Steps are RK4 at
     stop.fixed_dt if set, recorded every record_every steps; else Ros3 under
     error control, taken at dt_min when the controller asks for less and
     landed on each multiple of record_every * _RECORD_DT of the integration
@@ -265,19 +265,12 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     eng = _Engine(u0.grid, p, mode)
     powers = moment_powers(p.beta)
     vals = u0.values.copy()
-    if eng.margin(vals) <= 0:
-        raise ValueError("initial body must be uniformly convex")
 
     traj = Trajectory(stats=eng.stats)
     stats = traj.stats
     s = 0.0  # integration variable
-    # Quadrature state for reconstructing the physical time of the
-    # volume-normalized flow: dt/dtau = (V_{k+1}/|S^2|)^(q/(k+1)).
-    quad_t = 0.0
-    quad_prev: tuple[float, float] | None = None
 
     def record(vals, s):
-        nonlocal quad_t, quad_prev
         stats.record_steps.append(stats.accepted)
         u = ScalarField(eng.grid, vals.copy())
         traj.snapshots.append(u)
@@ -302,12 +295,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             m = -p.q
             t_phys = s if m == 0.0 else float(np.expm1(m * s) / (m * p.gamma))
         else:
-            rate = (usigma / SPHERE_AREA) ** (p.q / (p.k + 1.0))
-            if quad_prev is not None:
-                s_prev, rate_prev = quad_prev
-                quad_t += 0.5 * (rate + rate_prev) * (s - s_prev)
-            quad_prev = (s, rate)
-            t_phys = quad_t
+            t_phys = float("nan")  # t depends on eta along the run, not on vals
         traj.times.append(t_phys if mode == "raw" else tau)
         traj.diagnostics.append(diagnostics(u, p, t_phys, tau, powers))
         traj.usigma.append(usigma)
@@ -323,23 +311,22 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         # of it lands on it; a rejected step is retried only if this shortens it
         return dt if mark - s - dt >= stop.dt_min else mark - s
 
-    f0 = jac = None  # right side and Jacobian at vals, once evaluated
+    f0, jac = eng.rhs(vals), None  # right side at vals; its Jacobian once evaluated
     failures = 0  # convexity losses of the current step
     grow = _FAC_MAX  # largest step increase; 1 right after a rejection
     while True:
-        if f0 is None:
-            f0, jac = eng.rhs(vals), None
-            if float(np.max(np.abs(f0))) < stop.tol_conv:
-                traj.stop_reason = "converged"
-                break
-            if s >= stop.t_max:
-                traj.stop_reason = "t_max"
-                break
-            if float(vals.max() / vals.min()) >= stop.R_blowup:
-                traj.stop_reason = "ratio_blowup"
-                break
-            if stats.accepted >= stop.max_steps:
-                raise RuntimeError("step budget exceeded; loosen the stopping rules")
+        # these rules read only the current state, so a retry passes them again
+        if float(np.max(np.abs(f0))) < stop.tol_conv:
+            traj.stop_reason = "converged"
+            break
+        if s >= stop.t_max:
+            traj.stop_reason = "t_max"
+            break
+        if float(vals.max() / vals.min()) >= stop.R_blowup:
+            traj.stop_reason = "ratio_blowup"
+            break
+        if stats.accepted >= stop.max_steps:
+            raise RuntimeError("step budget exceeded; loosen the stopping rules")
 
         if fixed:
             remaining = stop.t_max - s
@@ -359,6 +346,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             else:
                 jac = eng.jacobian(vals) if jac is None else jac
                 new, err = eng.ros3(vals, h, f0, jac)
+            f_new = eng.rhs(new)  # the result's admissibility test and the next f0
         except ConvexityLostError:
             stats.rejected += 1
             stats.convexity_rejections += 1
@@ -380,7 +368,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         stats.accepted += 1
         stats.step_min = min(h, stats.step_min or h)
         stats.step_max = max(h, stats.step_max or h)
-        vals, f0 = new, None
+        vals, f0, jac = new, f_new, None
         failures, grow = 0, _FAC_MAX
         if fixed:
             s, dt = s + h, stop.fixed_dt

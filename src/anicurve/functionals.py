@@ -9,7 +9,7 @@ exactly on self-similar solutions, and its weighted moments drive the
 monotone functionals used to certify convergence.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
@@ -269,14 +269,16 @@ def diagnostics(
 
 
 def diagnostics_csv_header(powers: tuple[float, ...]) -> str:
-    zcols = ",".join(f"Z_{pw:g}" for pw in powers)
-    return f"t,tau,R,eta,J,{zcols},umin,umax,gradmax,lambda_min,lambda_max,Q_min,Q_max"
+    """Column names in DiagnosticsRecord field order, Z as one Z_<p> per power."""
+    cols = []
+    for f in fields(DiagnosticsRecord):
+        cols.extend([f"Z_{pw:g}" for pw in powers] if f.name == "Z" else [f.name])
+    return ",".join(cols)
 
 
 def diagnostics_csv_row(rec: DiagnosticsRecord) -> str:
-    cells = [rec.t, rec.tau, rec.R, rec.eta, rec.J]
-    cells.extend(rec.Z[pw] for pw in rec.Z)
-    cells.extend(
-        [rec.umin, rec.umax, rec.gradmax, rec.lambda_min, rec.lambda_max, rec.Q_min, rec.Q_max]
-    )
+    cells = []
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        cells.extend(value.values() if f.name == "Z" else [value])
     return ",".join(f"{c:.17g}" for c in cells)

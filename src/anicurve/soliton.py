@@ -9,7 +9,8 @@ the nodal vector of u.  The residual at node i reads only nodes i-2..i+2 (f
 does not depend on u), so its central-difference Jacobian has bandwidth 2
 and comes from 10 residual evaluations at any N (body._banded_jacobian, the
 linearization the flow integrator shares).  The Newton step is one (2, 2)
-banded solve.
+banded solve.  The residual applies the admissibility rule of body._radii,
+so evaluating it at a trial iterate is also that iterate's convexity test.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import _BAND, _banded_jacobian, _margin
+from .body import _BAND, ConvexityLostError, _banded_jacobian, _margin
 from .body import _FD_STEP  # noqa: F401  (re-exported for the Jacobian tests)
 from .functionals import FlowParams, _evaluate, anisotropy_condition_margin
 
@@ -67,7 +68,8 @@ class SolitonResult:
 
     residual_history holds the residual sup norm before each iteration and
     the final one; damping holds the accepted step factor of each iteration;
-    residual_evaluations counts every residual evaluation of the solve.
+    residual_evaluations counts every residual evaluation of the solve,
+    including one for each rejected trial, convex or not.
     """
 
     u: ScalarField
@@ -109,9 +111,10 @@ def solve_soliton(
     The Jacobian is built from central differences in 5 colours of columns
     (it has bandwidth 2, see the module docstring) and each Newton step is
     one (2, 2) banded solve.  A step is accepted only if the iterate stays
-    uniformly convex and the sup norm of the residual decreases; otherwise
-    the step is halved.  Convergence is declared at
-    |residual|_inf < tol_factor * c.
+    uniformly convex (its residual evaluates without ConvexityLostError) and
+    the sup norm of the residual decreases; otherwise the step is halved.
+    An initial guess outside the admissible class raises ConvexityLostError.
+    Convergence is declared at |residual|_inf < tol_factor * c.
 
     For k = 1 the anisotropy must satisfy the admissibility condition
     (positive anisotropy_condition_margin); for k = 2 (the top symmetric
@@ -133,8 +136,6 @@ def solve_soliton(
         vals = prob.init.values.copy()
     else:
         vals = np.full(grid.n, round_soliton_radius(prob, grid))
-    if _margin(vals, grid) <= 0:
-        raise ValueError("initial guess must be uniformly convex")
 
     evaluations = 0
 
@@ -160,12 +161,14 @@ def solve_soliton(
         lam = 1.0
         while True:
             trial = vals + lam * delta
-            if trial.min() > 0 and _margin(trial, grid) > 0:
+            try:
                 trial_res = residual(trial)
-                trial_sup = float(np.max(np.abs(trial_res)))
-                if trial_sup < sup:
-                    vals, res, sup = trial, trial_res, trial_sup
-                    break
+            except ConvexityLostError:  # halved like a trial whose residual grows
+                trial_res = np.inf
+            trial_sup = float(np.max(np.abs(trial_res)))
+            if trial_sup < sup:
+                vals, res, sup = trial, trial_res, trial_sup
+                break
             lam *= 0.5
             if lam < 1e-8:
                 raise NewtonStagnationError(

@@ -329,14 +329,31 @@ def test_conserved_integral_drift(grid64):
     assert abs(traj.usigma[-1] - traj.usigma[0]) <= 1e-8
 
 
+def test_volume_normalized_records_no_physical_time(grid64):
+    """The physical time of the volume-normalized flow is not a function of
+    the normalized state: with a normalized start, t(tau) is the integral
+    of exp(-q * int_0^s eta) ds over [0, tau], so it needs eta along the
+    run.  A rate read off the normalized body, whose int u sigma_k is held
+    at |S^2|, is 1 and only repeats tau; the records carry t = nan."""
+    p = p_of(1, 2.0, -2.0)
+    u0 = ac.normalize_body(ac.spheroid_support(grid64, 1.0, 1.5), 1)
+    stop = StoppingConfig(t_max=0.1, tol_conv=0.0, record_every=10)
+    traj = ac.run(u0, p, "volume_normalized", stop)
+    assert len(traj.diagnostics) > 2
+    assert all(np.isnan(rec.t) for rec in traj.diagnostics)
+    assert [rec.tau for rec in traj.diagnostics] == traj.times
+
+
 def test_run_stats(grid64):
     p = p_of(1, 2.0, -2.0)
     stop = StoppingConfig(t_max=0.05, tol_conv=0.0, record_every=7)
     traj = ac.run(ac.translated_ball(grid64, 0.1), p, "round_normalized", stop)
     st = traj.stats
     assert st.accepted > 0 and st.jacobian_evaluations == st.accepted
-    # one right side per state reached and one per attempted step (stage 2)
-    assert st.rhs_evaluations == 2 * st.accepted + st.rejected + 1
+    # one right side at the start, and two per attempted step: stage 2 and
+    # the result (no attempt here loses convexity)
+    assert st.convexity_rejections == 0
+    assert st.rhs_evaluations == 2 * (st.accepted + st.rejected) + 1
     assert 0 < st.step_min <= st.step_max
     # adaptive runs record at the time marks, not every record_every steps
     assert st.record_steps[0] == 0 and st.record_steps[-1] == st.accepted

@@ -231,15 +231,19 @@ def test_one_admissibility_rule():
     geom = body_geometry(u)
     assert geom.sigma1.values.min() > 0
     assert geom.convexity_margin < 0
+    # a non-finite state, such as a blown-up step result, fails the rule too
+    nan_vals = np.ones(grid.n)
+    nan_vals[5] = np.nan
     p = FlowParams(k=1, beta=2.0, alpha=-2.0)
-    calls = (
-        lambda: speed_factor(u, p),
-        lambda: speed_moment(u, p, 1.0),
-        lambda: diagnostics(u, p, 0.0, 0.0),
-        lambda: soliton_residual(u, SolitonProblem(p, 1.0)),
-        lambda: speed(u, p),
-    )
-    for call in calls:
-        with pytest.raises(ConvexityLostError):
-            call()
+    for body in (u, ScalarField(grid, nan_vals)):
+        calls = (
+            lambda: speed_factor(body, p),
+            lambda: speed_moment(body, p, 1.0),
+            lambda: diagnostics(body, p, 0.0, 0.0),
+            lambda: soliton_residual(body, SolitonProblem(p, 1.0)),
+            lambda: speed(body, p),
+        )
+        for call in calls:
+            with pytest.raises(ConvexityLostError):
+                call()
     assert issubclass(ConvexityLostError, ValueError)

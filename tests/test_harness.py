@@ -154,6 +154,9 @@ def test_counterexample_experiment_stats(tmp_path):
         assert summary[key]["accepted"] == summary[key]["record_steps"][-1] > 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report == {k: v for k, v in summary.items() if k not in ("stats", "control_stats")}
+    # the echo reconstructs the run, down to the counterexample keys
+    echo = report["echo"]
+    assert (echo["horizon"], echo["theta"], echo["samples"]) == (0.02, 2.0, 50)
 
 
 def test_barriers_experiment(tmp_path, capsys):

@@ -228,6 +228,6 @@ def test_newton_statistics(grid200):
     assert all(b < a for a, b in zip(hist, hist[1:]))
     assert all(0.0 < lam <= 1.0 for lam in res.damping)
     assert min(res.damping) < 1.0  # this start needs damping
-    # trials rejected by the convexity guard cost no residual evaluation
+    # every trial costs one residual evaluation, one that loses convexity too
     trials = sum(round(-np.log2(lam)) + 1 for lam in res.damping)
     assert 1 + 11 * res.iterations <= res.residual_evaluations <= 1 + 10 * res.iterations + trials
