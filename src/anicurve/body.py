@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .sphere import Grid, ScalarField, make_field, _differentiate_values, _extend
+from .sphere import Grid, ScalarField, make_field, _differentiate_values, _extend, _stencil
 
 __all__ = [
     "ConvexityLostError",
@@ -88,8 +90,10 @@ def spheroid_support(grid: Grid, a: float, b: float) -> ScalarField:
 
 
 def _curvature_entries(values: np.ndarray, grid: Grid):
-    d1 = _differentiate_values(values, grid.h, 1, "even")
-    b11 = _differentiate_values(values, grid.h, 2, "even") + values
+    """(b11, b22, d1) of one profile or of a stack of them along the last axis."""
+    v = _extend(values, "even")
+    d1 = _stencil(v, grid.h, 1)
+    b11 = _stencil(v, grid.h, 2) + values
     b22 = d1 * grid.cot + values
     return b11, b22, d1
 
@@ -135,29 +139,55 @@ _BAND = 2
 def _banded_jacobian(func, vals: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of func at vals, in solve_banded storage.
 
-    func maps vals to a vector whose entry i reads only nodes i-2..i+2.
-    Returns ab of shape (5, n) with ab[2 + i - j, j] = d func_i / d u_j.  The
-    columns j = c (mod 5) of one colour are perturbed together (Curtis,
-    Powell and Reid, IMA J. Appl. Math. 13, 1974); row i reads exactly one
-    of them.  10 evaluations at any n.
+    func maps a stack of profiles, along the last axis, to a stack of vectors
+    whose entry i reads only nodes i-2..i+2.  Returns ab of shape (5, n) with
+    ab[2 + i - j, j] = d func_i / d u_j.  The columns j = c (mod 5) of one
+    colour are perturbed together (Curtis, Powell and Reid, IMA J. Appl.
+    Math. 13, 1974); row i reads exactly one of them.  The 10 perturbed
+    profiles go to func in one call at any n.
     """
     n = vals.size
     colours = 2 * _BAND + 1
     steps = _FD_STEP * np.maximum(1.0, np.abs(vals))
-    rows = np.arange(n)
-    ab = np.zeros((colours, n))
-    for colour in range(colours):
-        up = vals.copy()
-        dn = vals.copy()
-        up[colour::colours] += steps[colour::colours]
-        dn[colour::colours] -= steps[colour::colours]
-        diff = func(up) - func(dn)
-        offset = (rows - colour + _BAND) % colours - _BAND  # i - j
-        cols = rows - offset
-        inside = (cols >= 0) & (cols < n)
-        cols = cols[inside]
-        ab[_BAND + offset[inside], cols] = diff[inside] / (2.0 * steps[cols])
-    return ab
+    cols = np.arange(n)
+    colour = cols % colours
+    shift = np.zeros((colours, n))
+    shift[colour, cols] = steps
+    out = func(np.concatenate((vals + shift, vals - shift)))
+    diff = out[:colours] - out[colours:]
+    # ab[2 + d, j] is entry j + d of the difference of column j's colour
+    rows = cols + np.arange(-_BAND, _BAND + 1)[:, None]
+    inside = (rows >= 0) & (rows < n)
+    ab = diff[colour, np.clip(rows, 0, n - 1)] / (2.0 * steps)
+    return np.where(inside, ab, 0.0)
+
+
+def _band_solver(ab: np.ndarray):
+    """solve(b) for the (2, 2) band ab in solve_banded storage.
+
+    One LU factorization (dgbtrf) serves every right side (one dgbtrs per
+    call), with solve_banded's checks: ValueError on a non-finite band or
+    right side, LinAlgError on a singular band.
+    """
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    padded = np.zeros((3 * _BAND + 1, ab.shape[1]), order="F")
+    padded[_BAND:] = ab
+    lu, piv, info = dgbtrf(padded, _BAND, _BAND, overwrite_ab=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = dgbtrs(lu, _BAND, _BAND, b, piv)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
+        return x
+
+    return solve
 
 
 def curvature_matrix(u: ScalarField) -> CurvatureMatrix:

@@ -98,8 +98,21 @@ def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
     return echo
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None: JSON has no NaN or inf."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(val) for val in obj]
+    return obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Strict JSON: a non-finite value is written as null."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_snapshot(path: Path, u: ScalarField) -> None:

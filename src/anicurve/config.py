@@ -165,6 +165,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("stopping configuration must be positive")
     if not cfg.dt_min > 0:
         raise ConfigError("dt_min must be positive")
+    if not 0 < cfg.theta < float("inf"):
+        raise ConfigError("theta must be positive and finite")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
     if cfg.experiment == "soliton":
         if q > 0:

@@ -14,23 +14,24 @@ estimate, in the form of Hairer & Wanner, Solving ODEs II, IV.7; being
 linearly implicit, it is not held to the parabolic bound dt ~ h^2.  Its
 Jacobian is exact up to central differences: the node-local part of the
 right side has bandwidth 2 (body._banded_jacobian, shared with the soliton
-Newton solver), and the drift eta(u) of the volume-normalized flow adds the
-rank-1 term -u (x) grad eta, whose gradient follows from the speed's band by
-the chain rule and which Sherman-Morrison folds into each (2, 2) banded
-solve.  Every right side applies the one admissibility rule of body._radii
-(u > 0 and both principal radii > 0, else ConvexityLostError, a ValueError),
-and the right side at a step's result is both its admissibility test and the
-next step's first stage; a step whose stages or result lose uniform
-convexity is retried at half the size.
+Newton solver, evaluates its 10 perturbed profiles in one batched call), and
+the drift eta(u) of the volume-normalized flow adds the rank-1 term
+-u (x) grad eta, whose gradient follows from the speed's band by the chain
+rule and which Sherman-Morrison folds into each stage solve.  The three
+stages of a step share one LU factorization of the (2, 2) band
+(body._band_solver).  Every right side applies the one admissibility rule
+of body._radii (u > 0 and both principal radii > 0, else
+ConvexityLostError, a ValueError), and the right side at a step's result is
+both its admissibility test and the next step's first stage; a step whose
+stages or result lose uniform convexity is retried at half the size.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import SPHERE_AREA, _BAND, ConvexityLostError, _banded_jacobian, _radii
+from .body import SPHERE_AREA, _BAND, ConvexityLostError, _band_solver, _banded_jacobian, _radii
 from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
 
 __all__ = [
@@ -85,9 +86,9 @@ class RunStats:
     """Deterministic work counts of one run(): rejected counts every rejected
     attempt, convexity_rejections those that lost convexity; an attempt that
     reaches its result evaluates the right side there, whether it is
-    accepted or not; a Jacobian costs 10 node-local evaluations beyond
-    rhs_evaluations; record_steps is the accepted-step count at each
-    record."""
+    accepted or not; a Jacobian evaluates the node-local part at 10 perturbed
+    profiles (one batched call), which rhs_evaluations does not count;
+    record_steps is the accepted-step count at each record."""
 
     accepted: int = 0
     rejected: int = 0
@@ -193,12 +194,13 @@ class _Engine:
         ab[_BAND] += 1.0 / (_ROS_GAMMA * dt) + eta
         # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
         # z = A^-1 vals / (1 + g.A^-1 vals)
-        k1, z = solve_banded((_BAND, _BAND), ab, np.stack((f0, vals), axis=1)).T
+        lu_solve = _band_solver(ab)
+        k1, z = lu_solve(np.stack((f0, vals), axis=1)).T
         z = z / (1.0 + g @ z)
         k1 = k1 - z * (g @ k1)
 
         def solve(r):
-            x = solve_banded((_BAND, _BAND), ab, r)
+            x = lu_solve(r)
             return x - z * (g @ x)
 
         f2 = self.rhs(vals + k1)

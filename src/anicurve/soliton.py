@@ -7,19 +7,20 @@ A self-similar solution of the anisotropic flow satisfies
 for a positive constant c.  The solver runs a damped Newton iteration on
 the nodal vector of u.  The residual at node i reads only nodes i-2..i+2 (f
 does not depend on u), so its central-difference Jacobian has bandwidth 2
-and comes from 10 residual evaluations at any N (body._banded_jacobian, the
-linearization the flow integrator shares).  The Newton step is one (2, 2)
-banded solve.  The residual applies the admissibility rule of body._radii,
-so evaluating it at a trial iterate is also that iterate's convexity test.
+and comes from the residual at 10 perturbed profiles, evaluated in one
+batched call at any N (body._banded_jacobian, the linearization the flow
+integrator shares).  The Newton step is one LU factorization and solve of
+the (2, 2) band (body._band_solver).  The residual applies the
+admissibility rule of body._radii, so evaluating it at a trial iterate is
+also that iterate's convexity test.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .sphere import Grid, ScalarField
-from .body import _BAND, ConvexityLostError, _banded_jacobian, _margin
+from .body import ConvexityLostError, _band_solver, _banded_jacobian, _margin
 from .body import _FD_STEP  # noqa: F401  (re-exported for the Jacobian tests)
 from .functionals import FlowParams, _evaluate, anisotropy_condition_margin
 
@@ -68,8 +69,8 @@ class SolitonResult:
 
     residual_history holds the residual sup norm before each iteration and
     the final one; damping holds the accepted step factor of each iteration;
-    residual_evaluations counts every residual evaluation of the solve,
-    including one for each rejected trial, convex or not.
+    residual_evaluations counts every profile the residual is evaluated at:
+    10 per Jacobian, and one per trial, rejected ones included, convex or not.
     """
 
     u: ScalarField
@@ -110,9 +111,10 @@ def solve_soliton(
 
     The Jacobian is built from central differences in 5 colours of columns
     (it has bandwidth 2, see the module docstring) and each Newton step is
-    one (2, 2) banded solve.  A step is accepted only if the iterate stays
-    uniformly convex (its residual evaluates without ConvexityLostError) and
-    the sup norm of the residual decreases; otherwise the step is halved.
+    one factorization and solve of that band.  A step is accepted only if
+    the iterate stays uniformly convex (its residual evaluates without
+    ConvexityLostError) and the sup norm of the residual decreases;
+    otherwise the step is halved.
     An initial guess outside the admissible class raises ConvexityLostError.
     Convergence is declared at |residual|_inf < tol_factor * c.
 
@@ -141,7 +143,7 @@ def solve_soliton(
 
     def residual(v: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
+        evaluations += v.size // grid.n  # one per profile of a stack
         return _evaluate(v, grid, p, p.alpha - 1.0)[0] - prob.c
 
     tol = tol_factor * prob.c
@@ -156,7 +158,7 @@ def solve_soliton(
                 ScalarField(grid, vals),
                 sup,
             )
-        delta = solve_banded((_BAND, _BAND), _banded_jacobian(residual, vals), -res)
+        delta = _band_solver(_banded_jacobian(residual, vals))(-res)
 
         lam = 1.0
         while True:

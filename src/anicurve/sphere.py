@@ -114,40 +114,49 @@ def make_field(grid: Grid, data) -> ScalarField:
 
 
 def _extend(values: np.ndarray, parity: str) -> np.ndarray:
-    """Pad a nodal profile with two ghost values at each end.
+    """Pad nodal profiles, along the last axis, with two ghost values at each end.
 
     Ghost positions are theta = -h, 0 and theta = pi, pi + h.  The off-pole
     ghosts mirror the first/last interior node with the declared parity; the
     pole values come from even extrapolation (even parity) or vanish (odd).
+    A stack of profiles is padded in one pass, with one 1-D pole dot product
+    per profile, because a batched matmul rounds differently.
     """
-    n = values.size
-    v = np.empty(n + 4)
-    v[2:-2] = values
+    n = values.shape[-1]
+    v = np.empty(values.shape[:-1] + (n + 4,))
+    v[..., 2:-2] = values
     if parity == "even":
-        v[1] = _POLE_WEIGHTS @ values[:3]
-        v[0] = values[0]
-        v[-2] = _POLE_WEIGHTS @ values[-1:-4:-1]
-        v[-1] = values[-1]
+        for row in v.reshape(-1, n + 4) if v.ndim > 1 else (v,):
+            row[0], row[-1] = row[2], row[-3]
+            row[1] = _POLE_WEIGHTS @ row[2:5]
+            row[-2] = _POLE_WEIGHTS @ row[-3:-6:-1]
     elif parity == "odd":
-        v[1] = 0.0
-        v[0] = -values[0]
-        v[-2] = 0.0
-        v[-1] = -values[-1]
+        v[..., 1] = v[..., -2] = 0.0
+        v[..., 0] = -values[..., 0]
+        v[..., -1] = -values[..., -1]
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return v
 
 
+def _stencil(v: np.ndarray, h: float, order: int) -> np.ndarray:
+    """4th-order centered differences of padded profiles (see _extend)."""
+    if order == 1:
+        return (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    if order == 2:
+        return (
+            -v[..., :-4]
+            + 16.0 * v[..., 1:-3]
+            - 30.0 * v[..., 2:-2]
+            + 16.0 * v[..., 3:-1]
+            - v[..., 4:]
+        ) / (12.0 * h * h)
+    raise ValueError(f"order must be 1 or 2, got {order}")
+
+
 def _differentiate_values(values: np.ndarray, h: float, order: int, parity: str) -> np.ndarray:
     """4th-order centered differences with parity ghost closure."""
-    v = _extend(values, parity)
-    if order == 1:
-        return (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    if order == 2:
-        return (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (
-            12.0 * h * h
-        )
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    return _stencil(_extend(values, parity), h, order)
 
 
 def differentiate(u: ScalarField, order: int, parity: str) -> ScalarField:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from anicurve import (
     ScalarField,
@@ -21,6 +22,7 @@ from anicurve import (
     translated_ball,
     write_profile_csv,
 )
+from anicurve.body import ConvexityLostError, _band_solver, _radii
 from conftest import observed_orders, random_convex_body
 
 
@@ -287,3 +289,72 @@ def test_profile_csv(tmp_path, grid200):
     assert len(lines) == grid200.n + 1
     rho, z = map(float, lines[1].split(","))
     assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
+
+
+def _stack(grid, rows=10, seed=3):
+    """rows profiles near one random convex body, as a (rows, n) stack."""
+    rng = np.random.default_rng(seed)
+    u = random_convex_body(grid, rng).values
+    return u * (1.0 + 1e-6 * rng.standard_normal((rows, grid.n)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_radii_of_a_stack_match_rows(grid64, k):
+    # one ghost padding and one stencil pass for the whole stack give, row by
+    # row, the bits of the 1-D kernel
+    stack = _stack(grid64)
+    batched = _radii(stack, grid64, k)
+    for r, row in enumerate(stack):
+        for whole, single in zip(batched, _radii(row, grid64, k)):
+            assert whole.shape == stack.shape
+            assert np.array_equal(whole[r], single)
+
+
+@pytest.mark.parametrize("bad", ["negative value", "negative radius", "nan"])
+def test_stack_with_one_inadmissible_row_raises(grid64, bad):
+    stack = _stack(grid64)
+    row = stack[7]
+    if bad == "negative value":
+        row[3] = -row[3]
+    elif bad == "negative radius":
+        row += 0.9 * row.mean() * np.cos(2 * grid64.theta)  # b11 < 0 at the poles
+    else:
+        row[30] = np.nan
+    with pytest.raises(ConvexityLostError):
+        _radii(row, grid64, 2)
+    with pytest.raises(ConvexityLostError):
+        _radii(stack, grid64, 2)
+    _radii(np.delete(stack, 7, axis=0), grid64, 2)
+
+
+@pytest.mark.parametrize("n", [96, 200, 800])
+def test_band_solver_matches_solve_banded(n):
+    # one dgbtrf, then one dgbtrs per right side, is what solve_banded does
+    # in one call: the bits agree for one and for two right sides
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        ab = rng.standard_normal((5, n))
+        ab[2] += rng.uniform(-2.0, 6.0)
+        solve = _band_solver(ab)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            x = solve(b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, solve_banded((2, 2), ab, b))
+
+
+def test_band_solver_checks():
+    n = 32
+    ab = np.zeros((5, n))
+    ab[2] = 4.0
+    ab[[1, 3]] = -1.0
+    solve = _band_solver(ab)
+    bad = np.ones(n)
+    bad[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve(bad)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_solver(np.where(np.arange(n) == 9, np.inf, ab))
+    singular = ab.copy()
+    singular[:, 4] = 0.0  # a zero column
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _band_solver(singular)

@@ -410,6 +410,35 @@ def test_run_rejects_nonpositive_steps(grid64, bad):
 
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+def test_local_on_a_stack_matches_rows(mode):
+    # the Jacobian evaluates its 10 perturbed profiles as one (10, n) stack;
+    # each row must carry the bits of a 1-D evaluation
+    g = ac.make_grid(48)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
+    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
+    if mode == "dual_radial":
+        u = 1.0 / u
+    stack = u * (1.0 + 1e-7 * np.random.default_rng(5).standard_normal((10, g.n)))
+    eng = _Engine(g, p, mode)
+    batched = eng._local(stack)
+    assert batched.shape == stack.shape
+    for r, row in enumerate(stack):
+        assert np.array_equal(batched[r], eng._local(row))
+
+
+def test_soliton_residual_on_a_stack_matches_rows():
+    g = ac.make_grid(48)
+    f = ac.power_of_linear_anisotropy(g, 0.2, 5.0)
+    prob = ac.SolitonProblem(p_of(1, 2.0, -2.0, f=f), 1.0)
+    u = 1.1 * ac.spheroid_support(g, 1.0, 1.2).values
+    stack = u * (1.0 + 1e-7 * np.random.default_rng(6).standard_normal((10, g.n)))
+    batched = ac.soliton_residual(ac.ScalarField(g, stack), prob).values
+    for r, row in enumerate(stack):
+        assert np.array_equal(batched[r], ac.soliton_residual(ac.ScalarField(g, row), prob).values)
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_jacobian_matches_dense_differences(mode):
     # B - eta*I - u (x) grad_eta against column-by-column central differences
     # of the full right side; eta couples every node in the volume mode

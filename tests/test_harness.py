@@ -62,6 +62,19 @@ def test_parse_rejects_nonpositive_dt_min():
     assert parse_config("dt_min = 1e-6\n").dt_min == 1e-6
 
 
+def test_parse_rejects_bad_theta(tmp_path):
+    # the cap exponent mu divides by k*beta*theta: theta = 0 crashed the CLI
+    # with a ZeroDivisionError instead of a configuration error
+    for value in ("0", "-1", "nan", "inf"):
+        with pytest.raises(ConfigError, match="theta must be positive and finite"):
+            parse_config(f"theta = {value}\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = 0.5\nN = 32\ntheta = 0\n"
+    )
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
+
+
 def test_parse_initial_and_f_specs():
     cfg = parse_config("initial = spheroid 1 2\nf = power-of-linear 0.2 5\n")
     assert cfg.initial == ("spheroid", 1.0, 2.0)
@@ -157,6 +170,34 @@ def test_counterexample_experiment_stats(tmp_path):
     # the echo reconstructs the run, down to the counterexample keys
     echo = report["echo"]
     assert (echo["horizon"], echo["theta"], echo["samples"]) == (0.02, 2.0, 50)
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_written_json_is_strict(tmp_path):
+    # volume-normalized records carry t = nan; every JSON file the experiments
+    # write must still parse without the NaN/Infinity extension
+    flow = (
+        "experiment = flow\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"
+        "mode = volume_normalized\ninitial = spheroid 1 1.5\nt_max = 0.05\nrecord_every = 5\n"
+    )
+    counterexample = (
+        "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
+        "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+    )
+    for name, text in (("flow", flow), ("counterexample", counterexample)):
+        assert run_experiment(parse_config(text), tmp_path / name, seed=0) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert len(written) == 3
+    for path in written:
+        _strict_json(path)
+    summary = _strict_json(tmp_path / "flow" / "summary.json")
+    assert summary["final"]["t"] is None and summary["final"]["tau"] == 0.05
 
 
 def test_barriers_experiment(tmp_path, capsys):
