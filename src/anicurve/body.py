@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .sphere import Grid, ScalarField, make_field, _differentiate_values, _extend, _stencil
+from .sphere import Grid, ScalarField, make_field, _derivatives, _extend
 
 __all__ = [
     "ConvexityLostError",
@@ -91,11 +91,8 @@ def spheroid_support(grid: Grid, a: float, b: float) -> ScalarField:
 
 def _curvature_entries(values: np.ndarray, grid: Grid):
     """(b11, b22, d1) of one profile or of a stack of them along the last axis."""
-    v = _extend(values, "even")
-    d1 = _stencil(v, grid.h, 1)
-    b11 = _stencil(v, grid.h, 2) + values
-    b22 = d1 * grid.cot + values
-    return b11, b22, d1
+    d1, d2 = _derivatives(values, grid.h, "even")
+    return d2 + values, d1 * grid.cot + values, d1
 
 
 def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
@@ -305,7 +302,7 @@ def polar_dual(u: ScalarField) -> ScalarField:
 def profile_curve(u: ScalarField) -> np.ndarray:
     """Meridian profile (rho, z) of the boundary via the inverse normal map."""
     g = u.grid
-    d1 = _differentiate_values(u.values, g.h, 1, "even")
+    d1 = _derivatives(u.values, g.h, "even")[0]
     rho = u.values * g.sin + d1 * g.cos
     z = u.values * g.cos - d1 * g.sin
     return np.column_stack([rho, z])

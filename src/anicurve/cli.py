@@ -2,6 +2,7 @@
 
 Usage:
     anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
+    python -m anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
 
 Every run writes a parameter echo into summary.json sufficient to
 reconstruct it; numbers are serialized with 17 significant digits and a "."

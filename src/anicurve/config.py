@@ -161,7 +161,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"beta must exceed 1/k (beta={cfg.beta:g}, k={cfg.k})")
     if cfg.f[0] == "constant" and cfg.f[1] <= 0:
         raise ConfigError("anisotropy must be positive")
-    if cfg.tol_conv < 0 or cfg.t_max <= 0 or cfg.record_every < 1:
+    if not cfg.tol_conv >= 0 or not cfg.t_max > 0 or cfg.record_every < 1:
         raise ConfigError("stopping configuration must be positive")
     if not cfg.dt_min > 0:
         raise ConfigError("dt_min must be positive")

@@ -314,6 +314,8 @@ def blowup_experiment(
     """
     if p.q <= 0:
         raise ValueError("blowup experiment requires alpha > 1 - k*beta")
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     stop = replace(stop or StoppingConfig(), t_max=horizon)
 
     u_start = normalize_body(u0, p.k)

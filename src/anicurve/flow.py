@@ -260,7 +260,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     """
     if stop is None:
         stop = StoppingConfig()
-    if stop.t_max <= 0 or stop.tol_conv < 0 or stop.record_every < 1 or not stop.dt_min > 0:
+    if not stop.t_max > 0 or not stop.tol_conv >= 0 or stop.record_every < 1 or not stop.dt_min > 0:
         raise ValueError("invalid stopping configuration")
     if stop.fixed_dt is not None and not stop.fixed_dt > 0:
         raise ValueError("fixed_dt must be positive")
@@ -317,8 +317,9 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     failures = 0  # convexity losses of the current step
     grow = _FAC_MAX  # largest step increase; 1 right after a rejection
     while True:
-        # these rules read only the current state, so a retry passes them again
-        if float(np.max(np.abs(f0))) < stop.tol_conv:
+        # these rules read only the current state, so a retry passes them again;
+        # no sup norm is below tol_conv = 0
+        if stop.tol_conv > 0 and float(np.max(np.abs(f0))) < stop.tol_conv:
             traj.stop_reason = "converged"
             break
         if s >= stop.t_max:

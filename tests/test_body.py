@@ -298,14 +298,41 @@ def _stack(grid, rows=10, seed=3):
     return u * (1.0 + 1e-6 * rng.standard_normal((rows, grid.n)))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_radii_of_a_stack_match_rows(grid64, k):
+def _layout(grid, layout):
+    """A stack of profiles in one of the shapes and memory layouts the kernel
+    must treat row by row."""
+    stack = _stack(grid)
+    if layout == "unrelated":
+        # distinct random bodies whose sizes span six orders of magnitude
+        rng = np.random.default_rng(8)
+        return np.stack([random_convex_body(grid, rng, scale=10.0**e).values for e in range(-3, 4)])
+    if layout == "3-D":
+        return stack.reshape(2, 5, grid.n)
+    if layout == "Fortran":
+        return np.asfortranarray(stack)
+    if layout == "strided":
+        return np.repeat(stack, 2, axis=-1)[:, ::2]  # every row non-contiguous
+    return stack
+
+
+@pytest.mark.parametrize(
+    "k, layout",
+    [
+        pytest.param(1, "near", id="1"),
+        pytest.param(2, "near", id="2"),
+        pytest.param(2, "unrelated", id="2-unrelated"),
+        pytest.param(1, "3-D", id="1-3-D"),
+        pytest.param(2, "Fortran", id="2-Fortran"),
+        pytest.param(1, "strided", id="1-strided"),
+    ],
+)
+def test_radii_of_a_stack_match_rows(grid64, k, layout):
     # one ghost padding and one stencil pass for the whole stack give, row by
-    # row, the bits of the 1-D kernel
-    stack = _stack(grid64)
+    # row, the bits of the 1-D kernel, whatever the stack's shape or layout
+    stack = _layout(grid64, layout)
     batched = _radii(stack, grid64, k)
-    for r, row in enumerate(stack):
-        for whole, single in zip(batched, _radii(row, grid64, k)):
+    for r in np.ndindex(stack.shape[:-1]):
+        for whole, single in zip(batched, _radii(np.ascontiguousarray(stack[r]), grid64, k)):
             assert whole.shape == stack.shape
             assert np.array_equal(whole[r], single)
 

@@ -178,6 +178,12 @@ def test_blowup_experiment_precondition(grid64):
         blowup_experiment(p_sub, ac.round_body(grid64, 1.0), horizon=0.1)
 
 
+def test_blowup_experiment_rejects_nan_horizon(grid64):
+    p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        blowup_experiment(p, ac.round_body(grid64, 1.0), horizon=float("nan"))
+
+
 def test_blowup_experiment_leaves_caller_stop_unchanged(grid64):
     p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
     stop = ac.StoppingConfig(t_max=10.0, tol_conv=0.0, record_every=5)

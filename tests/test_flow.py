@@ -409,6 +409,15 @@ def test_run_rejects_nonpositive_steps(grid64, bad):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
 
 
+@pytest.mark.parametrize("bad", [dict(t_max=float("nan")), dict(tol_conv=float("nan"))])
+def test_run_rejects_nan_stopping_values(grid64, bad):
+    # t_max = nan reached the band solver, which failed on a NaN step, and
+    # tol_conv = nan switched the convergence stop off without a word
+    stop = StoppingConfig(**{"t_max": 0.01, "tol_conv": 0.0, **bad})
+    with pytest.raises(ValueError, match="invalid stopping configuration"):
+        ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
+
+
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_local_on_a_stack_matches_rows(mode):
     # the Jacobian evaluates its 10 perturbed profiles as one (10, n) stack;

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,31 @@ def test_parse_rejects_bad_theta(tmp_path):
         "experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = 0.5\nN = 32\ntheta = 0\n"
     )
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
+
+
+def test_parse_rejects_nan_stopping_values():
+    # NaN passed the old `<= 0` / `< 0` tests
+    for key in ("t_max", "tol_conv"):
+        with pytest.raises(ConfigError, match="stopping configuration must be positive"):
+            parse_config(f"{key} = nan\n")
+
+
+def test_python_m_anicurve_runs_without_warnings():
+    # `python -m anicurve.cli` makes runpy warn, because the package imports
+    # cli before running it as __main__; the package's own entry point does not
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "anicurve", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "--config" in done.stdout
 
 
 def test_parse_initial_and_f_specs():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anicurve import differentiate, extrema, integrate, make_field, make_grid
+from anicurve.sphere import _derivatives, _extend
 from conftest import observed_orders
 
 
@@ -64,6 +65,39 @@ def test_derivative_rejects_bad_args(grid200):
         differentiate(u, 3, "even")
     with pytest.raises(ValueError):
         differentiate(u, 1, "mixed")
+
+
+def test_pole_ghosts_are_the_sequential_sum():
+    # 1.5*u0 + (-0.6)*u1 + 0.1*u2, summed left to right, at both poles of
+    # every row: no BLAS dot product whose rounding depends on the build
+    rng = np.random.default_rng(12)
+    u = rng.uniform(0.5, 2.0, (4, 500, 20)) * 10.0 ** rng.integers(-3, 4, (4, 500, 1))
+    for values in (u, u[0, 0], np.asfortranarray(u[1])):
+        v = _extend(values, "even")
+        u0, u1, u2 = values[..., 0], values[..., 1], values[..., 2]
+        assert np.array_equal(v[..., 1], 1.5 * u0 + -0.6 * u1 + 0.1 * u2)
+        u0, u1, u2 = values[..., -1], values[..., -2], values[..., -3]
+        assert np.array_equal(v[..., -2], 1.5 * u0 + -0.6 * u1 + 0.1 * u2)
+        assert np.array_equal(v[..., 0], values[..., 0])
+        assert np.array_equal(v[..., -1], values[..., -1])
+        assert np.array_equal(v[..., 2:-2], values)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(16,), (200,), (10, 64), (3, 2, 33)], ids=str)
+def test_derivatives_match_written_out_stencils(parity, shape):
+    # the flat-stack correlation rounds as the 5-term sums written out
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    values = rng.uniform(0.5, 2.0, shape) * 10.0 ** rng.integers(-3, 4, shape[:-1] + (1,))
+    h = np.pi / (shape[-1] + 1)
+    v = _extend(values, parity)
+    d1 = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    d2 = (
+        -v[..., :-4] + 16.0 * v[..., 1:-3] - 30.0 * v[..., 2:-2] + 16.0 * v[..., 3:-1] - v[..., 4:]
+    ) / (12.0 * h * h)
+    got1, got2 = _derivatives(values, h, parity)
+    assert np.array_equal(got1, d1)
+    assert np.array_equal(got2, d2)
 
 
 def test_differentiate_is_linear(grid200):
