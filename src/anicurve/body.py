@@ -9,6 +9,7 @@ diagonal with entries
 whose values are the principal curvature radii of the boundary.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -133,6 +134,22 @@ _FD_STEP = 6.0e-8
 _BAND = 2
 
 
+@functools.cache
+def _band_plan(n: int):
+    """(cols, colour, rows, outside): the index plan of an n-node band, built
+    once per n and read-only.
+
+    Column j has colour j mod 5; rows[2 + d, j] = j + d clipped to 0..n-1,
+    and outside marks the entries whose row j + d lies off the grid.
+    """
+    cols = np.arange(n)
+    rows = cols + np.arange(-_BAND, _BAND + 1)[:, None]
+    plan = (cols, cols % (2 * _BAND + 1), np.clip(rows, 0, n - 1), (rows < 0) | (rows >= n))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _banded_jacobian(func, vals: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of func at vals, in solve_banded storage.
 
@@ -141,22 +158,20 @@ def _banded_jacobian(func, vals: np.ndarray) -> np.ndarray:
     ab[2 + i - j, j] = d func_i / d u_j.  The columns j = c (mod 5) of one
     colour are perturbed together (Curtis, Powell and Reid, IMA J. Appl.
     Math. 13, 1974); row i reads exactly one of them.  The 10 perturbed
-    profiles go to func in one call at any n.
+    profiles go to func in one call at any n; the index plan comes from
+    _band_plan.
     """
-    n = vals.size
     colours = 2 * _BAND + 1
+    cols, colour, rows, outside = _band_plan(vals.size)
     steps = _FD_STEP * np.maximum(1.0, np.abs(vals))
-    cols = np.arange(n)
-    colour = cols % colours
-    shift = np.zeros((colours, n))
+    shift = np.zeros((colours, vals.size))
     shift[colour, cols] = steps
     out = func(np.concatenate((vals + shift, vals - shift)))
     diff = out[:colours] - out[colours:]
     # ab[2 + d, j] is entry j + d of the difference of column j's colour
-    rows = cols + np.arange(-_BAND, _BAND + 1)[:, None]
-    inside = (rows >= 0) & (rows < n)
-    ab = diff[colour, np.clip(rows, 0, n - 1)] / (2.0 * steps)
-    return np.where(inside, ab, 0.0)
+    ab = diff[colour, rows] / (2.0 * steps)
+    ab[outside] = 0.0
+    return ab
 
 
 def _band_solver(ab: np.ndarray):

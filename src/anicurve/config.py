@@ -5,6 +5,7 @@ Unknown keys are rejected so that typos cannot silently change a run;
 derived quantities (gamma, q, the regime flag) can never be set.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .flow import MODES
@@ -157,12 +158,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("N must be at least 16")
     if cfg.k not in (1, 2):
         raise ConfigError("k must be 1 or 2")
-    if cfg.beta * cfg.k <= 1.0:
+    # written so that NaN fails every test
+    if not cfg.beta * cfg.k > 1.0:
         raise ConfigError(f"beta must exceed 1/k (beta={cfg.beta:g}, k={cfg.k})")
+    if not (math.isfinite(cfg.beta) and math.isfinite(cfg.alpha)):
+        raise ConfigError(f"beta and alpha must be finite (beta={cfg.beta:g}, alpha={cfg.alpha:g})")
     if cfg.f[0] == "constant" and cfg.f[1] <= 0:
         raise ConfigError("anisotropy must be positive")
     if not cfg.tol_conv >= 0 or not cfg.t_max > 0 or cfg.record_every < 1:
         raise ConfigError("stopping configuration must be positive")
+    if not cfg.R_blowup > 1.0:
+        raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")
     if not cfg.dt_min > 0:
         raise ConfigError("dt_min must be positive")
     if not 0 < cfg.theta < float("inf"):

@@ -17,7 +17,8 @@ right side has bandwidth 2 (body._banded_jacobian, shared with the soliton
 Newton solver, evaluates its 10 perturbed profiles in one batched call), and
 the drift eta(u) of the volume-normalized flow adds the rank-1 term
 -u (x) grad eta, whose gradient follows from the speed's band by the chain
-rule and which Sherman-Morrison folds into each stage solve.  The three
+rule, with the speed and sigma_k of the step's own first stage, and which
+Sherman-Morrison folds into each stage solve.  The three
 stages of a step share one LU factorization of the (2, 2) band
 (body._band_solver).  Every right side applies the one admissibility rule
 of body._radii (u > 0 and both principal radii > 0, else
@@ -31,7 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import Grid, ScalarField
-from .body import SPHERE_AREA, _BAND, ConvexityLostError, _band_solver, _banded_jacobian, _radii
+from .body import (
+    SPHERE_AREA,
+    _BAND,
+    ConvexityLostError,
+    _band_plan,
+    _band_solver,
+    _banded_jacobian,
+    _radii,
+)
 from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
 
 __all__ = [
@@ -131,6 +140,10 @@ class _Engine:
         self.mode = mode
         self.gamma = p.gamma
         self.stats = RunStats()
+        # (vals, speed, sigma_k) of the last volume-normalized right side,
+        # for the Jacobian at the same state; keyed by identity, so a state
+        # must not be written in place once rhs() has read it
+        self._last = None
 
     def _speed(self, vals):
         spd, *_, sig = _evaluate(vals, self.grid, self.p, self.p.alpha)
@@ -152,25 +165,31 @@ class _Engine:
         if self.mode != "volume_normalized":
             return self._local(vals)
         spd, sig = self._speed(vals)
+        self._last = (vals, spd, sig)
         eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
         return spd - eta * vals
 
     def jacobian(self, vals: np.ndarray):
         """(B, eta, g) with rhs'(vals) = B - eta*I - vals (x) g, B in (2, 2)
-        band storage; eta and g vanish outside the volume-normalized mode."""
+        band storage; eta and g vanish outside the volume-normalized mode.
+        The speed and sigma_k at vals come from the last rhs() if it was
+        evaluated at this very array (in run(), the accepted step's f0);
+        otherwise they are evaluated here."""
         self.stats.jacobian_evaluations += 1
         ab = _banded_jacobian(self._local, vals)
-        n = vals.size
         if self.mode != "volume_normalized":
-            return ab, 0.0, np.zeros(n)
+            return ab, 0.0, np.zeros(vals.size)
         # eta = w.(speed * sigma_k) / |S^2|, and speed = f u^alpha sigma_k^beta
         # gives d(speed sigma_k)_i/du_j = (1 + 1/beta) sigma_k,i B_ij
         # - delta_ij (alpha/beta) speed_i sigma_k,i / u_i: grad eta follows from
         # the band B (column j holds rows j-2..j+2) without further evaluations
         p = self.p
-        spd, sig = self._speed(vals)
+        if self._last is not None and self._last[0] is vals:
+            spd, sig = self._last[1:]
+        else:
+            spd, sig = self._speed(vals)
         w = self.grid.weights
-        rows = np.clip(np.arange(n) + np.arange(-_BAND, _BAND + 1)[:, None], 0, n - 1)
+        rows = _band_plan(vals.size)[2]
         col_sums = ((w * sig)[rows] * ab).sum(axis=0)
         grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
         return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
@@ -260,7 +279,13 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     """
     if stop is None:
         stop = StoppingConfig()
-    if not stop.t_max > 0 or not stop.tol_conv >= 0 or stop.record_every < 1 or not stop.dt_min > 0:
+    if (
+        not stop.t_max > 0
+        or not stop.tol_conv >= 0
+        or stop.record_every < 1
+        or not stop.dt_min > 0
+        or not stop.R_blowup > 1
+    ):
         raise ValueError("invalid stopping configuration")
     if stop.fixed_dt is not None and not stop.fixed_dt > 0:
         raise ValueError("fixed_dt must be positive")

@@ -87,10 +87,11 @@ def critical_offset(k: int, beta: float, alpha: float) -> float:
 class FlowParams:
     """Flow exponents (k, beta, alpha) and the anisotropy f (None means f = 1).
 
-    beta > 0 is required at construction.  The convergence theory of the
-    normalized flows additionally needs beta > 1/k; that stricter condition
-    is enforced by require_convergent_regime at the call sites that rely on
-    it, so that raw-flow and blowup experiments keep the full beta > 0 range.
+    A finite beta > 0 and a finite alpha are required at construction, with
+    tests that NaN fails.  The convergence theory of the normalized flows
+    additionally needs beta > 1/k; that stricter condition is enforced by
+    require_convergent_regime at the call sites that rely on it, so that
+    raw-flow and blowup experiments keep the full beta > 0 range.
     """
 
     k: int
@@ -101,8 +102,10 @@ class FlowParams:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {self.k}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.f is not None and self.f.field.values.min() <= 0:
             raise ValueError("anisotropy must be positive")
 

@@ -25,6 +25,10 @@ __all__ = [
 # Lagrange weights in theta^2 for the three nearest nodes; exact for even
 # polynomials through degree 4, error O(h^6) on analytic even profiles.
 _POLE_WEIGHTS = np.array([1.5, -0.6, 0.1])
+# The three nodes nearest theta = 0, then the three nearest theta = pi, each
+# nearest first: _POLE_WEIGHTS correlated with them at offsets 0 and 3 gives
+# both pole values.
+_POLE_NODES = np.array([0, 1, 2, -1, -2, -3])
 # Integer taps of the 4th-order centered first and second differences.
 _D1_TAPS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _D2_TAPS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
@@ -120,33 +124,27 @@ def _extend(values: np.ndarray, parity: str) -> np.ndarray:
     """Pad nodal profiles, along the last axis, with two ghost values at each end.
 
     Ghost positions are theta = -h, 0 and theta = pi, pi + h.  The off-pole
-    ghosts mirror the first/last interior node with the declared parity; the
-    pole values come from even extrapolation (even parity) or vanish (odd).
-    The pole values of a whole stack take one correlation per pole, each the
-    sequential sum 1.5*u0 + (-0.6)*u1 + 0.1*u2 of the three nodes nearest the
-    pole (nearest first), so every row gets the bits of a 1-D call.
+    ghosts mirror the first/last interior node with the declared parity (both
+    set by one strided assignment); the pole values come from even
+    extrapolation (even parity) or vanish (odd).  The pole values of a whole
+    stack take one correlation over the three nodes nearest each pole, nearest
+    first, so that each is the sequential sum 1.5*u0 + (-0.6)*u1 + 0.1*u2 and
+    every row gets the bits of a 1-D call.
     """
     n = values.shape[-1]
     v = np.empty(values.shape[:-1] + (n + 4,))
     v[..., 2:-2] = values
     if parity == "even":
-        v[..., 0] = values[..., 0]
-        v[..., -1] = values[..., -1]
-        v[..., 1] = _pole_value(values[..., :3])
-        v[..., -2] = _pole_value(values[..., :-4:-1])
+        v[..., :: n + 3] = values[..., :: n - 1]
+        near = values[..., _POLE_NODES]
+        poles = np.correlate(near.reshape(-1), _POLE_WEIGHTS, "valid")[::3]
+        v[..., 1 :: n + 1] = poles.reshape(near.shape[:-1] + (2,))
     elif parity == "odd":
-        v[..., 1] = v[..., -2] = 0.0
-        v[..., 0] = -values[..., 0]
-        v[..., -1] = -values[..., -1]
+        v[..., :: n + 3] = -values[..., :: n - 1]
+        v[..., 1 :: n + 1] = 0.0
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return v
-
-
-def _pole_value(near: np.ndarray) -> np.ndarray:
-    """_POLE_WEIGHTS applied to each length-3 row of near, as one correlation."""
-    flat = np.correlate(near.reshape(-1), _POLE_WEIGHTS, "valid")
-    return flat[::3].reshape(near.shape[:-1])
 
 
 def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import pytest
 
 import anicurve as ac
 from anicurve import FlowParams, StoppingConfig
+from anicurve import flow, functionals
 from anicurve.flow import _RECORD_DT, _Engine
 
 
@@ -418,6 +419,15 @@ def test_run_rejects_nan_stopping_values(grid64, bad):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
 
 
+@pytest.mark.parametrize("R_blowup", [float("nan"), 1.0, 0.5])
+def test_run_rejects_blowup_ratio_at_most_one(grid64, R_blowup):
+    # max u / min u >= 1 always, so R_blowup <= 1 stops every run at once,
+    # and NaN switched the ratio stop off without a word
+    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, R_blowup=R_blowup)
+    with pytest.raises(ValueError, match="invalid stopping configuration"):
+        ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
+
+
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_local_on_a_stack_matches_rows(mode):
     # the Jacobian evaluates its 10 perturbed profiles as one (10, n) stack;
@@ -469,3 +479,58 @@ def test_jacobian_matches_dense_differences(mode):
     assert np.max(np.abs(jac - dense)) <= 1e-9 * np.max(np.abs(dense))
     if mode != "volume_normalized":
         assert eta == 0.0 and not grad.any()
+
+
+def _jacobians_equal(a, b):
+    return np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+def test_jacobian_reuses_no_stale_speed(mode):
+    # the volume-normalized Jacobian takes the speed and sigma_k of the last
+    # right side when that was evaluated at the same array; after a right
+    # side elsewhere, or a step that lost convexity after some stages, it
+    # must still equal the Jacobian of a fresh engine bit for bit
+    g = ac.make_grid(32)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
+    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
+    other = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.2), 2).values
+    if mode == "dual_radial":
+        u, other = 1.0 / u, 1.0 / other
+    fresh = _Engine(g, p, mode).jacobian(u)
+
+    eng = _Engine(g, p, mode)
+    eng.rhs(u)
+    assert _jacobians_equal(eng.jacobian(u), fresh)
+    eng.rhs(u)
+    eng.rhs(other)
+    assert _jacobians_equal(eng.jacobian(u), fresh)
+    f0 = eng.rhs(u)
+    before = eng.stats.rhs_evaluations
+    with pytest.raises(ac.ConvexityLostError):
+        eng.rk4(u, 0.2, k1=f0)
+    assert eng.stats.rhs_evaluations - before >= 2  # a stage passed before the loss
+    assert _jacobians_equal(eng.jacobian(u), fresh)
+
+
+def test_one_kernel_evaluation_per_right_side_and_jacobian(grid64, monkeypatch):
+    # every right side and every Jacobian (its 10 perturbed profiles in one
+    # batch) evaluates the speed once, and each record once for its
+    # diagnostics; the Jacobian reuses the speed of the step's own f0
+    calls = []
+    evaluate = functionals._evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(functionals, "_evaluate", counted)
+    monkeypatch.setattr(flow, "_evaluate", counted)
+    f = ac.tabulated_anisotropy(grid64, 1.0 + 0.3 * np.cos(2 * grid64.theta))
+    u0 = ac.normalize_body(ac.spheroid_support(grid64, 1.0, 1.5), 2)
+    stop = StoppingConfig(t_max=0.05, tol_conv=0.0, record_every=5)
+    traj = ac.run(u0, p_of(2, 1.0, -2.0, f=f), "volume_normalized", stop)
+    st = traj.stats
+    assert st.accepted > 0 and len(traj.diagnostics) > 2
+    assert len(calls) == st.rhs_evaluations + st.jacobian_evaluations + len(traj.diagnostics)

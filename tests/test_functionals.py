@@ -46,6 +46,23 @@ def test_flow_params_validation(grid200):
     assert FlowParams(k=2, beta=1.0, alpha=0.0).gamma == 1.0
 
 
+@pytest.mark.parametrize(
+    "beta, alpha",
+    [
+        (float("nan"), -2.0),
+        (float("inf"), -2.0),
+        (2.0, float("nan")),
+        (2.0, float("inf")),
+        (2.0, -float("inf")),
+    ],
+)
+def test_flow_params_reject_nan_and_infinite_exponents(beta, alpha):
+    # NaN passed `beta <= 0`, and a non-finite exponent makes gamma, every
+    # regime test and every power of u meaningless
+    with pytest.raises(ValueError, match="beta must be positive and finite|alpha must be finite"):
+        FlowParams(k=1, beta=beta, alpha=alpha)
+
+
 def test_regime_on_critical_line_given_in_decimals():
     # alpha + k*beta - 1 evaluates to 2.2e-16 here, not 0
     p = FlowParams(k=1, beta=2.2, alpha=-1.2)

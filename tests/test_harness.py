@@ -86,6 +86,22 @@ def test_parse_rejects_nan_stopping_values():
             parse_config(f"{key} = nan\n")
 
 
+def test_parse_rejects_nan_exponents_and_blowup_ratio():
+    # NaN failed none of the old tests (`beta * k <= 1`, the regime's
+    # `q > 0` / `q <= 0`), and nothing checked R_blowup, whose stop can
+    # never fire at NaN
+    for value in ("nan", "0.5"):
+        with pytest.raises(ConfigError, match="beta must exceed 1/k"):
+            parse_config(f"beta = {value}\n")
+    for line in ("alpha = nan", "alpha = inf", "alpha = -inf", "beta = inf"):
+        with pytest.raises(ConfigError, match="beta and alpha must be finite"):
+            parse_config(line + "\n")
+    for value in ("nan", "1", "0.5"):
+        with pytest.raises(ConfigError, match="R_blowup must exceed 1"):
+            parse_config(f"R_blowup = {value}\n")
+    assert parse_config("R_blowup = 40\n").R_blowup == 40.0
+
+
 def test_python_m_anicurve_runs_without_warnings():
     # `python -m anicurve.cli` makes runpy warn, because the package imports
     # cli before running it as __main__; the package's own entry point does not

@@ -199,6 +199,34 @@ def test_coloured_jacobian_equals_dense(n, k):
     assert np.array_equal(band, dense)
 
 
+@pytest.mark.parametrize("n", [17, 18, 20])
+@pytest.mark.parametrize("k", [1, 2])
+def test_band_plan_at_every_size_mod_5(n, k):
+    # with n = 16 and 64 (1 and 4 mod 5), these cover every colour count of
+    # the last columns and every clipped row of the plan cached per n
+    grid = ac.make_grid(n)
+    prob = _problem(grid, k)
+    th = grid.theta
+    vals = round_soliton_radius(prob, grid) * (1.05 - 0.04 * np.cos(th) + 0.03 * np.cos(2 * th))
+
+    def residual(v):
+        return soliton_residual(ac.ScalarField(grid, v), prob).values
+
+    dense = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = _FD_STEP * max(1.0, abs(vals[j]))
+        dense[:, j] = (residual(vals + e) - residual(vals - e)) / (2.0 * e[j])
+    for _ in range(2):  # the second call reads the cached plan
+        ab = _banded_jacobian(residual, vals)
+        band = np.zeros((n, n))
+        for d in range(-2, 3):
+            j = np.arange(max(0, -d), min(n, n - d))
+            band[j + d, j] = ab[2 + d, j]
+        assert np.array_equal(band, dense)
+        assert not ab[0, :2].any() and not ab[1, 0] and not ab[3, -1] and not ab[4, -2:].any()
+
+
 def test_residual_evaluations_independent_of_n():
     # one residual for the start, then 10 per Jacobian plus one per
     # line-search trial; every full step is accepted from this start
