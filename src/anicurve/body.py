@@ -109,12 +109,14 @@ def _radii(values: np.ndarray, grid: Grid, k: int):
 
     The one admissibility rule of every speed, rho, diagnostic, flow step
     and Newton trial: u > 0 and b11, b22 > 0 at every node, else
-    ConvexityLostError.  The tests are written so that NaN fails them.
+    ConvexityLostError.  One reduction decides, over the node-wise minimum of
+    u, b11 and b22 (np.minimum and the test propagate NaN, so NaN fails);
+    only a failure looks again to name its cause.
     """
-    if not (values.min() > 0):
-        raise ConvexityLostError("support values must be positive")
     b11, b22, d1 = _curvature_entries(values, grid)
-    if not (b11.min() > 0 and b22.min() > 0):
+    if not np.minimum(np.minimum(values, b11), b22).min() > 0:
+        if not values.min() > 0:
+            raise ConvexityLostError("support values must be positive")
         raise ConvexityLostError("uniform convexity lost")
     return b11, b22, d1, _sigma_values(b11, b22, k)
 

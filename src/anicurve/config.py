@@ -169,8 +169,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("stopping configuration must be positive")
     if not cfg.R_blowup > 1.0:
         raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")
-    if not cfg.dt_min > 0:
-        raise ConfigError("dt_min must be positive")
+    if not 0 < cfg.dt_min < float("inf"):
+        raise ConfigError("dt_min must be positive and finite")
     if not 0 < cfg.theta < float("inf"):
         raise ConfigError("theta must be positive and finite")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)

@@ -7,7 +7,9 @@ Four right-hand sides operate on the nodal profile:
     volume_normalized du/dtau = f * u^alpha * sigma_k^beta - eta(u) * u
     dual_radial       dr/dt  = -r^(2-alpha) * sigma_k^beta(W_{1/r})    (f must be 1)
 
-Runs with StoppingConfig.fixed_dt take classical RK4 steps.  All other runs
+Runs with StoppingConfig.fixed_dt take classical RK4 steps, whose stage sums
+are formed in place in the written-out order, so that they carry the bits of
+the textbook formula.  All other runs
 take error-controlled steps of Ros3, the L-stable, order-3 Rosenbrock method
 of Sandu et al. (Atmos. Environ. 31, 1997) with an embedded order-2
 estimate, in the form of Hairer & Wanner, Solving ODEs II, IV.7; being
@@ -142,7 +144,11 @@ class _Engine:
         self.stats = RunStats()
         # (vals, speed, sigma_k) of the last volume-normalized right side,
         # for the Jacobian at the same state; keyed by identity, so a state
-        # must not be written in place once rhs() has read it
+        # must not be written in place once rhs() has read it.  rk4() keeps
+        # to that: each stage input is a new array that nothing writes after
+        # rhs() has read it, and its sums run in place only in k2, k3 and k4,
+        # new arrays that rhs() returned and rk4() owns.  The engine keeps no
+        # buffer from one step to the next.
         self._last = None
 
     def _speed(self, vals):
@@ -195,13 +201,34 @@ class _Engine:
         return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
 
     def rk4(self, vals: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
-        """One RK4 step; the result is unchecked until rhs() is evaluated there."""
+        """One RK4 step; the result is unchecked until rhs() is evaluated there.
+
+        The stage inputs vals + (dt/2)*k and vals + dt*k3 and the result
+        vals + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) are formed in place, where
+        an addition may swap its operands but none is regrouped, so the bits
+        are those of the expressions written out.  vals and k1 are only read,
+        and the result is a new array.
+        """
         if k1 is None:
             k1 = self.rhs(vals)
-        k2 = self.rhs(vals + 0.5 * dt * k1)
-        k3 = self.rhs(vals + 0.5 * dt * k2)
-        k4 = self.rhs(vals + dt * k3)
-        return vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * dt
+        y = k1 * half
+        y += vals
+        k2 = self.rhs(y)
+        y = k2 * half
+        y += vals
+        k3 = self.rhs(y)
+        y = k3 * dt
+        y += vals
+        k4 = self.rhs(y)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += vals
+        return k2
 
     def ros3(self, vals: np.ndarray, dt: float, f0=None, jac=None):
         """One Ros3 step: (new state, scaled RMS error estimate); a retry from
@@ -247,10 +274,11 @@ def adaptive_dt(u: ScalarField, p: FlowParams, cfl: float = 0.4) -> float:
 
 
 def step(u: ScalarField, p: FlowParams, mode: str, dt: float) -> ScalarField:
-    """One RK4 update; raises ConvexityLostError (a ValueError) when a stage or
-    the result leaves the admissible class of body._radii."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One RK4 update of size dt, which must be positive and finite; raises
+    ConvexityLostError (a ValueError) when a stage or the result leaves the
+    admissible class of body._radii."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     eng = _Engine(u.grid, p, mode)
     new = eng.rk4(u.values, dt)
     eng.rhs(new)
@@ -283,12 +311,12 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         not stop.t_max > 0
         or not stop.tol_conv >= 0
         or stop.record_every < 1
-        or not stop.dt_min > 0
+        or not 0 < stop.dt_min < np.inf
         or not stop.R_blowup > 1
     ):
         raise ValueError("invalid stopping configuration")
-    if stop.fixed_dt is not None and not stop.fixed_dt > 0:
-        raise ValueError("fixed_dt must be positive")
+    if stop.fixed_dt is not None and not 0 < stop.fixed_dt < np.inf:
+        raise ValueError("fixed_dt must be positive and finite")
     eng = _Engine(u0.grid, p, mode)
     powers = moment_powers(p.beta)
     vals = u0.values.copy()

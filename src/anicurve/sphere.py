@@ -21,14 +21,6 @@ __all__ = [
     "extrema",
 ]
 
-# Even extrapolation of a smooth axisymmetric profile onto a pole node.
-# Lagrange weights in theta^2 for the three nearest nodes; exact for even
-# polynomials through degree 4, error O(h^6) on analytic even profiles.
-_POLE_WEIGHTS = np.array([1.5, -0.6, 0.1])
-# The three nodes nearest theta = 0, then the three nearest theta = pi, each
-# nearest first: _POLE_WEIGHTS correlated with them at offsets 0 and 3 gives
-# both pole values.
-_POLE_NODES = np.array([0, 1, 2, -1, -2, -3])
 # Integer taps of the 4th-order centered first and second differences.
 _D1_TAPS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _D2_TAPS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
@@ -124,26 +116,34 @@ def _extend(values: np.ndarray, parity: str) -> np.ndarray:
     """Pad nodal profiles, along the last axis, with two ghost values at each end.
 
     Ghost positions are theta = -h, 0 and theta = pi, pi + h.  The off-pole
-    ghosts mirror the first/last interior node with the declared parity (both
-    set by one strided assignment); the pole values come from even
-    extrapolation (even parity) or vanish (odd).  The pole values of a whole
-    stack take one correlation over the three nodes nearest each pole, nearest
-    first, so that each is the sequential sum 1.5*u0 + (-0.6)*u1 + 0.1*u2 and
-    every row gets the bits of a 1-D call.
+    ghosts mirror the first/last interior node with the declared parity; the
+    pole values vanish (odd parity) or come from even extrapolation: the
+    Lagrange weights in theta^2 of the three nodes nearest the pole, exact
+    for even polynomials through degree 4, error O(h^6) on analytic even
+    profiles.  Each even pole value is the sequential sum 1.5*u0 + (-0.6)*u1
+    + 0.1*u2, nearest node first: a 1-D profile takes it in Python floats
+    from its six end nodes, a stack takes it for every row and both poles at
+    once from three strided views (nodes 0 and n-1, 1 and n-2, 2 and n-3), so
+    that every row gets the bits of a 1-D call.
     """
     n = values.shape[-1]
     v = np.empty(values.shape[:-1] + (n + 4,))
     v[..., 2:-2] = values
-    if parity == "even":
-        v[..., :: n + 3] = values[..., :: n - 1]
-        near = values[..., _POLE_NODES]
-        poles = np.correlate(near.reshape(-1), _POLE_WEIGHTS, "valid")[::3]
-        v[..., 1 :: n + 1] = poles.reshape(near.shape[:-1] + (2,))
-    elif parity == "odd":
+    if parity == "odd":
         v[..., :: n + 3] = -values[..., :: n - 1]
         v[..., 1 :: n + 1] = 0.0
-    else:
+    elif parity != "even":
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    elif values.ndim == 1:
+        u0, u1, u2 = values[:3].tolist()
+        w2, w1, w0 = values[-3:].tolist()
+        v[0], v[1] = u0, 1.5 * u0 + -0.6 * u1 + 0.1 * u2
+        v[-2], v[-1] = 1.5 * w0 + -0.6 * w1 + 0.1 * w2, w0
+    else:
+        ends = values[..., :: n - 1]
+        v[..., :: n + 3] = ends
+        poles = 1.5 * ends + -0.6 * values[..., 1 :: n - 3]
+        v[..., 1 :: n + 1] = poles + 0.1 * values[..., 2 :: n - 5]
     return v
 
 
@@ -151,13 +151,18 @@ def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray,
     """4th-order centered first and second differences along the last axis,
     with the parity ghost closure of _extend.
 
-    The padded stack is correlated as one flat array with the integer taps
-    and divided once by 12h or 12h^2, which rounds as the 5-term sum
-    written out; outputs whose taps straddle two rows fall on the ghost
-    columns and are sliced off.  Taps pre-scaled by 1/(12h^2) round
-    differently.
+    Each stencil is one correlation with its integer taps, divided once by
+    12h or 12h^2, which rounds as the 5-term sum written out (taps
+    pre-scaled by 1/(12h^2) round differently).  A 1-D padded profile is
+    correlated in "valid" mode, which gives the n interior outputs directly;
+    a stack is correlated as one flat array, and the outputs whose taps
+    straddle two rows fall on the ghost columns and are sliced off.
     """
     v = _extend(values, parity)
+    if v.ndim == 1:
+        d1 = np.correlate(v, _D1_TAPS, "valid") / (12.0 * h)
+        d2 = np.correlate(v, _D2_TAPS, "valid") / (12.0 * h * h)
+        return d1, d2
     flat = v.reshape(-1)
     d1 = np.correlate(flat, _D1_TAPS, "same").reshape(v.shape)[..., 2:-2] / (12.0 * h)
     d2 = np.correlate(flat, _D2_TAPS, "same").reshape(v.shape)[..., 2:-2] / (12.0 * h * h)

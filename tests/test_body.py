@@ -354,6 +354,35 @@ def test_stack_with_one_inadmissible_row_raises(grid64, bad):
     _radii(np.delete(stack, 7, axis=0), grid64, 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["profile", "stack"])
+@pytest.mark.parametrize(
+    "bad, cause",
+    [
+        ("negative value", "support values must be positive"),
+        ("zero value", "support values must be positive"),
+        ("nan", "support values must be positive"),
+        ("negative radius", "uniform convexity lost"),
+    ],
+)
+def test_admissibility_names_its_cause(grid64, shape, bad, cause):
+    # one reduction decides admissibility; the failure path alone names the
+    # cause, and neither NaN nor a non-positive value warns on the way
+    stack = _stack(grid64)
+    row = stack[7]
+    if bad == "negative value":
+        row[3] = -row[3]
+    elif bad == "zero value":
+        row[0] = 0.0
+    elif bad == "nan":
+        row[30] = np.nan
+    else:
+        row += 0.9 * row.mean() * np.cos(2 * grid64.theta)  # b11 < 0 at the poles
+        assert row.min() > 0
+    with pytest.raises(ConvexityLostError, match=cause):
+        _radii(row.copy() if shape == "profile" else stack, grid64, 2)
+
+
 @pytest.mark.parametrize("n", [96, 200, 800])
 def test_band_solver_matches_solve_banded(n):
     # one dgbtrf, then one dgbtrs per right side, is what solve_banded does

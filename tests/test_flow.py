@@ -534,3 +534,126 @@ def test_one_kernel_evaluation_per_right_side_and_jacobian(grid64, monkeypatch):
     st = traj.stats
     assert st.accepted > 0 and len(traj.diagnostics) > 2
     assert len(calls) == st.rhs_evaluations + st.jacobian_evaluations + len(traj.diagnostics)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_step_rejects_non_finite_or_nonpositive_dt(grid64, dt):
+    # nan and inf reached the kernel and came back as a ConvexityLostError
+    # that blamed the body
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        ac.step(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "raw", dt)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(fixed_dt=float("inf")), "fixed_dt must be positive and finite"),
+        (dict(dt_min=float("inf")), "invalid stopping configuration"),
+    ],
+)
+def test_run_rejects_infinite_steps(grid64, bad, message):
+    # fixed_dt = inf took one step of t_max and counted it as accepted;
+    # dt_min = inf passed, and the run stopped at once with step_underflow
+    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, **bad)
+    with pytest.raises(ValueError, match=message):
+        ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "raw", stop)
+
+
+@pytest.mark.parametrize("mode", ["raw", "dual_radial"])
+def test_fixed_dt_run_matches_written_out_rk4(grid64, mode):
+    # every record of a fixed-step run equals a textbook RK4 loop bit for bit:
+    # the in-place stage sums keep the order of the sums written out here
+    p = p_of(1, 1.5, -2.0)
+    u0 = ac.translated_ball(grid64, 0.2)
+    if mode == "dual_radial":
+        u0 = ac.polar_dual(u0)
+    dt = 2.0**-14  # multiples of dt are exact, so the run takes 50 whole steps
+    stop = StoppingConfig(t_max=50 * dt, tol_conv=0.0, record_every=1, fixed_dt=dt)
+    traj = ac.run(u0, p, mode, stop)
+    assert traj.stop_reason == "t_max" and traj.stats.accepted == 50
+
+    rhs = _Engine(grid64, p, mode).rhs
+    vals = u0.values.copy()
+    expected = [vals]
+    for _ in range(50):
+        k1 = rhs(vals)
+        k2 = rhs(vals + 0.5 * dt * k1)
+        k3 = rhs(vals + 0.5 * dt * k2)
+        k4 = rhs(vals + dt * k3)
+        vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(vals)
+    assert len(traj.snapshots) == len(expected)
+    for snap, want in zip(traj.snapshots, expected):
+        assert np.array_equal(snap.values, want)
+
+
+def test_rk4_sums_keep_their_order(grid64):
+    # at a parabolic dt the increment sits far below the state's last bit, so
+    # a regrouped sum would rarely show in a flow; a right side whose
+    # increments are as large as the state shows any regrouping at once
+    rng = np.random.default_rng(9)
+    eng = _Engine(grid64, p_of(1, 2.0, -2.0), "raw")
+    eng.rhs = lambda y: np.cos(7.0 * y) * y
+    rhs = eng.rhs
+    for _ in range(20):
+        vals, dt = rng.uniform(1.0, 2.0, grid64.n), rng.uniform(0.1, 1.0)
+        k1 = rhs(vals)
+        k2 = rhs(vals + 0.5 * dt * k1)
+        k3 = rhs(vals + 0.5 * dt * k2)
+        k4 = rhs(vals + dt * k3)
+        want = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(eng.rk4(vals, dt), want)
+        assert np.array_equal(eng.rk4(vals, dt, k1=k1), want)
+
+
+def _layouts(values):
+    """(array, arrays to watch): values as a contiguous profile, a strided
+    view (watched with the array that owns its memory) and a (10, N) stack in
+    C and in Fortran order."""
+    rng = np.random.default_rng(5)
+    stack = values * (1.0 + 1e-6 * rng.standard_normal((10, values.size)))
+    wide = np.repeat(values, 2)
+    fortran = np.asfortranarray(stack)
+    return [(values.copy(), []), (wide[::2], [wide]), (stack, []), (fortran, [])]
+
+
+def _unchanged(arrays, call):
+    """Run call() and assert that every array keeps its bytes."""
+    before = [a.tobytes(order="A") for a in arrays]
+    result = call()
+    assert [a.tobytes(order="A") for a in arrays] == before
+    return result
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+def test_no_function_changes_its_arguments(grid64, mode):
+    # the kernel, the right sides and the steps read their inputs and write
+    # only arrays of their own; rk4's in-place sums never touch vals or k1
+    from anicurve.body import _radii
+    from anicurve.sphere import _derivatives, _extend
+
+    g = grid64
+    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.3), 1).values
+    if mode == "dual_radial":
+        u = 1.0 / u
+    p = p_of(1, 2.0, -2.0)
+    for vals, owners in _layouts(u):
+        held = [vals, *owners]
+        if mode == "raw":  # the kernel does not depend on the mode
+            for parity in ("even", "odd"):
+                _unchanged(held, lambda: _extend(vals, parity))
+                _unchanged(held, lambda: _derivatives(vals, g.h, parity))
+            _unchanged(held, lambda: _radii(vals, g, p.k))
+        if vals.ndim > 1:
+            continue
+        eng = _Engine(g, p, mode)
+        k1 = _unchanged(held, lambda: eng.rhs(vals))
+        held.append(k1)
+        for given in (None, k1):
+            new = _unchanged(held, lambda: eng.rk4(vals, 1e-5, k1=given))
+            assert not np.shares_memory(new, vals) and not np.shares_memory(new, k1)
+        jac = _unchanged(held, lambda: eng.jacobian(vals))
+        held.extend(a for a in jac if isinstance(a, np.ndarray))
+        _unchanged(held, lambda: eng.ros3(vals, 1e-3))
+        _unchanged(held, lambda: eng.ros3(vals, 1e-3, k1, jac))
+        _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))

@@ -66,6 +66,12 @@ def test_parse_rejects_nonpositive_dt_min():
     assert parse_config("dt_min = 1e-6\n").dt_min == 1e-6
 
 
+def test_parse_rejects_infinite_dt_min():
+    # an infinite floor passed, and the run stopped at once with step_underflow
+    with pytest.raises(ConfigError, match="dt_min must be positive and finite"):
+        parse_config("dt_min = inf\n")
+
+
 def test_parse_rejects_bad_theta(tmp_path):
     # the cap exponent mu divides by k*beta*theta: theta = 0 crashed the CLI
     # with a ZeroDivisionError instead of a configuration error
