@@ -7,6 +7,13 @@ diagonal with entries
     b11 = u'' + u,        b22 = u' * cot(theta) + u,
 
 whose values are the principal curvature radii of the boundary.
+
+Every node-local map of u, b11 and b22 (the flow speeds, the speed factor)
+has a Jacobian of bandwidth 2: _jacobian_band assembles it analytically
+from the node values of one evaluation and the per-size bands of the linear
+maps u -> b11, b22 (_entry_bands), and _band_solver factors it once for
+any number of solves.  The flow integrator and the soliton Newton solver
+share this one linearization.
 """
 
 import functools
@@ -18,7 +25,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .sphere import Grid, ScalarField, make_field, _derivatives, _extend
+from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives, _extend
 
 __all__ = [
     "ConvexityLostError",
@@ -127,10 +134,6 @@ def _margin(values: np.ndarray, grid: Grid) -> float:
     return float(min(b11.min(), b22.min()))
 
 
-# Central-difference step relative to max(1, |u_j|).  Forward differences
-# leave enough Jacobian error near the poles to degrade Newton to a damped
-# linear crawl.
-_FD_STEP = 6.0e-8
 # Half-bandwidth of the Jacobian of a node-wise function of u, b11 and b22:
 # the 5-point stencil and the even pole ghosts (weights on nodes 0..2).
 _BAND = 2
@@ -138,41 +141,67 @@ _BAND = 2
 
 @functools.cache
 def _band_plan(n: int):
-    """(cols, colour, rows, outside): the index plan of an n-node band, built
-    once per n and read-only.
+    """(colour, rows, outside): the index plan of an n-node band, built once
+    per n and read-only.
 
     Column j has colour j mod 5; rows[2 + d, j] = j + d clipped to 0..n-1,
     and outside marks the entries whose row j + d lies off the grid.
     """
     cols = np.arange(n)
     rows = cols + np.arange(-_BAND, _BAND + 1)[:, None]
-    plan = (cols, cols % (2 * _BAND + 1), np.clip(rows, 0, n - 1), (rows < 0) | (rows >= n))
+    plan = (cols % (2 * _BAND + 1), np.clip(rows, 0, n - 1), (rows < 0) | (rows >= n))
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _banded_jacobian(func, vals: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of func at vals, in solve_banded storage.
+@functools.cache
+def _entry_bands(n: int):
+    """(db11, db22): the bands, in solve_banded storage, of the linear maps
+    u -> b11 = D2 u + u and u -> b22 = cot D1 u + u of _curvature_entries on
+    the n-node grid, built once per n and read-only.
 
-    func maps a stack of profiles, along the last axis, to a stack of vectors
-    whose entry i reads only nodes i-2..i+2.  Returns ab of shape (5, n) with
-    ab[2 + i - j, j] = d func_i / d u_j.  The columns j = c (mod 5) of one
-    colour are perturbed together (Curtis, Powell and Reid, IMA J. Appl.
-    Math. 13, 1974); row i reads exactly one of them.  The 10 perturbed
-    profiles go to func in one call at any n; the index plan comes from
-    _band_plan.
+    The 5 colour indicator vectors (ones on the columns j = c mod 5) go
+    through _curvature_entries as one stack, so the parity ghosts are folded
+    in exactly as in the kernel; row i reads columns i-2..i+2, which hold
+    exactly one column of each colour (Curtis, Powell and Reid, IMA J. Appl.
+    Math. 13, 1974).  Entries off the grid are zero.
     """
-    colours = 2 * _BAND + 1
-    cols, colour, rows, outside = _band_plan(vals.size)
-    steps = _FD_STEP * np.maximum(1.0, np.abs(vals))
-    shift = np.zeros((colours, vals.size))
-    shift[colour, cols] = steps
-    out = func(np.concatenate((vals + shift, vals - shift)))
-    diff = out[:colours] - out[colours:]
-    # ab[2 + d, j] is entry j + d of the difference of column j's colour
-    ab = diff[colour, rows] / (2.0 * steps)
-    ab[outside] = 0.0
+    colour, rows, outside = _band_plan(n)
+    indicators = (colour == np.arange(2 * _BAND + 1)[:, None]).astype(float)
+    b11, b22, _ = _curvature_entries(indicators, make_grid(n))
+    bands = (b11[colour, rows], b22[colour, rows])
+    for ab in bands:
+        ab[outside] = 0.0
+        ab.flags.writeable = False
+    return bands
+
+
+def _jacobian_band(vals, s, b11, b22, sig, k, beta, a, scale=None):
+    """Band of ds/dvals in solve_banded storage, ab[2 + i - j, j] = ds_i/dvals_j,
+    for the node-local map s = c * vals^a * sigma_k(W_v)^beta.
+
+    v is vals itself, or the node-wise function of vals whose derivative is
+    scale (the dual flow's v = 1/vals has scale = -v^2); b11, b22 and sig are
+    those of v and s that of vals, all taken from one evaluation of the map,
+    so no kernel call and no power is needed:
+
+        ds/dvals = diag(a s/vals) + diag(beta s/sig) Sigma diag(scale),
+
+    with Sigma = db11 + db22 for k = 1 and diag(b22) db11 + diag(b11) db22
+    for k = 2 (the bands of _entry_bands).  Entries off the grid are zero.
+    """
+    rows = _band_plan(vals.size)[1]
+    db11, db22 = _entry_bands(vals.size)
+    if k == 1:
+        ab = db11 + db22
+    else:
+        ab = b22[rows] * db11
+        ab += b11[rows] * db22
+    ab *= (beta * s / sig)[rows]
+    if scale is not None:
+        ab *= scale
+    ab[_BAND] += a * s / vals
     return ab
 
 

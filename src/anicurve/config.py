@@ -165,7 +165,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"beta and alpha must be finite (beta={cfg.beta:g}, alpha={cfg.alpha:g})")
     if cfg.f[0] == "constant" and cfg.f[1] <= 0:
         raise ConfigError("anisotropy must be positive")
-    if not cfg.tol_conv >= 0 or not cfg.t_max > 0 or cfg.record_every < 1:
+    if not 0 <= cfg.tol_conv < float("inf") or not cfg.t_max > 0 or cfg.record_every < 1:
         raise ConfigError("stopping configuration must be positive")
     if not cfg.R_blowup > 1.0:
         raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")

@@ -14,13 +14,13 @@ take error-controlled steps of Ros3, the L-stable, order-3 Rosenbrock method
 of Sandu et al. (Atmos. Environ. 31, 1997) with an embedded order-2
 estimate, in the form of Hairer & Wanner, Solving ODEs II, IV.7; being
 linearly implicit, it is not held to the parabolic bound dt ~ h^2.  Its
-Jacobian is exact up to central differences: the node-local part of the
-right side has bandwidth 2 (body._banded_jacobian, shared with the soliton
-Newton solver, evaluates its 10 perturbed profiles in one batched call), and
-the drift eta(u) of the volume-normalized flow adds the rank-1 term
--u (x) grad eta, whose gradient follows from the speed's band by the chain
-rule, with the speed and sigma_k of the step's own first stage, and which
-Sherman-Morrison folds into each stage solve.  The three
+Jacobian is analytic: the node-local part of the right side has bandwidth 2
+and is assembled from the node values (speed, b11, b22, sigma_k) of the
+step's own first stage, with no further kernel call (body._jacobian_band,
+shared with the soliton Newton solver), and the drift eta(u) of the
+volume-normalized flow adds the rank-1 term -u (x) grad eta, whose gradient
+follows from the speed's band by the chain rule, and which Sherman-Morrison
+folds into each stage solve.  The three
 stages of a step share one LU factorization of the (2, 2) band
 (body._band_solver).  Every right side applies the one admissibility rule
 of body._radii (u > 0 and both principal radii > 0, else
@@ -40,7 +40,7 @@ from .body import (
     ConvexityLostError,
     _band_plan,
     _band_solver,
-    _banded_jacobian,
+    _jacobian_band,
     _radii,
 )
 from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
@@ -97,9 +97,9 @@ class RunStats:
     """Deterministic work counts of one run(): rejected counts every rejected
     attempt, convexity_rejections those that lost convexity; an attempt that
     reaches its result evaluates the right side there, whether it is
-    accepted or not; a Jacobian evaluates the node-local part at 10 perturbed
-    profiles (one batched call), which rhs_evaluations does not count;
-    record_steps is the accepted-step count at each record."""
+    accepted or not; a Jacobian evaluates no right side (it reuses the node
+    values of the step's first stage); record_steps is the accepted-step
+    count at each record."""
 
     accepted: int = 0
     rejected: int = 0
@@ -142,60 +142,63 @@ class _Engine:
         self.mode = mode
         self.gamma = p.gamma
         self.stats = RunStats()
-        # (vals, speed, sigma_k) of the last volume-normalized right side,
-        # for the Jacobian at the same state; keyed by identity, so a state
-        # must not be written in place once rhs() has read it.  rk4() keeps
-        # to that: each stage input is a new array that nothing writes after
-        # rhs() has read it, and its sums run in place only in k2, k3 and k4,
-        # new arrays that rhs() returned and rk4() owns.  The engine keeps no
-        # buffer from one step to the next.
+        # (vals, speed, b11, b22, sigma_k) of the last node-local evaluation
+        # (those of w = 1/vals in the dual mode), for the Jacobian at the same
+        # state; keyed by identity, so a state must not be written in place
+        # once rhs() has read it.  rk4() keeps to that: each stage input is a
+        # new array that nothing writes after rhs() has read it, and its sums
+        # run in place only in k2, k3 and k4, new arrays that rhs() returned
+        # and rk4() owns.  The engine keeps no buffer from one step to the next.
         self._last = None
-
-    def _speed(self, vals):
-        spd, *_, sig = _evaluate(vals, self.grid, self.p, self.p.alpha)
-        return spd, sig
 
     def _local(self, vals: np.ndarray) -> np.ndarray:
         """Node-local part of the right side: all of it but -eta(u) * u."""
         p = self.p
         if self.mode == "dual_radial":
-            sig = _radii(1.0 / vals, self.grid, p.k)[3]
-            return -(vals ** (2.0 - p.alpha)) * sig**p.beta
-        spd, _ = self._speed(vals)
+            b11, b22, _, sig = _radii(1.0 / vals, self.grid, p.k)
+            spd = -(vals ** (2.0 - p.alpha)) * sig**p.beta
+        else:
+            spd, b11, b22, _, sig = _evaluate(vals, self.grid, p, p.alpha)
+        self._last = (vals, spd, b11, b22, sig)
         if self.mode == "round_normalized":
             return spd - self.gamma * vals
         return spd
 
     def rhs(self, vals: np.ndarray) -> np.ndarray:
         self.stats.rhs_evaluations += 1
+        local = self._local(vals)
         if self.mode != "volume_normalized":
-            return self._local(vals)
-        spd, sig = self._speed(vals)
-        self._last = (vals, spd, sig)
+            return local
+        _, spd, _, _, sig = self._last
         eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
         return spd - eta * vals
 
     def jacobian(self, vals: np.ndarray):
         """(B, eta, g) with rhs'(vals) = B - eta*I - vals (x) g, B in (2, 2)
         band storage; eta and g vanish outside the volume-normalized mode.
-        The speed and sigma_k at vals come from the last rhs() if it was
-        evaluated at this very array (in run(), the accepted step's f0);
-        otherwise they are evaluated here."""
+        B is analytic (body._jacobian_band), from the node values of the last
+        rhs() if it was evaluated at this very array (in run(), always the
+        accepted step's f0); otherwise from one node-local evaluation here."""
         self.stats.jacobian_evaluations += 1
-        ab = _banded_jacobian(self._local, vals)
+        if self._last is None or self._last[0] is not vals:
+            self._local(vals)
+        _, spd, b11, b22, sig = self._last
+        p = self.p
+        if self.mode == "dual_radial":
+            w = 1.0 / vals
+            ab = _jacobian_band(vals, spd, b11, b22, sig, p.k, p.beta, 2.0 - p.alpha, -(w * w))
+        else:
+            ab = _jacobian_band(vals, spd, b11, b22, sig, p.k, p.beta, p.alpha)
+        if self.mode == "round_normalized":
+            ab[_BAND] -= self.gamma
         if self.mode != "volume_normalized":
             return ab, 0.0, np.zeros(vals.size)
         # eta = w.(speed * sigma_k) / |S^2|, and speed = f u^alpha sigma_k^beta
         # gives d(speed sigma_k)_i/du_j = (1 + 1/beta) sigma_k,i B_ij
         # - delta_ij (alpha/beta) speed_i sigma_k,i / u_i: grad eta follows from
         # the band B (column j holds rows j-2..j+2) without further evaluations
-        p = self.p
-        if self._last is not None and self._last[0] is vals:
-            spd, sig = self._last[1:]
-        else:
-            spd, sig = self._speed(vals)
         w = self.grid.weights
-        rows = _band_plan(vals.size)[2]
+        rows = _band_plan(vals.size)[1]
         col_sums = ((w * sig)[rows] * ab).sum(axis=0)
         grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
         return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
@@ -309,7 +312,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         stop = StoppingConfig()
     if (
         not stop.t_max > 0
-        or not stop.tol_conv >= 0
+        or not 0 <= stop.tol_conv < np.inf
         or stop.record_every < 1
         or not 0 < stop.dt_min < np.inf
         or not stop.R_blowup > 1

@@ -6,13 +6,13 @@ A self-similar solution of the anisotropic flow satisfies
 
 for a positive constant c.  The solver runs a damped Newton iteration on
 the nodal vector of u.  The residual at node i reads only nodes i-2..i+2 (f
-does not depend on u), so its central-difference Jacobian has bandwidth 2
-and comes from the residual at 10 perturbed profiles, evaluated in one
-batched call at any N (body._banded_jacobian, the linearization the flow
-integrator shares).  The Newton step is one LU factorization and solve of
-the (2, 2) band (body._band_solver).  The residual applies the
-admissibility rule of body._radii, so evaluating it at a trial iterate is
-also that iterate's convexity test.
+does not depend on u), so its Jacobian has bandwidth 2; it is analytic and
+comes from the node values of the residual evaluation at the accepted
+iterate, with no further kernel call (body._jacobian_band, the
+linearization the flow integrator shares).  The Newton step is one LU
+factorization and solve of the (2, 2) band (body._band_solver).  The
+residual applies the admissibility rule of body._radii, so evaluating it at
+a trial iterate is also that iterate's convexity test.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import Grid, ScalarField
-from .body import ConvexityLostError, _band_solver, _banded_jacobian, _margin
-from .body import _FD_STEP  # noqa: F401  (re-exported for the Jacobian tests)
+from .body import ConvexityLostError, _band_solver, _jacobian_band, _margin
 from .functionals import FlowParams, _evaluate, anisotropy_condition_margin
 
 __all__ = [
@@ -70,7 +69,8 @@ class SolitonResult:
     residual_history holds the residual sup norm before each iteration and
     the final one; damping holds the accepted step factor of each iteration;
     residual_evaluations counts every profile the residual is evaluated at:
-    10 per Jacobian, and one per trial, rejected ones included, convex or not.
+    the start, and one per trial, rejected ones included, convex or not (the
+    Jacobian reuses the node values of the accepted one and evaluates none).
     """
 
     u: ScalarField
@@ -109,11 +109,11 @@ def solve_soliton(
 ) -> SolitonResult:
     """Damped Newton iteration for the self-similar body.
 
-    The Jacobian is built from central differences in 5 colours of columns
-    (it has bandwidth 2, see the module docstring) and each Newton step is
-    one factorization and solve of that band.  A step is accepted only if
-    the iterate stays uniformly convex (its residual evaluates without
-    ConvexityLostError) and the sup norm of the residual decreases;
+    The Jacobian is analytic, from the node values of the accepted iterate's
+    residual (it has bandwidth 2, see the module docstring), and each Newton
+    step is one factorization and solve of that band.  A step is accepted
+    only if the iterate stays uniformly convex (its residual evaluates
+    without ConvexityLostError) and the sup norm of the residual decreases;
     otherwise the step is halved.
     An initial guess outside the admissible class raises ConvexityLostError.
     Convergence is declared at |residual|_inf < tol_factor * c.
@@ -141,13 +141,16 @@ def solve_soliton(
 
     evaluations = 0
 
-    def residual(v: np.ndarray) -> np.ndarray:
+    def residual(v: np.ndarray):
+        """(residual, (rho, b11, b22, sigma_k)) at v: the defect and the node
+        values its Jacobian is assembled from."""
         nonlocal evaluations
-        evaluations += v.size // grid.n  # one per profile of a stack
-        return _evaluate(v, grid, p, p.alpha - 1.0)[0] - prob.c
+        evaluations += 1
+        rho, b11, b22, _, sig = _evaluate(v, grid, p, p.alpha - 1.0)
+        return rho - prob.c, (rho, b11, b22, sig)
 
     tol = tol_factor * prob.c
-    res = residual(vals)
+    res, pieces = residual(vals)
     sup = float(np.max(np.abs(res)))
     history = [sup]
     damping = []
@@ -158,18 +161,19 @@ def solve_soliton(
                 ScalarField(grid, vals),
                 sup,
             )
-        delta = _band_solver(_banded_jacobian(residual, vals))(-res)
+        jac = _jacobian_band(vals, *pieces, p.k, p.beta, p.alpha - 1.0)
+        delta = _band_solver(jac)(-res)
 
         lam = 1.0
         while True:
             trial = vals + lam * delta
             try:
-                trial_res = residual(trial)
+                trial_res, trial_pieces = residual(trial)
             except ConvexityLostError:  # halved like a trial whose residual grows
                 trial_res = np.inf
             trial_sup = float(np.max(np.abs(trial_res)))
             if trial_sup < sup:
-                vals, res, sup = trial, trial_res, trial_sup
+                vals, res, sup, pieces = trial, trial_res, trial_sup, trial_pieces
                 break
             lam *= 0.5
             if lam < 1e-8:

@@ -22,7 +22,8 @@ from anicurve import (
     translated_ball,
     write_profile_csv,
 )
-from anicurve.body import ConvexityLostError, _band_solver, _radii
+from anicurve.body import ConvexityLostError, _band_solver, _entry_bands, _radii
+from anicurve.sphere import _derivatives
 from conftest import observed_orders, random_convex_body
 
 
@@ -414,3 +415,31 @@ def test_band_solver_checks():
     singular[:, 4] = 0.0  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         _band_solver(singular)
+
+
+def _band_times(ab, x):
+    """The (2, 2) band ab in solve_banded storage applied to x."""
+    n = x.size
+    y = np.zeros(n)
+    for d in range(-2, 3):
+        j = np.arange(max(0, -d), min(n, n - d))
+        y[j + d] += ab[2 + d, j] * x[j]
+    return y
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 20, 64])
+def test_entry_bands_apply_the_kernel_differences(n):
+    # the cached bands of u -> b11 = D2 u + u and u -> b22 = cot D1 u + u,
+    # applied to a random profile, give the differences of _derivatives with
+    # their even pole ghosts; the sizes cover every n mod 5
+    g = make_grid(n)
+    x = np.random.default_rng(n).standard_normal(n)
+    d1, d2 = _derivatives(x, g.h, "even")
+    db11, db22 = _entry_bands(n)
+    assert db11.shape == db22.shape == (5, n)
+    assert np.allclose(_band_times(db11, x), d2 + x, rtol=0.0, atol=1e-12 * np.max(np.abs(d2)))
+    assert np.allclose(_band_times(db22, x), d1 * g.cot + x, rtol=0.0, atol=1e-12 * np.max(np.abs(d1 * g.cot)))
+    for ab in (db11, db22):
+        assert not ab[0, :2].any() and not ab[1, 0] and not ab[3, -1] and not ab[4, -2:].any()
+        assert not ab.flags.writeable
+    assert _entry_bands(n) is _entry_bands(n)  # built once per n

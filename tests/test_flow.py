@@ -419,6 +419,15 @@ def test_run_rejects_nan_stopping_values(grid64, bad):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
 
 
+def test_run_rejects_infinite_tol_conv():
+    # every sup norm is below inf, so the run stopped as "converged" after 0
+    # accepted steps
+    stop = StoppingConfig(t_max=1.0, tol_conv=float("inf"))
+    u0 = ac.translated_ball(ac.make_grid(32), 0.1)
+    with pytest.raises(ValueError, match="invalid stopping configuration"):
+        ac.run(u0, p_of(1, 2.0, -2.0), "volume_normalized", stop)
+
+
 @pytest.mark.parametrize("R_blowup", [float("nan"), 1.0, 0.5])
 def test_run_rejects_blowup_ratio_at_most_one(grid64, R_blowup):
     # max u / min u >= 1 always, so R_blowup <= 1 stops every run at once,
@@ -430,8 +439,9 @@ def test_run_rejects_blowup_ratio_at_most_one(grid64, R_blowup):
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_local_on_a_stack_matches_rows(mode):
-    # the Jacobian evaluates its 10 perturbed profiles as one (10, n) stack;
-    # each row must carry the bits of a 1-D evaluation
+    # the kernel takes a stack of profiles along the last axis (the entry
+    # bands push 5 indicator profiles through it as one stack); each row of a
+    # stacked right side must carry the bits of a 1-D evaluation
     g = ac.make_grid(48)
     f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
     p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
@@ -460,7 +470,11 @@ def test_soliton_residual_on_a_stack_matches_rows():
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_jacobian_matches_dense_differences(mode):
     # B - eta*I - u (x) grad_eta against column-by-column central differences
-    # of the full right side; eta couples every node in the volume mode
+    # of the full right side; eta couples every node in the volume mode.  The
+    # differences at steps e and 2e are combined by Richardson extrapolation,
+    # (4 D(e) - D(2e)) / 3, whose error at e = 1e-4 is about 1e-12 of the
+    # largest entry; a single difference at step 6e-8 has an error of about
+    # 1.5e-9 of its own, above the bound
     g = ac.make_grid(16)
     f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
     p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
@@ -471,14 +485,47 @@ def test_jacobian_matches_dense_differences(mode):
     for d in range(-2, 3):
         j = np.arange(max(0, -d), min(g.n, g.n - d))
         jac[j + d, j] += band[2 + d, j]
+
+    def central(step):
+        dense = np.empty((g.n, g.n))
+        for j in range(g.n):
+            e = np.zeros(g.n)
+            e[j] = step * max(1.0, u[j])
+            dense[:, j] = (eng.rhs(u + e) - eng.rhs(u - e)) / (2.0 * e[j])
+        return dense
+
+    dense = (4.0 * central(1e-4) - central(2e-4)) / 3.0
+    assert np.max(np.abs(jac - dense)) <= 1e-9 * np.max(np.abs(dense))
+    if mode != "volume_normalized":
+        assert eta == 0.0 and not grad.any()
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_analytic_band_matches_dense_differences(k, mode):
+    # the analytic band B of the node-local part (all of the right side but
+    # the volume mode's -eta(u) * u) against column-by-column central
+    # differences of that part; entries off the grid are exactly zero
+    g = ac.make_grid(17)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    beta = 2.0 if k == 1 else 1.0
+    p = p_of(k, beta, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
+    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), k).values
+    if mode == "dual_radial":
+        u = 1.0 / u
+    eng = _Engine(g, p, mode)
+    ab = eng.jacobian(u)[0]
+    assert not ab[0, :2].any() and not ab[1, 0] and not ab[3, -1] and not ab[4, -2:].any()
+    band = np.zeros((g.n, g.n))
+    for d in range(-2, 3):
+        j = np.arange(max(0, -d), min(g.n, g.n - d))
+        band[j + d, j] = ab[2 + d, j]
     dense = np.empty((g.n, g.n))
     for j in range(g.n):
         e = np.zeros(g.n)
         e[j] = 6e-8 * max(1.0, u[j])
-        dense[:, j] = (eng.rhs(u + e) - eng.rhs(u - e)) / (2.0 * e[j])
-    assert np.max(np.abs(jac - dense)) <= 1e-9 * np.max(np.abs(dense))
-    if mode != "volume_normalized":
-        assert eta == 0.0 and not grad.any()
+        dense[:, j] = (eng._local(u + e) - eng._local(u - e)) / (2.0 * e[j])
+    assert np.max(np.abs(band - dense)) <= 1e-7 * np.max(np.abs(dense))
 
 
 def _jacobians_equal(a, b):
@@ -515,9 +562,9 @@ def test_jacobian_reuses_no_stale_speed(mode):
 
 
 def test_one_kernel_evaluation_per_right_side_and_jacobian(grid64, monkeypatch):
-    # every right side and every Jacobian (its 10 perturbed profiles in one
-    # batch) evaluates the speed once, and each record once for its
-    # diagnostics; the Jacobian reuses the speed of the step's own f0
+    # every right side evaluates the speed once, and each record once for its
+    # diagnostics; a Jacobian evaluates none, since it reuses the node values
+    # of the step's own f0
     calls = []
     evaluate = functionals._evaluate
 
@@ -533,7 +580,8 @@ def test_one_kernel_evaluation_per_right_side_and_jacobian(grid64, monkeypatch):
     traj = ac.run(u0, p_of(2, 1.0, -2.0, f=f), "volume_normalized", stop)
     st = traj.stats
     assert st.accepted > 0 and len(traj.diagnostics) > 2
-    assert len(calls) == st.rhs_evaluations + st.jacobian_evaluations + len(traj.diagnostics)
+    assert st.jacobian_evaluations == st.accepted
+    assert len(calls) == st.rhs_evaluations + len(traj.diagnostics)
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
@@ -627,9 +675,10 @@ def _unchanged(arrays, call):
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_no_function_changes_its_arguments(grid64, mode):
-    # the kernel, the right sides and the steps read their inputs and write
-    # only arrays of their own; rk4's in-place sums never touch vals or k1
-    from anicurve.body import _radii
+    # the kernel, the right sides, the Jacobian band and the steps read their
+    # inputs and write only arrays of their own; rk4's in-place sums never
+    # touch vals or k1
+    from anicurve.body import _jacobian_band, _radii
     from anicurve.sphere import _derivatives, _extend
 
     g = grid64
@@ -646,6 +695,15 @@ def test_no_function_changes_its_arguments(grid64, mode):
             _unchanged(held, lambda: _radii(vals, g, p.k))
         if vals.ndim > 1:
             continue
+        if mode == "raw":
+            pieces = functionals._evaluate(vals, g, p, p.alpha - 1.0)
+            rho, b11, b22, _, sig = pieces
+            scale = -1.0 / (vals * vals)
+            for k in (1, 2):
+                _unchanged(
+                    [*held, *pieces, scale],
+                    lambda: _jacobian_band(vals, rho, b11, b22, sig, k, p.beta, p.alpha, scale),
+                )
         eng = _Engine(g, p, mode)
         k1 = _unchanged(held, lambda: eng.rhs(vals))
         held.append(k1)
