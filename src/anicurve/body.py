@@ -205,27 +205,37 @@ def _jacobian_band(vals, s, b11, b22, sig, k, beta, a, scale=None):
     return ab
 
 
-def _band_solver(ab: np.ndarray):
-    """solve(b) for the (2, 2) band ab in solve_banded storage.
+def _band_solver(ab: np.ndarray, shift: float | None = None):
+    """solve(b) for the (2, 2) band ab in solve_banded storage, or for
+    shift*I - ab when a shift is given.
 
-    One LU factorization (dgbtrf) serves every right side (one dgbtrs per
+    The matrix is written straight into LAPACK's padded band, with no
+    negated copy of ab.  One LU factorization (dgbtrf) serves every right
+    side b, one vector or the columns of an (n, m) array (one dgbtrs per
     call), with solve_banded's checks: ValueError on a non-finite band or
-    right side, LinAlgError on a singular band.
+    right side, LinAlgError on a singular band.  solve(b, overwrite=True)
+    solves in b itself when b is 1-D or in Fortran order, for a caller whose
+    right side nothing else reads; otherwise the LAPACK wrapper solves in a
+    copy and b is left as it was.
     """
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
     padded = np.zeros((3 * _BAND + 1, ab.shape[1]), order="F")
-    padded[_BAND:] = ab
+    if shift is None:
+        padded[_BAND:] = ab
+    else:
+        np.negative(ab, out=padded[_BAND:])
+        padded[2 * _BAND] += shift
+    if not np.isfinite(padded).all():
+        raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = dgbtrf(padded, _BAND, _BAND, overwrite_ab=True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solve(b: np.ndarray, overwrite: bool = False) -> np.ndarray:
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
-        x, info = dgbtrs(lu, _BAND, _BAND, b, piv)
+        x, info = dgbtrs(lu, _BAND, _BAND, b, piv, overwrite_b=overwrite)
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
         return x

@@ -173,6 +173,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("dt_min must be positive and finite")
     if not 0 < cfg.theta < float("inf"):
         raise ConfigError("theta must be positive and finite")
+    if cfg.samples < 2:
+        raise ConfigError(f"samples must be at least 2 (samples={cfg.samples})")
+    if not 0 < cfg.horizon < float("inf"):
+        raise ConfigError("horizon must be positive and finite")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
     if cfg.experiment == "soliton":
         if q > 0:

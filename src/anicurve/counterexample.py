@@ -12,6 +12,13 @@ the comparison argument is the piecewise function
 
 with mu = (q*theta - 1)/(k*beta*theta), q = k*beta + 1 - (2 - alpha), and
 theta > 1/q; it is C^1 across the branch junction and strictly convex.
+
+Its formulas (heights, slopes, curvature radii, time derivative) are written
+once, in a private kernel that takes plain floats or arrays.  The public
+scalar functions wrap it with their domain checks and keep the bits of float
+arithmetic; verify_case_bounds samples the bounds as arrays, in the stream
+order of a scalar loop and in blocks of bounded size, and
+capped_profile_body evaluates its meridian samples in one call.
 """
 
 from dataclasses import dataclass, replace
@@ -75,10 +82,69 @@ def _check_domain(rho: float, t: float) -> None:
         raise ValueError("rho must lie in [0, 1]")
 
 
+# The cap kernel: every formula of the profile once, for rho and s = |t| given
+# as plain floats (the public functions below, which check the domain and
+# keep the bits of float arithmetic) or as arrays of one shape
+# (verify_case_bounds, capped_profile_body).  The branch is the one that
+# rho < s^theta picks.
+
+
+def _select(on_inner, inner, outer):
+    """inner() where on_inner holds, else outer(); a float evaluates only the
+    branch it takes, arrays evaluate both."""
+    if isinstance(on_inner, np.ndarray):
+        return np.where(on_inner, inner(), outer())
+    return inner() if on_inner else outer()
+
+
+def _branch_values(rho, s, sp: SubsolutionParams):
+    inner = -(s**sp.theta) + s ** (sp.theta * (sp.mu - 1.0)) * rho * rho
+    outer = (
+        -(s**sp.theta)
+        - (1.0 - sp.mu) / (1.0 + sp.mu) * s ** (sp.theta * (1.0 + sp.mu))
+        + 2.0 / (1.0 + sp.mu) * rho ** (1.0 + sp.mu)
+    )
+    return inner, outer
+
+
+def _branch_slopes(rho, s, sp: SubsolutionParams):
+    return 2.0 * s ** (sp.theta * (sp.mu - 1.0)) * rho, 2.0 * rho**sp.mu
+
+
+def _profile(rho, s, sp: SubsolutionParams):
+    inner, outer = _branch_values(rho, s, sp)
+    return np.where(rho < s**sp.theta, inner, outer)
+
+
+def _profile_dt(rho, s, sp: SubsolutionParams):
+    th, mu = sp.theta, sp.mu
+    return _select(
+        rho < s**th,
+        lambda: th * s ** (th - 1.0) + th * (1.0 - mu) * s ** (th * (mu - 1.0) - 1.0) * rho * rho,
+        lambda: th * s ** (th - 1.0) * (1.0 + (1.0 - mu) * s ** (th * mu)),
+    )
+
+
+def _cap_radii(rho, s, sp: SubsolutionParams):
+    """(meridian, parallel) radii at rho > 0; raises at a non-convex point."""
+    on_inner = rho < s**sp.theta
+    inner, outer = _branch_slopes(rho, s, sp)
+    d1 = _select(on_inner, lambda: inner, lambda: outer)
+    d2 = _select(
+        on_inner,
+        lambda: 2.0 * s ** (sp.theta * (sp.mu - 1.0)),
+        lambda: 2.0 * sp.mu * rho ** (sp.mu - 1.0),
+    )
+    if not (np.all(d1 > 0) and np.all(d2 > 0)):
+        raise ValueError("profile is not strictly convex at this point")
+    w = 1.0 + d1 * d1
+    return w**1.5 / d2, rho * np.sqrt(w) / d1
+
+
 def subsolution_profile(rho: float, t: float, sp: SubsolutionParams) -> float:
     """Cap height psi(rho, t); C^1 across rho = |t|^theta by construction."""
-    inner, outer = profile_branch_values(rho, t, sp)
-    return inner if rho < (-t) ** sp.theta else outer
+    _check_domain(rho, t)
+    return float(_profile(rho, -t, sp))
 
 
 def profile_branch_values(rho: float, t: float, sp: SubsolutionParams) -> tuple[float, float]:
@@ -88,42 +154,21 @@ def profile_branch_values(rho: float, t: float, sp: SubsolutionParams) -> tuple[
     two formulas must agree identically.
     """
     _check_domain(rho, t)
-    s = -t
-    inner = -(s**sp.theta) + s ** (sp.theta * (sp.mu - 1.0)) * rho * rho
-    outer = (
-        -(s**sp.theta)
-        - (1.0 - sp.mu) / (1.0 + sp.mu) * s ** (sp.theta * (1.0 + sp.mu))
-        + 2.0 / (1.0 + sp.mu) * rho ** (1.0 + sp.mu)
-    )
+    inner, outer = _branch_values(rho, -t, sp)
     return float(inner), float(outer)
 
 
 def profile_branch_slopes(rho: float, t: float, sp: SubsolutionParams) -> tuple[float, float]:
     """(inner, outer) closed-form branch slopes in rho at one point."""
     _check_domain(rho, t)
-    s = -t
-    return (
-        float(2.0 * s ** (sp.theta * (sp.mu - 1.0)) * rho),
-        float(2.0 * rho**sp.mu),
-    )
+    inner, outer = _branch_slopes(rho, -t, sp)
+    return float(inner), float(outer)
 
 
 def subsolution_profile_dt(rho: float, t: float, sp: SubsolutionParams) -> float:
     """Time derivative of the cap height at fixed rho (positive: the cap rises)."""
     _check_domain(rho, t)
-    s = -t
-    th, mu = sp.theta, sp.mu
-    if rho < s**th:
-        return float(th * s ** (th - 1.0) + th * (1.0 - mu) * s ** (th * (mu - 1.0) - 1.0) * rho * rho)
-    return float(th * s ** (th - 1.0) * (1.0 + (1.0 - mu) * s ** (th * mu)))
-
-
-def _profile_derivatives(rho: float, t: float, sp: SubsolutionParams):
-    s = -t
-    inner, outer = profile_branch_slopes(rho, t, sp)
-    if rho < s**sp.theta:
-        return inner, 2.0 * s ** (sp.theta * (sp.mu - 1.0))
-    return outer, 2.0 * sp.mu * rho ** (sp.mu - 1.0)
+    return float(_profile_dt(rho, -t, sp))
 
 
 def profile_radii(sp: SubsolutionParams, rho: float, t: float) -> tuple[float, float]:
@@ -135,11 +180,13 @@ def profile_radii(sp: SubsolutionParams, rho: float, t: float) -> tuple[float, f
     _check_domain(rho, t)
     if rho == 0.0:
         raise ValueError("rho must lie in (0, 1]")
-    d1, d2 = _profile_derivatives(rho, t, sp)
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("profile is not strictly convex at this point")
-    w = 1.0 + d1 * d1
-    return float(w**1.5 / d2), float(rho * np.sqrt(w) / d1)
+    meridian, parallel = _cap_radii(rho, -t, sp)
+    return float(meridian), float(parallel)
+
+
+# samples per block of verify_case_bounds; even, so that a block's even rows
+# are the samples of even index
+_BLOCK = 1024
 
 
 def verify_case_bounds(
@@ -159,6 +206,15 @@ def verify_case_bounds(
       T = |d psi / dt|, normalized the same way: its maximum is the
           empirical constant C of the bound |psi_t| <= C |t|^(theta-1).
 
+    Sample i takes |t| and then rho from the generator, in the stream order
+    of a scalar loop of rng.uniform calls, with rho in the inner branch for
+    even i and in the outer one for odd i.  The samples are evaluated as
+    arrays in blocks of _BLOCK, so memory stays bounded for any count, and
+    only each branch's count, minima and maxima are kept; vectorized pow and
+    hypot may round a last bit differently from the scalar functions.  A
+    non-convex point raises as profile_radii does, and so does a theta
+    whose inner branch, rho below 1e-3 |t|^theta, underflows.
+
     The exact pointwise ratio of T is theta*(1 + (1-mu)|t|^(theta*mu)) on the
     outer branch and lies between theta and that value on the inner branch,
     so for |t| <= hi the maximum satisfies
@@ -172,44 +228,48 @@ def verify_case_bounds(
     lo, hi = t_range
     if not (0 < lo < hi < 1):
         raise ValueError("t_range must satisfy 0 < lo < hi < 1")
+    log_lo, log_hi = np.log(lo), np.log(hi)
 
-    stats = {"inner": [], "outer": []}
-    for i in range(samples):
-        s = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    # per branch: count, L min, L max, T min, T max
+    acc = {b: [0, np.inf, -np.inf, np.inf, -np.inf] for b in ("inner", "outer")}
+    for start in range(0, samples, _BLOCK):
+        # Generator.uniform(low, high) is low + (high - low) * rng.random()
+        u = rng.random((min(_BLOCK, samples - start), 2))
+        s = np.exp(log_lo + (log_hi - log_lo) * u[:, 0])
         split = s**sp.theta
-        if i % 2 == 0:
-            rho = float(np.exp(rng.uniform(np.log(1e-3 * split), np.log(split))))
-            branch = "inner"
-        else:
-            rho = float(np.exp(rng.uniform(np.log(split), 0.0)))
-            branch = "outer"
-        rho = min(rho, 1.0)
-        t = -s
-        sig = _sigma_values(*profile_radii(sp, rho, t), p.k)
-        z = subsolution_profile(rho, t, sp)
-        r = float(np.hypot(rho, z))
+        if not (1e-3 * split).min() > 0:
+            raise ValueError("theta too large for t_range: the inner branch |t|^theta underflows")
+        log_split = np.log(split)
+        inner = np.arange(len(u)) % 2 == 0
+        low = np.where(inner, np.log(1e-3 * split), log_split)
+        high = np.where(inner, log_split, 0.0)
+        rho = np.minimum(np.exp(low + (high - low) * u[:, 1]), 1.0)
+        sig = _sigma_values(*_cap_radii(rho, s, sp), p.k)
+        r = np.hypot(rho, _profile(rho, s, sp))
         base = s ** (sp.theta - 1.0)
         L = r**sp.alpha_hat * sig**p.beta / base
-        T = subsolution_profile_dt(rho, t, sp) / base
-        stats[branch].append((L, T))
+        T = _profile_dt(rho, s, sp) / base
+        for branch, rows in (("inner", slice(0, None, 2)), ("outer", slice(1, None, 2))):
+            Lb, Tb = L[rows], T[rows]
+            if Lb.size:
+                a = acc[branch]
+                a[0] += Lb.size
+                a[1], a[2] = min(a[1], Lb.min()), max(a[2], Lb.max())
+                a[3], a[4] = min(a[3], Tb.min()), max(a[4], Tb.max())
 
-    def _summary(pairs):
-        Ls = np.array([x[0] for x in pairs])
-        Ts = np.array([x[1] for x in pairs])
-        return {
-            "count": len(pairs),
-            "L_ratio_min": float(Ls.min()),
-            "L_ratio_max": float(Ls.max()),
-            "T_ratio_min": float(Ts.min()),
-            "T_ratio_max": float(Ts.max()),
+    branch_stats = {
+        b: {
+            "count": count,
+            "L_ratio_min": float(l_min),
+            "L_ratio_max": float(l_max),
+            "T_ratio_min": float(t_min),
+            "T_ratio_max": float(t_max),
         }
-
-    branch_stats = {b: _summary(v) for b, v in stats.items()}
-    all_L = [x[0] for v in stats.values() for x in v]
-    all_T = [x[1] for v in stats.values() for x in v]
+        for b, (count, l_min, l_max, t_min, t_max) in acc.items()
+    }
     return {
-        "c0_empirical": float(min(all_L)),
-        "T_ratio_max": float(max(all_T)),
+        "c0_empirical": min(st["L_ratio_min"] for st in branch_stats.values()),
+        "T_ratio_max": max(st["T_ratio_max"] for st in branch_stats.values()),
         "samples": samples,
         "theta": sp.theta,
         "mu": sp.mu,
@@ -248,7 +308,7 @@ def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float, n_samples: 
     s = -t
     # graph part, log-spaced toward the tip to resolve the cap
     rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, n_samples // 2)))
-    z = np.array([subsolution_profile(r, t, sp) for r in rho])
+    z = _profile(rho, s, sp)
     # closing sphere, tangent at (1, psi(1)) with slope 2: radius sqrt(5)/2,
     # center on the axis half a unit above the rim
     z_rim = z[-1]

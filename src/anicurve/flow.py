@@ -20,9 +20,14 @@ step's own first stage, with no further kernel call (body._jacobian_band,
 shared with the soliton Newton solver), and the drift eta(u) of the
 volume-normalized flow adds the rank-1 term -u (x) grad eta, whose gradient
 follows from the speed's band by the chain rule, and which Sherman-Morrison
-folds into each stage solve.  The three
+folds into each stage solve; eta itself is the one the right side
+computed at the same state.  The three
 stages of a step share one LU factorization of the (2, 2) band
-(body._band_solver).  Every right side applies the one admissibility rule
+(body._band_solver), into which I/(gamma dt) - B is written directly; the
+first solve takes f0 and u as the two columns of one Fortran-ordered right
+side, and the stage right sides, the new state and the error estimate are
+summed in place in the written-out order, so a step carries the bits of
+the formula written out.  Every right side applies the one admissibility rule
 of body._radii (u > 0 and both principal radii > 0, else
 ConvexityLostError, a ValueError), and the right side at a step's result is
 both its admissibility test and the next step's first stage; a step whose
@@ -150,6 +155,8 @@ class _Engine:
         # run in place only in k2, k3 and k4, new arrays that rhs() returned
         # and rk4() owns.  The engine keeps no buffer from one step to the next.
         self._last = None
+        # (vals, eta) of the last volume-normalized rhs(), keyed the same way
+        self._eta = None
 
     def _local(self, vals: np.ndarray) -> np.ndarray:
         """Node-local part of the right side: all of it but -eta(u) * u."""
@@ -171,14 +178,16 @@ class _Engine:
             return local
         _, spd, _, _, sig = self._last
         eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
+        self._eta = (vals, eta)
         return spd - eta * vals
 
     def jacobian(self, vals: np.ndarray):
         """(B, eta, g) with rhs'(vals) = B - eta*I - vals (x) g, B in (2, 2)
         band storage; eta and g vanish outside the volume-normalized mode.
-        B is analytic (body._jacobian_band), from the node values of the last
-        rhs() if it was evaluated at this very array (in run(), always the
-        accepted step's f0); otherwise from one node-local evaluation here."""
+        B is analytic (body._jacobian_band), from the node values (and eta)
+        of the last rhs() if it was evaluated at this very array (in run(),
+        always the accepted step's f0); otherwise from one node-local
+        evaluation here."""
         self.stats.jacobian_evaluations += 1
         if self._last is None or self._last[0] is not vals:
             self._local(vals)
@@ -198,10 +207,12 @@ class _Engine:
         # - delta_ij (alpha/beta) speed_i sigma_k,i / u_i: grad eta follows from
         # the band B (column j holds rows j-2..j+2) without further evaluations
         w = self.grid.weights
+        if self._eta is None or self._eta[0] is not vals:
+            self._eta = (vals, (w @ (spd * sig)) / SPHERE_AREA)
         rows = _band_plan(vals.size)[1]
         col_sums = ((w * sig)[rows] * ab).sum(axis=0)
         grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
-        return ab, (w @ (spd * sig)) / SPHERE_AREA, grad / SPHERE_AREA
+        return ab, self._eta[1], grad / SPHERE_AREA
 
     def rk4(self, vals: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
         """One RK4 step; the result is unchecked until rhs() is evaluated there.
@@ -236,29 +247,53 @@ class _Engine:
     def ros3(self, vals: np.ndarray, dt: float, f0=None, jac=None):
         """One Ros3 step: (new state, scaled RMS error estimate); a retry from
         the same state passes f0 = rhs(vals) and jac = jacobian(vals) in.  The
-        new state is unchecked until rhs() is evaluated there."""
+        new state is unchecked until rhs() is evaluated there.
+
+        The sums are formed in place in the written-out order, in arrays of
+        the step's own (never in vals, f0, the Jacobian or the right side at
+        the stage), so the bits are those of the expressions in the comments.
+        """
         f0 = self.rhs(vals) if f0 is None else f0
         band, eta, g = self.jacobian(vals) if jac is None else jac
-        ab = -band
-        ab[_BAND] += 1.0 / (_ROS_GAMMA * dt) + eta
+        lu_solve = _band_solver(band, 1.0 / (_ROS_GAMMA * dt) + eta)
         # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
-        # z = A^-1 vals / (1 + g.A^-1 vals)
-        lu_solve = _band_solver(ab)
-        k1, z = lu_solve(np.stack((f0, vals), axis=1)).T
-        z = z / (1.0 + g @ z)
-        k1 = k1 - z * (g @ k1)
+        # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the two
+        # columns of one Fortran-ordered solve
+        k1, z = lu_solve(np.array((f0, vals)).T, overwrite=True).T
+        z /= 1.0 + g @ z
+        tmp = np.multiply(z, g @ k1)
+        k1 -= tmp
 
         def solve(r):
-            x = lu_solve(r)
-            return x - z * (g @ x)
+            x = lu_solve(r, overwrite=True)
+            x -= np.multiply(z, g @ x, out=tmp)
+            return x
 
         f2 = self.rhs(vals + k1)
-        k2 = solve(f2 + (_ROS_C[0] / dt) * k1)
-        k3 = solve(f2 + (_ROS_C[1] / dt) * k1 + (_ROS_C[2] / dt) * k2)
-        new = vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3
-        est = _ROS_E[0] * k1 + _ROS_E[1] * k2 + _ROS_E[2] * k3
-        scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
-        return new, float(np.sqrt(np.mean((est / scale) ** 2)))
+        # k2 = A^-1 (f2 + (c21/dt) k1), k3 = A^-1 ((f2 + (c31/dt) k1) + (c32/dt) k2)
+        r = k1 * (_ROS_C[0] / dt)
+        r += f2
+        k2 = solve(r)
+        r = k1 * (_ROS_C[1] / dt)
+        r += f2
+        r += np.multiply(k2, _ROS_C[2] / dt, out=tmp)
+        k3 = solve(r)
+        # new = ((vals + m1 k1) + m2 k2) + m3 k3 with m1 = 1,
+        # est = (e1 k1 + e2 k2) + e3 k3
+        new = vals + k1
+        new += np.multiply(k2, _ROS_M[1], out=tmp)
+        new += np.multiply(k3, _ROS_M[2], out=tmp)
+        est = k1 * _ROS_E[0]
+        est += np.multiply(k2, _ROS_E[1], out=tmp)
+        est += np.multiply(k3, _ROS_E[2], out=tmp)
+        # err = sqrt(mean((est / (atol + rtol max(|vals|, |new|)))^2))
+        scale = np.abs(vals)
+        np.maximum(scale, np.abs(new, out=tmp), out=scale)
+        scale *= _RTOL
+        scale += _ATOL
+        est /= scale
+        est *= est
+        return new, float(np.sqrt(est.sum() / est.size))
 
 
 def speed(u: ScalarField, p: FlowParams) -> ScalarField:

@@ -387,16 +387,23 @@ def test_admissibility_names_its_cause(grid64, shape, bad, cause):
 @pytest.mark.parametrize("n", [96, 200, 800])
 def test_band_solver_matches_solve_banded(n):
     # one dgbtrf, then one dgbtrs per right side, is what solve_banded does
-    # in one call: the bits agree for one and for two right sides
+    # in one call: the bits agree for one and for two right sides, for the
+    # band and for shift*I - band written into LAPACK's band directly, and
+    # whether or not the solve may write into b
     rng = np.random.default_rng(n)
     for _ in range(5):
         ab = rng.standard_normal((5, n))
         ab[2] += rng.uniform(-2.0, 6.0)
-        solve = _band_solver(ab)
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
-            x = solve(b)
-            assert x.shape == b.shape
-            assert np.array_equal(x, solve_banded((2, 2), ab, b))
+        shift = rng.uniform(8.0, 12.0)
+        shifted = -ab
+        shifted[2] += shift
+        for solve, matrix in ((_band_solver(ab), ab), (_band_solver(ab, shift), shifted)):
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+                want = solve_banded((2, 2), matrix, b)
+                x = solve(b)
+                assert x.shape == b.shape
+                assert np.array_equal(x, want)
+                assert np.array_equal(solve(np.asfortranarray(b), overwrite=True), want)
 
 
 def test_band_solver_checks():
@@ -411,6 +418,8 @@ def test_band_solver_checks():
         solve(bad)
     with pytest.raises(ValueError, match="infs or NaNs"):
         _band_solver(np.where(np.arange(n) == 9, np.inf, ab))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_solver(ab, np.nan)
     singular = ab.copy()
     singular[:, 4] = 0.0  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular"):

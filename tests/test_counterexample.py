@@ -221,3 +221,96 @@ def test_blowup_experiment_supports_blowup_on_capped_body(grid200):
     assert rep.r_increasing
     assert rep.verdict == "supports blowup"
     assert rep.control_r_decreasing
+
+
+def _scalar_case_bounds(sp, p, samples, seed, lo=1e-3, hi=0.5):
+    """verify_case_bounds written out as one scalar loop over the public
+    functions: per sample (s, rho) from rng.uniform, inner branch on even i."""
+    rng = np.random.default_rng(seed)
+    rows = {"inner": [], "outer": []}
+    for i in range(samples):
+        s = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        split = s**sp.theta
+        if i % 2 == 0:
+            rho = float(np.exp(rng.uniform(np.log(1e-3 * split), np.log(split))))
+            branch = "inner"
+        else:
+            rho = float(np.exp(rng.uniform(np.log(split), 0.0)))
+            branch = "outer"
+        rho = min(rho, 1.0)
+        t = -s
+        lam_r, lam_t = profile_radii(sp, rho, t)
+        sig = lam_r + lam_t if p.k == 1 else lam_r * lam_t
+        r = float(np.hypot(rho, subsolution_profile(rho, t, sp)))
+        base = s ** (sp.theta - 1.0)
+        rows[branch].append(
+            (r**sp.alpha_hat * sig**p.beta / base, subsolution_profile_dt(rho, t, sp) / base)
+        )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("k", [1, 2])
+def test_case_bounds_match_scalar_loop(seed, k):
+    # the sampler draws the scalar loop's stream in blocks; 2501 samples end
+    # in a partial block.  Vectorized pow and hypot may round a last bit
+    # differently from the scalar calls, nothing more
+    sp = SubsolutionParams.from_exponents(alpha=1.0, k=k, beta=1.5 if k == 1 else 1.0, theta=2.0)
+    p = ac.FlowParams(k=k, beta=1.5 if k == 1 else 1.0, alpha=1.0)
+    samples = 2501
+    rows = _scalar_case_bounds(sp, p, samples, seed)
+    rep = verify_case_bounds(sp, p, samples=samples, seed=seed)
+    assert rep["samples"] == samples
+    assert list(rep["branch_stats"]) == ["inner", "outer"]
+    for branch, pairs in rows.items():
+        got = rep["branch_stats"][branch]
+        assert got["count"] == len(pairs) == (samples + (branch == "inner")) // 2
+        Ls, Ts = np.array(pairs).T
+        for key, want in (
+            ("L_ratio_min", Ls.min()),
+            ("L_ratio_max", Ls.max()),
+            ("T_ratio_min", Ts.min()),
+            ("T_ratio_max", Ts.max()),
+        ):
+            assert got[key] == pytest.approx(want, rel=1e-14, abs=0.0), key
+    every = np.array(rows["inner"] + rows["outer"])
+    assert rep["c0_empirical"] == pytest.approx(every[:, 0].min(), rel=1e-14, abs=0.0)
+    assert rep["T_ratio_max"] == pytest.approx(every[:, 1].max(), rel=1e-14, abs=0.0)
+
+
+def test_case_bounds_reject_a_non_convex_point():
+    # no admissible parameter set bends the profile the wrong way, so mu is
+    # forced past the check; the sampler must raise as profile_radii does,
+    # not report a bound
+    sp = sp_1112()
+    object.__setattr__(sp, "mu", -0.5)
+    p = ac.FlowParams(k=1, beta=1.0, alpha=1.0)
+    with pytest.raises(ValueError):
+        profile_radii(sp, 0.5, -0.25)
+    with pytest.raises(ValueError, match="not strictly convex"):
+        verify_case_bounds(sp, p, samples=10, seed=0)
+
+
+def test_case_bounds_reject_an_underflowing_inner_branch():
+    # at theta = 200 the junction |t|^theta underflows for |t| near 1e-3: the
+    # scalar loop died with an OverflowError from rng.uniform, and the arrays
+    # would turn it into NaN radii
+    sp = SubsolutionParams.from_exponents(alpha=0.5, k=1, beta=1.5, theta=200.0)
+    p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
+    with pytest.raises(ValueError, match="underflows"):
+        verify_case_bounds(sp, p, samples=1000, seed=0)
+
+
+def test_capped_profile_body_matches_scalar_profile(grid200):
+    # the meridian of capped_profile_body written out with the scalar profile
+    sp = SubsolutionParams.from_exponents(alpha=0.5, k=1, beta=1.5, theta=2.0)
+    t = -0.3
+    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 12_000)))
+    z = np.array([subsolution_profile(r, t, sp) for r in rho])
+    radius, z_center = np.sqrt(5.0) / 2.0, z[-1] + 0.5
+    arc = np.linspace(0.0, np.arctan2(1.0, z[-1] - z_center), 12_000)
+    pr = np.concatenate([rho, radius * np.sin(arc)])
+    pz = np.concatenate([z, z_center + radius * np.cos(arc)])
+    want = np.array([np.max(np.sin(a) * pr + np.cos(a) * pz) for a in grid200.theta])
+    got = capped_profile_body(grid200, sp, t).values
+    assert np.max(np.abs(got - want) / want) <= 1e-14

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import anicurve as ac
 from anicurve import FlowParams, StoppingConfig
 from anicurve import flow, functionals
-from anicurve.flow import _RECORD_DT, _Engine
+from anicurve.flow import _ATOL, _RECORD_DT, _ROS_C, _ROS_E, _ROS_GAMMA, _ROS_M, _RTOL, _Engine
 
 
 def p_of(k, beta, alpha, f=None):
@@ -715,3 +716,61 @@ def test_no_function_changes_its_arguments(grid64, mode):
         _unchanged(held, lambda: eng.ros3(vals, 1e-3))
         _unchanged(held, lambda: eng.ros3(vals, 1e-3, k1, jac))
         _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))
+
+
+def _written_out_ros3(eng, vals, dt):
+    """The Ros3 step with every temporary written out: a fresh -band shifted
+    on its diagonal, the two-column right side stacked in C order, each sum
+    as one expression and the mean by np.mean."""
+    f0 = eng.rhs(vals)
+    band, eta, g = eng.jacobian(vals)
+    ab = -band
+    ab[2] += 1.0 / (_ROS_GAMMA * dt) + eta
+    padded = np.zeros((7, vals.size), order="F")
+    padded[2:] = ab
+    lu, piv, info = dgbtrf(padded, 2, 2)
+    assert info == 0
+
+    def lu_solve(b):
+        x, info = dgbtrs(lu, 2, 2, b, piv)
+        assert info == 0
+        return x
+
+    k1, z = lu_solve(np.stack((f0, vals), axis=1)).T
+    z = z / (1.0 + g @ z)
+    k1 = k1 - z * (g @ k1)
+
+    def solve(r):
+        x = lu_solve(r)
+        return x - z * (g @ x)
+
+    f2 = eng.rhs(vals + k1)
+    k2 = solve(f2 + (_ROS_C[0] / dt) * k1)
+    k3 = solve(f2 + (_ROS_C[1] / dt) * k1 + (_ROS_C[2] / dt) * k2)
+    new = vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3
+    est = _ROS_E[0] * k1 + _ROS_E[1] * k2 + _ROS_E[2] * k3
+    scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
+    return new, float(np.sqrt(np.mean((est / scale) ** 2)))
+
+
+@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
+def test_ros3_matches_written_out_step(mode):
+    # the step forms its band, right sides and sums in buffers of its own;
+    # (new, err) must carry the bits of the step written out above, with f0
+    # and the Jacobian evaluated inside the step or passed in
+    for n in (17, 64):
+        g = ac.make_grid(n)
+        f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+        p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
+        u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
+        if mode == "dual_radial":
+            u = 1.0 / u
+        for dt in (1e-4, 1e-2):
+            want = _written_out_ros3(_Engine(g, p, mode), u, dt)
+            assert want[1] > 0
+            eng = _Engine(g, p, mode)
+            new, err = eng.ros3(u, dt)
+            assert np.array_equal(new, want[0]) and err == want[1]
+            f0 = eng.rhs(u)
+            new, err = eng.ros3(u, dt, f0, eng.jacobian(u))
+            assert np.array_equal(new, want[0]) and err == want[1]

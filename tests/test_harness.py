@@ -86,6 +86,24 @@ def test_parse_rejects_bad_theta(tmp_path):
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
 
 
+def test_parse_rejects_bad_samples_and_horizon(tmp_path):
+    # samples = 1 or -3 parsed and failed only at run time ("need at least
+    # two samples"); horizon = inf ran, exited 0 and echoed "horizon": null,
+    # so summary.json could no longer reconstruct the run
+    for value in ("1", "0", "-3"):
+        with pytest.raises(ConfigError, match="samples must be at least 2"):
+            parse_config(f"samples = {value}\n")
+    for value in ("0", "-1", "nan", "inf"):
+        with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+            parse_config(f"horizon = {value}\n")
+    assert parse_config("samples = 2\nhorizon = 0.5\n").samples == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = 0.5\nN = 32\nhorizon = inf\n"
+    )
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
+
+
 def test_parse_rejects_nan_stopping_values():
     # NaN passed the old `<= 0` / `< 0` tests
     for key in ("t_max", "tol_conv"):
