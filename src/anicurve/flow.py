@@ -9,29 +9,30 @@ Four right-hand sides operate on the nodal profile:
 
 Runs with StoppingConfig.fixed_dt take classical RK4 steps, whose stage sums
 are formed in place in the written-out order, so that they carry the bits of
-the textbook formula.  All other runs
-take error-controlled steps of Ros3, the L-stable, order-3 Rosenbrock method
-of Sandu et al. (Atmos. Environ. 31, 1997) with an embedded order-2
-estimate, in the form of Hairer & Wanner, Solving ODEs II, IV.7; being
-linearly implicit, it is not held to the parabolic bound dt ~ h^2.  Its
-Jacobian is analytic: the node-local part of the right side has bandwidth 2
-and is assembled from the node values (speed, b11, b22, sigma_k) of the
-step's own first stage, with no further kernel call (body._jacobian_band,
-shared with the soliton Newton solver), and the drift eta(u) of the
-volume-normalized flow adds the rank-1 term -u (x) grad eta, whose gradient
-follows from the speed's band by the chain rule, and which Sherman-Morrison
-folds into each stage solve; eta itself is the one the right side
-computed at the same state.  The three
-stages of a step share one LU factorization of the (2, 2) band
-(body._band_solver), into which I/(gamma dt) - B is written directly; the
-first solve takes f0 and u as the two columns of one Fortran-ordered right
-side, and the stage right sides, the new state and the error estimate are
-summed in place in the written-out order, so a step carries the bits of
-the formula written out.  Every right side applies the one admissibility rule
-of body._radii (u > 0 and both principal radii > 0, else
-ConvexityLostError, a ValueError), and the right side at a step's result is
-both its admissibility test and the next step's first stage; a step whose
-stages or result lose uniform convexity is retried at half the size.
+the textbook formula.  All other runs take error-controlled steps of
+RODAS4, the 6-stage, L-stable and stiffly accurate order-4 Rosenbrock method
+with an embedded order-3 solution (Hairer & Wanner, Solving ODEs II, IV.7,
+the method of their rodas.f); being linearly implicit, it is not held to the
+parabolic bound dt ~ h^2.  Its Jacobian is analytic: the node-local part of
+the right side has bandwidth 2 and is assembled from the node values (speed,
+b11, b22, sigma_k) of the step's own first stage, with no further kernel
+call (body._jacobian_band, shared with the soliton Newton solver), and the
+drift eta(u) of the volume-normalized flow adds the rank-1 term
+-u (x) grad eta, whose gradient follows from the speed's band by the chain
+rule, and which Sherman-Morrison folds into each stage solve (the other
+modes have no rank-1 term and skip it); eta itself is the one the right side
+computed at the same state.  The six solves of a step share one LU
+factorization of the (2, 2) band (body._band_solver), into which
+I/(gamma dt) - B is written directly; with a rank-1 term the first solve
+takes f0 and u as the two columns of one Fortran-ordered right side.  The
+stage inputs, the stage right sides and the new state are summed in place
+in the written-out order, so a step carries the bits of the formula written
+out.  A step evaluates five right sides of its own (stages 2 to 5 and the
+embedded solution).  Every right side applies the one admissibility rule of
+body._radii (u > 0 and both principal radii > 0, else ConvexityLostError, a
+ValueError), and the right side at a step's result is both its admissibility
+test and the next step's first stage; a step whose stages or result lose
+uniform convexity is retried at half the size.
 """
 
 from dataclasses import dataclass, field
@@ -67,14 +68,25 @@ __all__ = [
 
 MODES = ("raw", "round_normalized", "volume_normalized", "dual_radial")
 
-# Ros3: stage i solves (I/(dt*gamma) - J) K_i = F(y + sum_j a_ij K_j) +
-# sum_j (c_ij/dt) K_j with a_21 = a_31 = 1, a_32 = 0 (stage 3 reuses the
-# function value of stage 2); y_new = y + sum m_i K_i, error sum e_i K_i.
-_ROS_GAMMA = 0.43586652150845899941601945119356
-_ROS_C = (-1.0156171083877702091975600115545, 4.0759956452537699824805835358067,
-          9.2076794298330791242156818474003)  # c_21, c_31, c_32
-_ROS_M = (1.0, 6.1697947043828245592553615689730, -0.42772256543218573326238373806514)
-_ROS_E = (0.5, -2.9079558716805469821718236208017, 0.22354069897811569627360909276199)
+# RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7; rodas.f, METH = 1): for
+# i = 2..5 stage i solves (I/(dt*gamma) - J) k_i = F(y + sum_j a_ij k_j) +
+# sum_j (c_ij/dt) k_j, the embedded solution is y^ = (y + sum_j a_5j k_j) +
+# k_5, k_6 solves with F(y^) and c_6j, and y_new = y^ + k_6; k_6 is the error.
+_RODAS_GAMMA = 0.25
+_RODAS_A = (  # a_ij of stages 2..5, j < i
+    (1.544,),
+    (0.9466785280815826, 0.2557011698983284),
+    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+)
+_RODAS_C = (  # c_ij of stages 2..6, j < i
+    (-5.6688,),
+    (-2.430093356833875, -0.2063599157091915),
+    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
+    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
+    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+     -6.058818238834054),
+)
 # Tolerances of the scaled RMS error; the record spacing of adaptive runs,
 # which record at each multiple of record_every * _RECORD_DT in the
 # integration variable; the first step; the bounds on one step change.
@@ -100,11 +112,13 @@ class StoppingConfig:
 @dataclass
 class RunStats:
     """Deterministic work counts of one run(): rejected counts every rejected
-    attempt, convexity_rejections those that lost convexity; an attempt that
-    reaches its result evaluates the right side there, whether it is
-    accepted or not; a Jacobian evaluates no right side (it reuses the node
-    values of the step's first stage); record_steps is the accepted-step
-    count at each record."""
+    attempt, convexity_rejections those that lost convexity; an adaptive
+    attempt evaluates six right sides (five stages and the one at its
+    result, which it evaluates whether it is accepted or not), an RK4 step
+    four, and the run one at its start; an attempt that loses convexity
+    stops at the first right side that fails; a Jacobian evaluates no right
+    side (it reuses the node values of the step's first stage);
+    record_steps is the accepted-step count at each record."""
 
     accepted: int = 0
     rejected: int = 0
@@ -150,10 +164,11 @@ class _Engine:
         # (vals, speed, b11, b22, sigma_k) of the last node-local evaluation
         # (those of w = 1/vals in the dual mode), for the Jacobian at the same
         # state; keyed by identity, so a state must not be written in place
-        # once rhs() has read it.  rk4() keeps to that: each stage input is a
-        # new array that nothing writes after rhs() has read it, and its sums
-        # run in place only in k2, k3 and k4, new arrays that rhs() returned
-        # and rk4() owns.  The engine keeps no buffer from one step to the next.
+        # once rhs() has read it.  rk4() and rodas4() keep to that: each stage
+        # input is a new array that nothing writes after rhs() has read it, and
+        # their sums run in place only in the step's own arrays and in stage
+        # right sides, new arrays that rhs() returned and the step owns.  The
+        # engine keeps no buffer from one step to the next.
         self._last = None
         # (vals, eta) of the last volume-normalized rhs(), keyed the same way
         self._eta = None
@@ -244,49 +259,60 @@ class _Engine:
         k2 += vals
         return k2
 
-    def ros3(self, vals: np.ndarray, dt: float, f0=None, jac=None):
-        """One Ros3 step: (new state, scaled RMS error estimate); a retry from
+    def rodas4(self, vals: np.ndarray, dt: float, f0=None, jac=None):
+        """One RODAS4 step: (new state, scaled RMS error estimate); a retry from
         the same state passes f0 = rhs(vals) and jac = jacobian(vals) in.  The
         new state is unchecked until rhs() is evaluated there.
 
         The sums are formed in place in the written-out order, in arrays of
-        the step's own (never in vals, f0, the Jacobian or the right side at
-        the stage), so the bits are those of the expressions in the comments.
+        the step's own or in the right side of a stage (never in vals, f0,
+        the Jacobian or an array that rhs() has read), so the bits are those
+        of the expressions in the comments.
         """
         f0 = self.rhs(vals) if f0 is None else f0
         band, eta, g = self.jacobian(vals) if jac is None else jac
-        lu_solve = _band_solver(band, 1.0 / (_ROS_GAMMA * dt) + eta)
-        # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
-        # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the two
-        # columns of one Fortran-ordered solve
-        k1, z = lu_solve(np.array((f0, vals)).T, overwrite=True).T
-        z /= 1.0 + g @ z
-        tmp = np.multiply(z, g @ k1)
-        k1 -= tmp
+        lu_solve = _band_solver(band, 1.0 / (_RODAS_GAMMA * dt) + eta)
+        tmp = np.empty_like(vals)
+        if g.any():
+            # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
+            # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the
+            # two columns of one Fortran-ordered solve
+            k1, z = lu_solve(np.array((f0, vals)).T, overwrite=True).T
+            z /= 1.0 + g @ z
+            k1 -= np.multiply(z, g @ k1, out=tmp)
 
-        def solve(r):
-            x = lu_solve(r, overwrite=True)
-            x -= np.multiply(z, g @ x, out=tmp)
-            return x
+            def solve(r):
+                x = lu_solve(r, overwrite=True)
+                x -= np.multiply(z, g @ x, out=tmp)
+                return x
 
-        f2 = self.rhs(vals + k1)
-        # k2 = A^-1 (f2 + (c21/dt) k1), k3 = A^-1 ((f2 + (c31/dt) k1) + (c32/dt) k2)
-        r = k1 * (_ROS_C[0] / dt)
-        r += f2
-        k2 = solve(r)
-        r = k1 * (_ROS_C[1] / dt)
-        r += f2
-        r += np.multiply(k2, _ROS_C[2] / dt, out=tmp)
-        k3 = solve(r)
-        # new = ((vals + m1 k1) + m2 k2) + m3 k3 with m1 = 1,
-        # est = (e1 k1 + e2 k2) + e3 k3
-        new = vals + k1
-        new += np.multiply(k2, _ROS_M[1], out=tmp)
-        new += np.multiply(k3, _ROS_M[2], out=tmp)
-        est = k1 * _ROS_E[0]
-        est += np.multiply(k2, _ROS_E[1], out=tmp)
-        est += np.multiply(k3, _ROS_E[2], out=tmp)
-        # err = sqrt(mean((est / (atol + rtol max(|vals|, |new|)))^2))
+        else:  # no rank-1 term: the corrections would all subtract zero
+            k1 = lu_solve(f0)
+
+            def solve(r):
+                return lu_solve(r, overwrite=True)
+
+        ks = [k1]
+        for i, c in enumerate(_RODAS_C):
+            if i < len(_RODAS_A):
+                # y = ((vals + a_i1 k_1) + a_i2 k_2) + ...
+                a = _RODAS_A[i]
+                y = ks[0] * a[0]
+                y += vals
+                for a_ij, k in zip(a[1:], ks[1:]):
+                    y += np.multiply(k, a_ij, out=tmp)
+            else:
+                # the embedded solution y^ = y + k_5, a new array: rhs() has read y
+                y = y + ks[4]
+            # k_i = A^-1 (((F(y) + (c_i1/dt) k_1) + (c_i2/dt) k_2) + ...), summed in F(y)
+            r = self.rhs(y)
+            for c_ij, k in zip(c, ks):
+                r += np.multiply(k, c_ij / dt, out=tmp)
+            ks.append(solve(r))
+        # new = y^ + k_6, a new array: rhs() has read y^
+        est = ks[5]
+        new = y + est
+        # err = sqrt(mean((k6 / (atol + rtol max(|vals|, |new|)))^2))
         scale = np.abs(vals)
         np.maximum(scale, np.abs(new, out=tmp), out=scale)
         scale *= _RTOL
@@ -332,7 +358,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     cases and is nan where there is none: raw flows past the blowup horizon
     or with f != 1, and every volume-normalized flow, whose t depends on the
     integral of eta along the run rather than on the state.  Steps are RK4 at
-    stop.fixed_dt if set, recorded every record_every steps; else Ros3 under
+    stop.fixed_dt if set, recorded every record_every steps; else RODAS4 under
     error control, taken at dt_min when the controller asks for less and
     landed on each multiple of record_every * _RECORD_DT of the integration
     variable, where it is recorded (t_max is the last such mark).  The final
@@ -439,7 +465,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
                 new, err = eng.rk4(vals, h, k1=f0), 0.0
             else:
                 jac = eng.jacobian(vals) if jac is None else jac
-                new, err = eng.ros3(vals, h, f0, jac)
+                new, err = eng.rodas4(vals, h, f0, jac)
             f_new = eng.rhs(new)  # the result's admissibility test and the next f0
         except ConvexityLostError:
             stats.rejected += 1
@@ -451,8 +477,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             dt, grow = 0.5 * h, 1.0
             continue
         if not fixed:
-            # err below 3.4e-3 already gives the largest increase; 1e-4 keeps 0 finite
-            fac = min(grow, max(_FAC_MIN, 0.9 * max(err, 1e-4) ** (-1.0 / 3.0)))
+            # err below 5.1e-4 already gives the largest increase; 1e-4 keeps 0 finite
+            fac = min(grow, max(_FAC_MIN, 0.9 * max(err, 1e-4) ** (-1.0 / 4.0)))
             dt = max(stop.dt_min, fac * h)
             if not err <= 1.0 and onto_mark(dt) < h:
                 stats.rejected += 1

@@ -5,7 +5,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 import anicurve as ac
 from anicurve import FlowParams, StoppingConfig
 from anicurve import flow, functionals
-from anicurve.flow import _ATOL, _RECORD_DT, _ROS_C, _ROS_E, _ROS_GAMMA, _ROS_M, _RTOL, _Engine
+from anicurve.flow import _ATOL, _RECORD_DT, _RODAS_A, _RODAS_C, _RODAS_GAMMA, _RTOL, _Engine
 
 
 def p_of(k, beta, alpha, f=None):
@@ -245,7 +245,7 @@ def test_rosenbrock_agrees_with_explicit(grid64):
     dt = 2e-5
     for _ in range(400):
         u = eng.rk4(u, dt)
-        v, _ = eng.ros3(v, dt)
+        v, _ = eng.rodas4(v, dt)
     assert np.max(np.abs(u - v)) < 1e-4
 
 
@@ -255,7 +255,7 @@ def test_rosenbrock_stable_beyond_cfl(grid64):
     eng = _Engine(grid64, p, "round_normalized")
     v = ac.translated_ball(grid64, 0.3).values.copy()
     for _ in range(600):
-        v, _ = eng.ros3(v, 0.01)
+        v, _ = eng.rodas4(v, 0.01)
     assert np.max(np.abs(v - 1.0)) < 1e-5
 
 
@@ -291,9 +291,25 @@ def test_rosenbrock_order_against_barrier():
         eng = _Engine(g, p, "round_normalized")
         v = ac.round_body(g, 0.5).values.copy()
         for _ in range(n):
-            v, _ = eng.ros3(v, 1.0 / n)
+            v, _ = eng.rodas4(v, 1.0 / n)
         errs.append(np.max(np.abs(v - exact)))
     assert np.log2(errs[0] / errs[1]) >= 2.8
+
+
+def test_rodas4_order_against_barrier():
+    # the step is of order 4 (measured 4.31 here); the embedded order-3
+    # solution would show as 3
+    g = ac.make_grid(16)
+    p = p_of(1, 1.0, -2.0)
+    exact = ac.barrier(0.5, 1.0, p)
+    errs = []
+    for n in (20, 40):
+        eng = _Engine(g, p, "round_normalized")
+        v = ac.round_body(g, 0.5).values.copy()
+        for _ in range(n):
+            v, _ = eng.rodas4(v, 1.0 / n)
+        errs.append(np.max(np.abs(v - exact)))
+    assert np.log2(errs[0] / errs[1]) >= 3.8
 
 
 def test_rk4_order_on_fixed_dt_path():
@@ -352,10 +368,10 @@ def test_run_stats(grid64):
     traj = ac.run(ac.translated_ball(grid64, 0.1), p, "round_normalized", stop)
     st = traj.stats
     assert st.accepted > 0 and st.jacobian_evaluations == st.accepted
-    # one right side at the start, and two per attempted step: stage 2 and
-    # the result (no attempt here loses convexity)
+    # one right side at the start, and six per attempted step: stages 2 to 5,
+    # the embedded solution and the result (no attempt here loses convexity)
     assert st.convexity_rejections == 0
-    assert st.rhs_evaluations == 2 * (st.accepted + st.rejected) + 1
+    assert st.rhs_evaluations == 6 * (st.accepted + st.rejected) + 1
     assert 0 < st.step_min <= st.step_max
     # adaptive runs record at the time marks, not every record_every steps
     assert st.record_steps[0] == 0 and st.record_steps[-1] == st.accepted
@@ -397,6 +413,20 @@ def test_adaptive_step_count_case_b():
     traj = ac.run(u0, p, "volume_normalized", stop)
     assert traj.stop_reason == "converged"
     assert traj.stats.accepted < 1361 // 2
+
+
+def test_adaptive_work_count_case_b():
+    # criterion 5's case B at N = 200: the order-3 Ros3 steps it took before
+    # numbered 237 at this tolerance, RODAS4 takes 73; one Jacobian per step
+    g = ac.make_grid(200)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f)
+    u0 = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.5), 2)
+    stop = StoppingConfig(t_max=30.0, tol_conv=1e-7, record_every=200)
+    traj = ac.run(u0, p, "volume_normalized", stop)
+    assert traj.stop_reason == "converged"
+    assert traj.stats.accepted < 120
+    assert traj.stats.jacobian_evaluations == traj.stats.accepted
 
 
 @pytest.mark.parametrize(
@@ -713,19 +743,21 @@ def test_no_function_changes_its_arguments(grid64, mode):
             assert not np.shares_memory(new, vals) and not np.shares_memory(new, k1)
         jac = _unchanged(held, lambda: eng.jacobian(vals))
         held.extend(a for a in jac if isinstance(a, np.ndarray))
-        _unchanged(held, lambda: eng.ros3(vals, 1e-3))
-        _unchanged(held, lambda: eng.ros3(vals, 1e-3, k1, jac))
+        _unchanged(held, lambda: eng.rodas4(vals, 1e-3))
+        _unchanged(held, lambda: eng.rodas4(vals, 1e-3, k1, jac))
         _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))
 
 
-def _written_out_ros3(eng, vals, dt):
-    """The Ros3 step with every temporary written out: a fresh -band shifted
-    on its diagonal, the two-column right side stacked in C order, each sum
-    as one expression and the mean by np.mean."""
+def _written_out_rodas4(eng, vals, dt, rank_one=False):
+    """The RODAS4 step with every temporary written out: a fresh -band shifted
+    on its diagonal, each sum as one expression and the mean by np.mean.
+    With a nonzero gradient, or with rank_one, the Sherman-Morrison form:
+    the two-column right side stacked in C order and a correction after
+    every solve; otherwise plain solves."""
     f0 = eng.rhs(vals)
     band, eta, g = eng.jacobian(vals)
     ab = -band
-    ab[2] += 1.0 / (_ROS_GAMMA * dt) + eta
+    ab[2] += 1.0 / (_RODAS_GAMMA * dt) + eta
     padded = np.zeros((7, vals.size), order="F")
     padded[2:] = ab
     lu, piv, info = dgbtrf(padded, 2, 2)
@@ -736,28 +768,41 @@ def _written_out_ros3(eng, vals, dt):
         assert info == 0
         return x
 
-    k1, z = lu_solve(np.stack((f0, vals), axis=1)).T
-    z = z / (1.0 + g @ z)
-    k1 = k1 - z * (g @ k1)
+    if rank_one or g.any():
+        k1, z = lu_solve(np.stack((f0, vals), axis=1)).T
+        z = z / (1.0 + g @ z)
+        k1 = k1 - z * (g @ k1)
 
-    def solve(r):
-        x = lu_solve(r)
-        return x - z * (g @ x)
+        def solve(r):
+            x = lu_solve(r)
+            return x - z * (g @ x)
 
-    f2 = eng.rhs(vals + k1)
-    k2 = solve(f2 + (_ROS_C[0] / dt) * k1)
-    k3 = solve(f2 + (_ROS_C[1] / dt) * k1 + (_ROS_C[2] / dt) * k2)
-    new = vals + _ROS_M[0] * k1 + _ROS_M[1] * k2 + _ROS_M[2] * k3
-    est = _ROS_E[0] * k1 + _ROS_E[1] * k2 + _ROS_E[2] * k3
+    else:
+        k1 = lu_solve(f0)
+        solve = lu_solve
+
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _RODAS_A
+    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = [
+        [c / dt for c in row] for row in _RODAS_C
+    ]
+    k2 = solve(eng.rhs(vals + a21 * k1) + c21 * k1)
+    k3 = solve(eng.rhs(vals + a31 * k1 + a32 * k2) + c31 * k1 + c32 * k2)
+    k4 = solve(eng.rhs(vals + a41 * k1 + a42 * k2 + a43 * k3) + c41 * k1 + c42 * k2 + c43 * k3)
+    y5 = vals + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4
+    k5 = solve(eng.rhs(y5) + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4)
+    embedded = y5 + k5
+    k6 = solve(eng.rhs(embedded) + c61 * k1 + c62 * k2 + c63 * k3 + c64 * k4 + c65 * k5)
+    new = embedded + k6
     scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
-    return new, float(np.sqrt(np.mean((est / scale) ** 2)))
+    return new, float(np.sqrt(np.mean((k6 / scale) ** 2)))
 
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
-def test_ros3_matches_written_out_step(mode):
+def test_rodas4_matches_written_out_step(mode):
     # the step forms its band, right sides and sums in buffers of its own;
     # (new, err) must carry the bits of the step written out above, with f0
-    # and the Jacobian evaluated inside the step or passed in
+    # and the Jacobian evaluated inside the step or passed in.  Without a
+    # gradient the step skips Sherman-Morrison, which must change no bit
     for n in (17, 64):
         g = ac.make_grid(n)
         f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
@@ -766,11 +811,14 @@ def test_ros3_matches_written_out_step(mode):
         if mode == "dual_radial":
             u = 1.0 / u
         for dt in (1e-4, 1e-2):
-            want = _written_out_ros3(_Engine(g, p, mode), u, dt)
+            want = _written_out_rodas4(_Engine(g, p, mode), u, dt)
             assert want[1] > 0
+            if mode != "volume_normalized":
+                full = _written_out_rodas4(_Engine(g, p, mode), u, dt, rank_one=True)
+                assert np.array_equal(full[0], want[0]) and full[1] == want[1]
             eng = _Engine(g, p, mode)
-            new, err = eng.ros3(u, dt)
+            new, err = eng.rodas4(u, dt)
             assert np.array_equal(new, want[0]) and err == want[1]
             f0 = eng.rhs(u)
-            new, err = eng.ros3(u, dt, f0, eng.jacobian(u))
+            new, err = eng.rodas4(u, dt, f0, eng.jacobian(u))
             assert np.array_equal(new, want[0]) and err == want[1]
