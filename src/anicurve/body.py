@@ -100,7 +100,10 @@ def spheroid_support(grid: Grid, a: float, b: float) -> ScalarField:
 def _curvature_entries(values: np.ndarray, grid: Grid):
     """(b11, b22, d1) of one profile or of a stack of them along the last axis."""
     d1, d2 = _derivatives(values, grid.h, "even")
-    return d2 + values, d1 * grid.cot + values, d1
+    d2 += values
+    b22 = d1 * grid.cot
+    b22 += values
+    return d2, b22, d1
 
 
 def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
@@ -121,7 +124,9 @@ def _radii(values: np.ndarray, grid: Grid, k: int):
     only a failure looks again to name its cause.
     """
     b11, b22, d1 = _curvature_entries(values, grid)
-    if not np.minimum(np.minimum(values, b11), b22).min() > 0:
+    low = np.minimum(values, b11)
+    np.minimum(low, b22, out=low)
+    if not np.minimum.reduce(low, axis=None) > 0:
         if not values.min() > 0:
             raise ConvexityLostError("support values must be positive")
         raise ConvexityLostError("uniform convexity lost")

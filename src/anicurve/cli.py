@@ -209,7 +209,9 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def _counterexample_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+def _counterexample_experiment(
+    cfg: ExperimentConfig, out: Path, seed: int, controls: dict | None = None
+) -> int:
     grid, p = _build_params(cfg)
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
     bounds = verify_case_bounds(sp, p, samples=cfg.samples, seed=seed)
@@ -220,7 +222,7 @@ def _counterexample_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> i
         tol_conv=cfg.tol_conv,
         dt_min=cfg.dt_min,
     )
-    rep = blowup_experiment(p, u0, cfg.horizon, stop)
+    rep = blowup_experiment(p, u0, cfg.horizon, stop, controls)
     _write_trajectory(out, rep.trajectory, p)
     _write_trajectory(out, rep.control_trajectory, p, prefix="control_")
     report = {
@@ -344,10 +346,18 @@ _DISPATCH = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, seed: int = 0) -> int:
-    """Dispatch a validated config to its driver; returns the exit status."""
+def run_experiment(
+    cfg: ExperimentConfig, out_dir=None, seed: int = 0, controls: dict | None = None
+) -> int:
+    """Run the experiment of a validated config; returns the exit status.
+
+    controls is the control-run dict of counterexample.blowup_experiment,
+    shared by the variants of one sweep; the other experiments ignore it.
+    """
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    if cfg.experiment == "counterexample":
+        return _counterexample_experiment(cfg, out, seed, controls)
     return _DISPATCH[cfg.experiment](cfg, out, seed)
 
 
@@ -355,7 +365,10 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
     """Run one variant per value of a swept scalar key, one subdirectory each.
 
     The variants run in sequence: the work holds the GIL, so threads only
-    add overhead.
+    add overhead.  Counterexample variants share one dict of control runs,
+    which lives as long as this call: variants whose control run has the
+    same inputs (an alpha, theta or samples sweep) run it once, and each
+    writes the files a standalone run would.
     """
     key, _, values = sweep.partition("=")
     key = key.strip()
@@ -368,8 +381,10 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
         _validate(variant)
         variants.append(variant)
     base = Path(out_dir if out_dir is not None else cfg.out)
+    controls = {}
     codes = [
-        run_experiment(variant, base / f"sweep_{i}", seed) for i, variant in enumerate(variants)
+        run_experiment(variant, base / f"sweep_{i}", seed, controls)
+        for i, variant in enumerate(variants)
     ]
     return max(codes)
 

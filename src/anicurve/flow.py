@@ -160,6 +160,7 @@ class _Engine:
         self.p = p
         self.mode = mode
         self.gamma = p.gamma
+        self._dual_power = 2.0 - p.alpha
         self.stats = RunStats()
         # (vals, speed, b11, b22, sigma_k) of the last node-local evaluation
         # (those of w = 1/vals in the dual mode), for the Jacobian at the same
@@ -178,7 +179,9 @@ class _Engine:
         p = self.p
         if self.mode == "dual_radial":
             b11, b22, _, sig = _radii(1.0 / vals, self.grid, p.k)
-            spd = -(vals ** (2.0 - p.alpha)) * sig**p.beta
+            spd = vals**self._dual_power
+            spd *= sig**p.beta
+            np.negative(spd, out=spd)
         else:
             spd, b11, b22, _, sig = _evaluate(vals, self.grid, p, p.alpha)
         self._last = (vals, spd, b11, b22, sig)
@@ -436,13 +439,13 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     while True:
         # these rules read only the current state, so a retry passes them again;
         # no sup norm is below tol_conv = 0
-        if stop.tol_conv > 0 and float(np.max(np.abs(f0))) < stop.tol_conv:
+        if stop.tol_conv > 0 and float(np.maximum.reduce(np.abs(f0))) < stop.tol_conv:
             traj.stop_reason = "converged"
             break
         if s >= stop.t_max:
             traj.stop_reason = "t_max"
             break
-        if float(vals.max() / vals.min()) >= stop.R_blowup:
+        if float(np.maximum.reduce(vals) / np.minimum.reduce(vals)) >= stop.R_blowup:
             traj.stop_reason = "ratio_blowup"
             break
         if stats.accepted >= stop.max_steps:

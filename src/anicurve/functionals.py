@@ -150,8 +150,9 @@ def _evaluate(values: np.ndarray, grid: Grid, p: FlowParams, power: float):
     b11, b22, d1, sig = _radii(values, grid, p.k)
     term = values**power
     if p.f is not None:
-        term = p.f_values(grid) * term
-    return term * sig**p.beta, b11, b22, d1, sig
+        term *= p.f_values(grid)
+    term *= sig**p.beta
+    return term, b11, b22, d1, sig
 
 
 def speed_factor(u: ScalarField, p: FlowParams) -> ScalarField:

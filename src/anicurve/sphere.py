@@ -160,8 +160,10 @@ def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray,
     """
     v = _extend(values, parity)
     if v.ndim == 1:
-        d1 = np.correlate(v, _D1_TAPS, "valid") / (12.0 * h)
-        d2 = np.correlate(v, _D2_TAPS, "valid") / (12.0 * h * h)
+        d1 = np.correlate(v, _D1_TAPS, "valid")
+        d1 /= 12.0 * h
+        d2 = np.correlate(v, _D2_TAPS, "valid")
+        d2 /= 12.0 * h * h
         return d1, d2
     flat = v.reshape(-1)
     d1 = np.correlate(flat, _D1_TAPS, "same").reshape(v.shape)[..., 2:-2] / (12.0 * h)

@@ -7,6 +7,7 @@ import anicurve as ac
 from anicurve.counterexample import (
     BlowupReport,
     SubsolutionParams,
+    _profile,
     blowup_experiment,
     capped_profile_body,
     pinched_spheroid,
@@ -314,3 +315,25 @@ def test_capped_profile_body_matches_scalar_profile(grid200):
     want = np.array([np.max(np.sin(a) * pr + np.cos(a) * pz) for a in grid200.theta])
     got = capped_profile_body(grid200, sp, t).values
     assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("t", [-0.3, -0.1])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_capped_body_matches_node_loop(n, t, alpha):
+    # the support maximum taken node by node, as a loop over the grid: the
+    # blocked maximum must give the same bits
+    grid = ac.make_grid(n)
+    sp = SubsolutionParams.from_exponents(alpha=alpha, k=1, beta=1.5, theta=2.0)
+    n_samples = 24_000
+    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, n_samples // 2)))
+    z = _profile(rho, -t, sp)
+    radius, z_center = np.sqrt(5.0) / 2.0, z[-1] + 0.5
+    arc = np.linspace(0.0, np.arctan2(1.0, z[-1] - z_center), n_samples // 2)
+    pr = np.concatenate([rho, radius * np.sin(arc)])
+    pz = np.concatenate([z, z_center + radius * np.cos(arc)])
+    want = np.empty(grid.n)
+    for i in range(grid.n):
+        want[i] = np.max(np.sin(grid.theta[i]) * pr + np.cos(grid.theta[i]) * pz)
+    got = capped_profile_body(grid, sp, t, n_samples).values
+    assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,3 +365,53 @@ def test_cli_sweep(tmp_path):
         ["flow", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--sweep", "bogus=1"]
     )
     assert code == 1
+
+
+
+COUNTEREXAMPLE = (
+    "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
+    "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+)
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _sweep_flow_runs(tmp_path, monkeypatch, key, values):
+    """Count the flow.run calls of a counterexample sweep over key, and
+    require each variant's tree to be that of a standalone run."""
+    from anicurve import counterexample
+
+    calls = []
+    original = counterexample.run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counterexample, "run", counting)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(COUNTEREXAMPLE)
+    out = tmp_path / "sweep"
+    argv = ["counterexample", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv + ["--sweep", f"{key}={','.join(values)}"]) == 0
+    count = len(calls)
+    for i, value in enumerate(values):
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", COUNTEREXAMPLE, flags=re.M)
+        assert n == 1
+        alone = tmp_path / f"alone_{i}"
+        assert run_experiment(parse_config(text), alone, seed=0) == 0
+        assert _tree(out / f"sweep_{i}") == _tree(alone)
+    return count
+
+
+def test_alpha_sweep_shares_the_control(tmp_path, monkeypatch):
+    # the control runs at alpha' = 1 - k*beta from the same body with the same
+    # stopping rules whatever alpha is: one control serves both variants
+    assert _sweep_flow_runs(tmp_path, monkeypatch, "alpha", ["0.5", "0.6"]) == 3
+
+
+def test_beta_sweep_runs_each_control(tmp_path, monkeypatch):
+    # beta moves alpha' and the flow itself: each variant needs its own control
+    assert _sweep_flow_runs(tmp_path, monkeypatch, "beta", ["1.5", "1.2"]) == 4
