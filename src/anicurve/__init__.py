@@ -12,7 +12,6 @@ from .sphere import (
     make_field,
     differentiate,
     integrate,
-    extrema,
 )
 from .body import (
     SPHERE_AREA,
@@ -28,8 +27,6 @@ from .body import (
     body_geometry,
     mixed_volume,
     normalize_body,
-    radial_from_support,
-    support_from_radial,
     polar_dual,
     profile_curve,
     write_profile_csv,
@@ -81,7 +78,6 @@ from .counterexample import (
     profile_branch_slopes,
     profile_radii,
     verify_case_bounds,
-    pinched_spheroid,
     capped_profile_body,
     blowup_experiment,
 )

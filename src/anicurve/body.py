@@ -17,7 +17,6 @@ share this one linearization.
 """
 
 import functools
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives, _extend
+from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives
 
 __all__ = [
     "ConvexityLostError",
@@ -40,16 +39,12 @@ __all__ = [
     "body_geometry",
     "mixed_volume",
     "normalize_body",
-    "radial_from_support",
-    "support_from_radial",
     "polar_dual",
     "profile_curve",
     "write_profile_csv",
 ]
 
 SPHERE_AREA = 4.0 * np.pi
-
-_log = logging.getLogger(__name__)
 
 
 class ConvexityLostError(ValueError):
@@ -98,7 +93,7 @@ def spheroid_support(grid: Grid, a: float, b: float) -> ScalarField:
 
 
 def _curvature_entries(values: np.ndarray, grid: Grid):
-    """(b11, b22, d1) of one profile or of a stack of them along the last axis."""
+    """(b11, b22, d1) of one nodal profile."""
     d1, d2 = _derivatives(values, grid.h, "even")
     d2 += values
     b22 = d1 * grid.cot
@@ -166,15 +161,16 @@ def _entry_bands(n: int):
     u -> b11 = D2 u + u and u -> b22 = cot D1 u + u of _curvature_entries on
     the n-node grid, built once per n and read-only.
 
-    The 5 colour indicator vectors (ones on the columns j = c mod 5) go
-    through _curvature_entries as one stack, so the parity ghosts are folded
-    in exactly as in the kernel; row i reads columns i-2..i+2, which hold
+    Each of the 5 colour indicator vectors (ones on the columns j = c mod 5)
+    goes through _curvature_entries, so the parity ghosts are folded in
+    exactly as in the kernel; row i reads columns i-2..i+2, which hold
     exactly one column of each colour (Curtis, Powell and Reid, IMA J. Appl.
     Math. 13, 1974).  Entries off the grid are zero.
     """
     colour, rows, outside = _band_plan(n)
     indicators = (colour == np.arange(2 * _BAND + 1)[:, None]).astype(float)
-    b11, b22, _ = _curvature_entries(indicators, make_grid(n))
+    grid = make_grid(n)
+    b11, b22 = np.array([_curvature_entries(e, grid)[:2] for e in indicators]).swapaxes(0, 1)
     bands = (b11[colour, rows], b22[colour, rows])
     for ab in bands:
         ab[outside] = 0.0
@@ -311,46 +307,6 @@ def normalize_body(u: ScalarField, k: int) -> ScalarField:
     vol = mixed_volume(u, [u] * k, k)
     scale = (SPHERE_AREA / vol) ** (1.0 / (k + 1))
     return ScalarField(u.grid, scale * u.values)
-
-
-def _with_pole_values(values: np.ndarray, grid: Grid):
-    """Nodal profile augmented by even-extrapolated pole values."""
-    angles = np.concatenate(([0.0], grid.theta, [np.pi]))
-    return angles, _extend(values, "even")[1:-1]
-
-
-def radial_from_support(u: ScalarField) -> ScalarField:
-    """Radial function of the body with support u, by discrete extremization.
-
-    r(z) = min over directions x with <x, z> > 0 of u(x) / <x, z>.  For an
-    axisymmetric body the minimizing direction lies on the meridian of z, so
-    <x, z> reduces to cos(theta_x - theta_z).
-    """
-    if u.values.min() <= 0:
-        raise ValueError("support function must be positive (origin enclosed)")
-    g = u.grid
-    ang, vals = _with_pole_values(u.values, g)
-    c = np.cos(ang[:, None] - g.theta[None, :])
-    ratio = np.where(c > 1e-12, vals[:, None] / np.where(c > 1e-12, c, 1.0), np.inf)
-    return ScalarField(g, ratio.min(axis=0))
-
-
-def support_from_radial(r: ScalarField) -> ScalarField:
-    """Support function of the convex body with radial function r.
-
-    u(x) = max over directions z of r(z) * <x, z>.  A non-convex radial
-    profile yields the support function of the convex hull; this is logged
-    rather than raised.
-    """
-    if r.values.min() <= 0:
-        raise ValueError("radial function must be positive")
-    g = r.grid
-    ang, vals = _with_pole_values(r.values, g)
-    c = np.cos(ang[:, None] - g.theta[None, :])
-    u = ScalarField(g, (vals[:, None] * c).max(axis=0))
-    if convexity_margin(u) <= 0:
-        _log.warning("support_from_radial: input not convex; returning hull support")
-    return u
 
 
 def polar_dual(u: ScalarField) -> ScalarField:

@@ -210,7 +210,7 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _counterexample_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, controls: dict | None = None
+    cfg: ExperimentConfig, out: Path, seed: int, runs: dict | None = None
 ) -> int:
     grid, p = _build_params(cfg)
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
@@ -222,7 +222,7 @@ def _counterexample_experiment(
         tol_conv=cfg.tol_conv,
         dt_min=cfg.dt_min,
     )
-    rep = blowup_experiment(p, u0, cfg.horizon, stop, controls)
+    rep = blowup_experiment(p, u0, cfg.horizon, stop, runs)
     _write_trajectory(out, rep.trajectory, p)
     _write_trajectory(out, rep.control_trajectory, p, prefix="control_")
     report = {
@@ -347,17 +347,17 @@ _DISPATCH = {
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir=None, seed: int = 0, controls: dict | None = None
+    cfg: ExperimentConfig, out_dir=None, seed: int = 0, runs: dict | None = None
 ) -> int:
     """Run the experiment of a validated config; returns the exit status.
 
-    controls is the control-run dict of counterexample.blowup_experiment,
-    shared by the variants of one sweep; the other experiments ignore it.
+    runs is the flow-run dict of counterexample.blowup_experiment, shared
+    by the variants of one sweep; the other experiments ignore it.
     """
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "counterexample":
-        return _counterexample_experiment(cfg, out, seed, controls)
+        return _counterexample_experiment(cfg, out, seed, runs)
     return _DISPATCH[cfg.experiment](cfg, out, seed)
 
 
@@ -365,10 +365,11 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
     """Run one variant per value of a swept scalar key, one subdirectory each.
 
     The variants run in sequence: the work holds the GIL, so threads only
-    add overhead.  Counterexample variants share one dict of control runs,
-    which lives as long as this call: variants whose control run has the
-    same inputs (an alpha, theta or samples sweep) run it once, and each
-    writes the files a standalone run would.
+    add overhead.  Counterexample variants share one dict of flow runs,
+    which lives as long as this call: variants whose supercritical or
+    control run has the same inputs run it once (both runs in a theta or
+    samples sweep, the control in an alpha sweep), and each writes the files
+    a standalone run would.
     """
     key, _, values = sweep.partition("=")
     key = key.strip()
@@ -381,9 +382,9 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
         _validate(variant)
         variants.append(variant)
     base = Path(out_dir if out_dir is not None else cfg.out)
-    controls = {}
+    runs = {}
     codes = [
-        run_experiment(variant, base / f"sweep_{i}", seed, controls)
+        run_experiment(variant, base / f"sweep_{i}", seed, runs)
         for i, variant in enumerate(variants)
     ]
     return max(codes)

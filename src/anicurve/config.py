@@ -184,8 +184,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                 "soliton experiments need alpha <= 1 - k*beta "
                 f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
             )
-        if cfg.c <= 0:
-            raise ConfigError("speed constant c must be positive")
+        if not 0 < cfg.c < float("inf"):
+            raise ConfigError("speed constant c must be positive and finite")
     if cfg.experiment == "counterexample":
         if q <= 0:
             raise ConfigError(

@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .sphere import Grid, ScalarField
-from .body import _sigma_values, convexity_margin, normalize_body, spheroid_support
+from .body import _sigma_values, convexity_margin, normalize_body
 from .functionals import FlowParams
 from .flow import StoppingConfig, Trajectory, run
 
@@ -36,7 +36,6 @@ __all__ = [
     "subsolution_profile_dt",
     "profile_radii",
     "verify_case_bounds",
-    "pinched_spheroid",
     "capped_profile_body",
     "BlowupReport",
     "blowup_experiment",
@@ -277,13 +276,6 @@ def verify_case_bounds(
     }
 
 
-def pinched_spheroid(grid: Grid, a: float, b: float) -> ScalarField:
-    """Prolate spheroid support with pinch ratio b/a; requires 0 < a < b."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    return spheroid_support(grid, a, b)
-
-
 # entries per array of one block of capped_profile_body's support maximum:
 # its two 512 kB arrays fit in a core's L2 cache (4 MB blocks measured slower
 # than the node loop)
@@ -367,12 +359,29 @@ def _monotone(seq, direction: int, slack: float = 1e-9) -> bool:
     return bool(np.all(diffs >= -slack * np.abs(arr[:-1])))
 
 
+def _shared_run(runs: dict, u_start: ScalarField, p: FlowParams, stop: StoppingConfig) -> Trajectory:
+    """The volume-normalized flow.run from u_start, looked up in runs by its
+    inputs (k, beta, alpha, the bytes of f's node values, the bytes of
+    u_start and every stopping field), and run and stored on a miss."""
+    key = (
+        p.k,
+        p.beta,
+        p.alpha,
+        None if p.f is None else p.f.field.values.tobytes(),
+        u_start.values.tobytes(),
+        astuple(stop),
+    )
+    if key not in runs:
+        runs[key] = run(u_start, p, "volume_normalized", stop)
+    return runs[key]
+
+
 def blowup_experiment(
     p: FlowParams,
     u0: ScalarField,
     horizon: float,
     stop: StoppingConfig | None = None,
-    controls: dict | None = None,
+    runs: dict | None = None,
 ) -> BlowupReport:
     """A/B ratio experiment for the supercritical regime.
 
@@ -391,22 +400,23 @@ def blowup_experiment(
     alpha' = 1 - k*beta from the same body is reported alongside; there R
     must decrease.
 
-    The control reads neither alpha nor any cap parameter, so the variants
-    of an alpha sweep share it.  controls, a dict the caller owns, holds the
-    control trajectories run so far, keyed by every input of the control
-    run: k, beta, alpha', the bytes of f's node values, the bytes of the
-    normalized body and every stopping field.  A control found there is
-    reused (the shared Trajectory must then only be read); otherwise it is
-    run and stored.  Without controls, the control always runs.
+    Neither run reads a cap parameter, and the control does not read alpha
+    either, so the variants of a theta or samples sweep share both runs and
+    those of an alpha sweep share the control.  runs, a dict the caller
+    owns, holds the trajectories run so far, keyed by every input of the
+    run (_shared_run).  A run found there is reused (the shared Trajectory
+    must then only be read); otherwise it is run and stored.  Without runs,
+    both always run.
     """
     if p.q <= 0:
         raise ValueError("blowup experiment requires alpha > 1 - k*beta")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     stop = replace(stop or StoppingConfig(), t_max=horizon)
+    runs = {} if runs is None else runs
 
     u_start = normalize_body(u0, p.k)
-    traj = run(u_start, p, "volume_normalized", stop)
+    traj = _shared_run(runs, u_start, p, stop)
     rs = [rec.R for rec in traj.diagnostics]
     increasing = _monotone(rs, +1) and rs[-1] > rs[0]
     doubled = rs[-1] >= 2.0 * rs[0]
@@ -417,18 +427,7 @@ def blowup_experiment(
         verdict = "no blowup"
 
     p_control = FlowParams(k=p.k, beta=p.beta, alpha=1.0 - p.k * p.beta, f=p.f)
-    key = (
-        p_control.k,
-        p_control.beta,
-        p_control.alpha,
-        None if p.f is None else p.f.field.values.tobytes(),
-        u_start.values.tobytes(),
-        astuple(stop),
-    )
-    controls = {} if controls is None else controls
-    if key not in controls:
-        controls[key] = run(u_start, p_control, "volume_normalized", stop)
-    control = controls[key]
+    control = _shared_run(runs, u_start, p_control, stop)
     crs = [rec.R for rec in control.diagnostics]
     control_decreasing = _monotone(crs, -1) and crs[-1] < crs[0]
 

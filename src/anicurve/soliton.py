@@ -56,8 +56,8 @@ class SolitonProblem:
     init: ScalarField | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("speed constant c must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError("speed constant c must be positive and finite")
         if self.params.q > 0:
             raise ValueError("soliton solver supports alpha <= 1 - k*beta only")
 

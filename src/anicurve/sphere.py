@@ -18,7 +18,6 @@ __all__ = [
     "make_field",
     "differentiate",
     "integrate",
-    "extrema",
 ]
 
 # Integer taps of the 4th-order centered first and second differences.
@@ -97,14 +96,9 @@ class ScalarField:
 
 def make_field(grid: Grid, data) -> ScalarField:
     """Wrap an array, a scalar, or a callable of theta as a ScalarField."""
-    if callable(data):
-        values = np.asarray(data(grid.theta), dtype=float)
-        if values.ndim == 0:
-            values = np.full(grid.n, float(values))
-    else:
-        values = np.asarray(data, dtype=float)
-        if values.ndim == 0:
-            values = np.full(grid.n, float(values))
+    values = np.asarray(data(grid.theta) if callable(data) else data, dtype=float)
+    if values.ndim == 0:
+        values = np.full(grid.n, float(values))
     if values.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -113,7 +107,7 @@ def make_field(grid: Grid, data) -> ScalarField:
 
 
 def _extend(values: np.ndarray, parity: str) -> np.ndarray:
-    """Pad nodal profiles, along the last axis, with two ghost values at each end.
+    """Pad a nodal profile with two ghost values at each end.
 
     Ghost positions are theta = -h, 0 and theta = pi, pi + h.  The off-pole
     ghosts mirror the first/last interior node with the declared parity; the
@@ -121,53 +115,36 @@ def _extend(values: np.ndarray, parity: str) -> np.ndarray:
     Lagrange weights in theta^2 of the three nodes nearest the pole, exact
     for even polynomials through degree 4, error O(h^6) on analytic even
     profiles.  Each even pole value is the sequential sum 1.5*u0 + (-0.6)*u1
-    + 0.1*u2, nearest node first: a 1-D profile takes it in Python floats
-    from its six end nodes, a stack takes it for every row and both poles at
-    once from three strided views (nodes 0 and n-1, 1 and n-2, 2 and n-3), so
-    that every row gets the bits of a 1-D call.
+    + 0.1*u2, nearest node first, taken in Python floats.
     """
-    n = values.shape[-1]
-    v = np.empty(values.shape[:-1] + (n + 4,))
-    v[..., 2:-2] = values
+    v = np.empty(values.size + 4)
+    v[2:-2] = values
     if parity == "odd":
-        v[..., :: n + 3] = -values[..., :: n - 1]
-        v[..., 1 :: n + 1] = 0.0
-    elif parity != "even":
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    elif values.ndim == 1:
+        v[0], v[1], v[-2], v[-1] = -values[0], 0.0, 0.0, -values[-1]
+    elif parity == "even":
         u0, u1, u2 = values[:3].tolist()
         w2, w1, w0 = values[-3:].tolist()
         v[0], v[1] = u0, 1.5 * u0 + -0.6 * u1 + 0.1 * u2
         v[-2], v[-1] = 1.5 * w0 + -0.6 * w1 + 0.1 * w2, w0
     else:
-        ends = values[..., :: n - 1]
-        v[..., :: n + 3] = ends
-        poles = 1.5 * ends + -0.6 * values[..., 1 :: n - 3]
-        v[..., 1 :: n + 1] = poles + 0.1 * values[..., 2 :: n - 5]
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return v
 
 
 def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray, np.ndarray]:
-    """4th-order centered first and second differences along the last axis,
+    """4th-order centered first and second differences of a nodal profile,
     with the parity ghost closure of _extend.
 
-    Each stencil is one correlation with its integer taps, divided once by
-    12h or 12h^2, which rounds as the 5-term sum written out (taps
-    pre-scaled by 1/(12h^2) round differently).  A 1-D padded profile is
-    correlated in "valid" mode, which gives the n interior outputs directly;
-    a stack is correlated as one flat array, and the outputs whose taps
-    straddle two rows fall on the ghost columns and are sliced off.
+    Each stencil is one "valid" correlation of the padded profile with its
+    integer taps, which gives the n interior values, divided once by 12h or
+    12h^2; this rounds as the 5-term sum written out (taps pre-scaled by
+    1/(12h^2) round differently).
     """
     v = _extend(values, parity)
-    if v.ndim == 1:
-        d1 = np.correlate(v, _D1_TAPS, "valid")
-        d1 /= 12.0 * h
-        d2 = np.correlate(v, _D2_TAPS, "valid")
-        d2 /= 12.0 * h * h
-        return d1, d2
-    flat = v.reshape(-1)
-    d1 = np.correlate(flat, _D1_TAPS, "same").reshape(v.shape)[..., 2:-2] / (12.0 * h)
-    d2 = np.correlate(flat, _D2_TAPS, "same").reshape(v.shape)[..., 2:-2] / (12.0 * h * h)
+    d1 = np.correlate(v, _D1_TAPS, "valid")
+    d1 /= 12.0 * h
+    d2 = np.correlate(v, _D2_TAPS, "valid")
+    d2 /= 12.0 * h * h
     return d1, d2
 
 
@@ -187,7 +164,3 @@ def integrate(g: ScalarField) -> float:
     """Integral of an axisymmetric field over S^2 (Simpson in theta)."""
     return float(g.grid.weights @ g.values)
 
-
-def extrema(g: ScalarField) -> tuple[float, float]:
-    """Node-wise (min, max)."""
-    return float(g.values.min()), float(g.values.max())

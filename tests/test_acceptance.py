@@ -248,7 +248,7 @@ def test_criterion_08_blowup_ab(grid):
     -0.15, -0.1) peak at 1.36x, 1.44x and 1.56x their initial R at N = 100
     and also round out.  Neither the paper's abstract nor this package states
     whether that body must blow up.  The prolate spheroid
-    pinched_spheroid(grid, 1, 3), which this criterion once started from,
+    spheroid_support(grid, 1, 3), which this criterion once started from,
     rounds out at alpha = 0.5 (R 3.00 -> 1.00, stop "converged"): its
     equatorial speed factor exceeds the tip value by b^5 / (2^1.5 a^5).
     """

@@ -14,11 +14,9 @@ from anicurve import (
     normalize_body,
     polar_dual,
     profile_curve,
-    radial_from_support,
     round_body,
     sigma_k,
     spheroid_support,
-    support_from_radial,
     translated_ball,
     write_profile_csv,
 )
@@ -210,58 +208,11 @@ def test_normalize_body_rejects_nonconvex(grid200):
         normalize_body(u, 1)
 
 
-def test_radial_from_support_round(grid200):
-    r = radial_from_support(round_body(grid200, 1.0))
-    assert np.max(np.abs(r.values - 1.0)) < 1e-10
-
-
-def test_radial_from_support_translate(grid200):
-    # ball of radius 1 centered at (0,0,0.3):
-    # r(theta) = 0.3 cos(theta) + sqrt(1 - 0.09 sin^2(theta))
-    u = translated_ball(grid200, 0.3)
-    r = radial_from_support(u)
-    oracle = 0.3 * grid200.cos + np.sqrt(1.0 - 0.09 * grid200.sin**2)
-    assert np.max(np.abs(r.values - oracle)) < 1e-3
-    assert r.values[0] == pytest.approx(1.3, abs=1e-3)
-    assert r.values[-1] == pytest.approx(0.7, abs=1e-3)
-
-
-def test_radial_from_support_spheroid():
-    g = make_grid(400)
-    u = spheroid_support(g, 1.0, 2.0)
-    r = radial_from_support(u)
-    oracle = 1.0 / np.sqrt(g.sin**2 + g.cos**2 / 4.0)
-    assert np.max(np.abs(r.values - oracle)) < 1e-4
-
-
-def test_support_from_radial_round(grid200):
-    u = support_from_radial(make_field(grid200, 3.0))
-    assert np.max(np.abs(u.values - 3.0)) < 1e-10
-
-
-def test_round_trip_spheroid():
-    g = make_grid(400)
-    u = spheroid_support(g, 1.0, 2.0)
-    back = support_from_radial(radial_from_support(u))
-    assert np.max(np.abs(back.values - u.values)) < 5e-3
-
-
-def test_round_trip_translate():
-    g = make_grid(400)
-    oracle = 0.3 * g.cos + np.sqrt(1.0 - 0.09 * g.sin**2)
-    u = support_from_radial(make_field(g, oracle))
-    assert np.max(np.abs(u.values - (1.0 + 0.3 * g.cos))) < 5e-3
-
-
 def test_polar_dual(grid200):
     u = make_field(grid200, lambda t: 2.0 + 0 * t)
     assert np.max(np.abs(polar_dual(u).values - 0.5)) < 1e-15
     v = translated_ball(grid200, 0.3)
     assert np.max(np.abs(polar_dual(v).values - 1.0 / v.values)) == 0.0
-    # dual of dual recovers the unit ball exactly
-    one = round_body(grid200, 1.0)
-    twice = polar_dual(support_from_radial(polar_dual(one)))
-    assert np.max(np.abs(twice.values - 1.0)) < 1e-10
 
 
 def test_profile_unit_ball(grid200):
@@ -292,71 +243,14 @@ def test_profile_csv(tmp_path, grid200):
     assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
 
 
-def _stack(grid, rows=10, seed=3):
-    """rows profiles near one random convex body, as a (rows, n) stack."""
+def _profile(grid, seed=3):
+    """A profile near one random convex body."""
     rng = np.random.default_rng(seed)
     u = random_convex_body(grid, rng).values
-    return u * (1.0 + 1e-6 * rng.standard_normal((rows, grid.n)))
-
-
-def _layout(grid, layout):
-    """A stack of profiles in one of the shapes and memory layouts the kernel
-    must treat row by row."""
-    stack = _stack(grid)
-    if layout == "unrelated":
-        # distinct random bodies whose sizes span six orders of magnitude
-        rng = np.random.default_rng(8)
-        return np.stack([random_convex_body(grid, rng, scale=10.0**e).values for e in range(-3, 4)])
-    if layout == "3-D":
-        return stack.reshape(2, 5, grid.n)
-    if layout == "Fortran":
-        return np.asfortranarray(stack)
-    if layout == "strided":
-        return np.repeat(stack, 2, axis=-1)[:, ::2]  # every row non-contiguous
-    return stack
-
-
-@pytest.mark.parametrize(
-    "k, layout",
-    [
-        pytest.param(1, "near", id="1"),
-        pytest.param(2, "near", id="2"),
-        pytest.param(2, "unrelated", id="2-unrelated"),
-        pytest.param(1, "3-D", id="1-3-D"),
-        pytest.param(2, "Fortran", id="2-Fortran"),
-        pytest.param(1, "strided", id="1-strided"),
-    ],
-)
-def test_radii_of_a_stack_match_rows(grid64, k, layout):
-    # one ghost padding and one stencil pass for the whole stack give, row by
-    # row, the bits of the 1-D kernel, whatever the stack's shape or layout
-    stack = _layout(grid64, layout)
-    batched = _radii(stack, grid64, k)
-    for r in np.ndindex(stack.shape[:-1]):
-        for whole, single in zip(batched, _radii(np.ascontiguousarray(stack[r]), grid64, k)):
-            assert whole.shape == stack.shape
-            assert np.array_equal(whole[r], single)
-
-
-@pytest.mark.parametrize("bad", ["negative value", "negative radius", "nan"])
-def test_stack_with_one_inadmissible_row_raises(grid64, bad):
-    stack = _stack(grid64)
-    row = stack[7]
-    if bad == "negative value":
-        row[3] = -row[3]
-    elif bad == "negative radius":
-        row += 0.9 * row.mean() * np.cos(2 * grid64.theta)  # b11 < 0 at the poles
-    else:
-        row[30] = np.nan
-    with pytest.raises(ConvexityLostError):
-        _radii(row, grid64, 2)
-    with pytest.raises(ConvexityLostError):
-        _radii(stack, grid64, 2)
-    _radii(np.delete(stack, 7, axis=0), grid64, 2)
+    return u * (1.0 + 1e-6 * rng.standard_normal(grid.n))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("shape", ["profile", "stack"])
 @pytest.mark.parametrize(
     "bad, cause",
     [
@@ -366,11 +260,10 @@ def test_stack_with_one_inadmissible_row_raises(grid64, bad):
         ("negative radius", "uniform convexity lost"),
     ],
 )
-def test_admissibility_names_its_cause(grid64, shape, bad, cause):
+def test_admissibility_names_its_cause(grid64, bad, cause):
     # one reduction decides admissibility; the failure path alone names the
     # cause, and neither NaN nor a non-positive value warns on the way
-    stack = _stack(grid64)
-    row = stack[7]
+    row = _profile(grid64)
     if bad == "negative value":
         row[3] = -row[3]
     elif bad == "zero value":
@@ -381,7 +274,7 @@ def test_admissibility_names_its_cause(grid64, shape, bad, cause):
         row += 0.9 * row.mean() * np.cos(2 * grid64.theta)  # b11 < 0 at the poles
         assert row.min() > 0
     with pytest.raises(ConvexityLostError, match=cause):
-        _radii(row.copy() if shape == "profile" else stack, grid64, 2)
+        _radii(row, grid64, 2)
 
 
 @pytest.mark.parametrize("n", [96, 200, 800])

@@ -10,7 +10,6 @@ from anicurve.counterexample import (
     _profile,
     blowup_experiment,
     capped_profile_body,
-    pinched_spheroid,
     profile_branch_slopes,
     profile_branch_values,
     profile_radii,
@@ -129,17 +128,6 @@ def test_verify_case_bounds_report():
     rep2 = verify_case_bounds(sp, p, samples=1000, seed=0)
     assert rep2["c0_empirical"] == rep["c0_empirical"]
     assert rep2["T_ratio_max"] == rep["T_ratio_max"]
-
-
-def test_pinched_spheroid(grid200):
-    ball = pinched_spheroid(grid200, 1.0, 1.0 + 1e-12)
-    assert np.max(np.abs(ball.values - 1.0)) < 1e-9
-    sph = pinched_spheroid(grid200, 1.0, 3.0)
-    assert sph.values.max() / sph.values.min() == pytest.approx(3.0, abs=0.01)
-    for a, b in ((1.0, 1.5), (1.0, 3.0), (1.0, 5.0)):
-        assert ac.convexity_margin(pinched_spheroid(grid200, a, b)) > 0
-    with pytest.raises(ValueError):
-        pinched_spheroid(grid200, 2.0, 1.0)
 
 
 def test_capped_profile_body(grid200):

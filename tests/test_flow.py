@@ -469,36 +469,6 @@ def test_run_rejects_blowup_ratio_at_most_one(grid64, R_blowup):
 
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
-def test_local_on_a_stack_matches_rows(mode):
-    # the kernel takes a stack of profiles along the last axis (the entry
-    # bands push 5 indicator profiles through it as one stack); each row of a
-    # stacked right side must carry the bits of a 1-D evaluation
-    g = ac.make_grid(48)
-    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
-    p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
-    u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
-    if mode == "dual_radial":
-        u = 1.0 / u
-    stack = u * (1.0 + 1e-7 * np.random.default_rng(5).standard_normal((10, g.n)))
-    eng = _Engine(g, p, mode)
-    batched = eng._local(stack)
-    assert batched.shape == stack.shape
-    for r, row in enumerate(stack):
-        assert np.array_equal(batched[r], eng._local(row))
-
-
-def test_soliton_residual_on_a_stack_matches_rows():
-    g = ac.make_grid(48)
-    f = ac.power_of_linear_anisotropy(g, 0.2, 5.0)
-    prob = ac.SolitonProblem(p_of(1, 2.0, -2.0, f=f), 1.0)
-    u = 1.1 * ac.spheroid_support(g, 1.0, 1.2).values
-    stack = u * (1.0 + 1e-7 * np.random.default_rng(6).standard_normal((10, g.n)))
-    batched = ac.soliton_residual(ac.ScalarField(g, stack), prob).values
-    for r, row in enumerate(stack):
-        assert np.array_equal(batched[r], ac.soliton_residual(ac.ScalarField(g, row), prob).values)
-
-
-@pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_jacobian_matches_dense_differences(mode):
     # B - eta*I - u (x) grad_eta against column-by-column central differences
     # of the full right side; eta couples every node in the volume mode.  The
@@ -686,14 +656,10 @@ def test_rk4_sums_keep_their_order(grid64):
 
 
 def _layouts(values):
-    """(array, arrays to watch): values as a contiguous profile, a strided
-    view (watched with the array that owns its memory) and a (10, N) stack in
-    C and in Fortran order."""
-    rng = np.random.default_rng(5)
-    stack = values * (1.0 + 1e-6 * rng.standard_normal((10, values.size)))
+    """(array, arrays to watch): values as a contiguous profile and as a
+    strided view (watched with the array that owns its memory)."""
     wide = np.repeat(values, 2)
-    fortran = np.asfortranarray(stack)
-    return [(values.copy(), []), (wide[::2], [wide]), (stack, []), (fortran, [])]
+    return [(values.copy(), []), (wide[::2], [wide])]
 
 
 def _unchanged(arrays, call):
@@ -724,8 +690,6 @@ def test_no_function_changes_its_arguments(grid64, mode):
                 _unchanged(held, lambda: _extend(vals, parity))
                 _unchanged(held, lambda: _derivatives(vals, g.h, parity))
             _unchanged(held, lambda: _radii(vals, g, p.k))
-        if vals.ndim > 1:
-            continue
         if mode == "raw":
             pieces = functionals._evaluate(vals, g, p, p.alpha - 1.0)
             rho, b11, b22, _, sig = pieces

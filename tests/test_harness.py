@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import os
 import re
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import anicurve
 from anicurve.cli import main, run_experiment
 from anicurve.config import ConfigError, load_config, parse_config
 
@@ -133,6 +136,27 @@ def test_parse_rejects_nan_exponents_and_blowup_ratio():
         with pytest.raises(ConfigError, match="R_blowup must exceed 1"):
             parse_config(f"R_blowup = {value}\n")
     assert parse_config("R_blowup = 40\n").R_blowup == 40.0
+
+
+def test_parse_rejects_bad_soliton_constant(tmp_path):
+    # c = nan and c = inf passed the old `c <= 0` test, and a soliton run then
+    # failed with the unrelated "support values must be positive"
+    for value in ("0", "-1", "nan", "inf"):
+        with pytest.raises(ConfigError, match="speed constant c must be positive and finite"):
+            parse_config(f"experiment = soliton\nc = {value}\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = soliton\nN = 32\nk = 1\nbeta = 2\nalpha = -2\nc = nan\n")
+    assert main(["soliton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(anicurve.__path__) if m.name != "__main__")
+)
+def test_every_exported_name_is_defined(name):
+    # a name left in __all__ after its definition is gone breaks
+    # `from anicurve.<module> import *`
+    module = importlib.import_module(f"anicurve.{name}")
+    assert [n for n in module.__all__ if n not in vars(module)] == []
 
 
 def test_python_m_anicurve_runs_without_warnings():
@@ -410,6 +434,12 @@ def test_alpha_sweep_shares_the_control(tmp_path, monkeypatch):
     # the control runs at alpha' = 1 - k*beta from the same body with the same
     # stopping rules whatever alpha is: one control serves both variants
     assert _sweep_flow_runs(tmp_path, monkeypatch, "alpha", ["0.5", "0.6"]) == 3
+
+
+def test_samples_sweep_shares_both_runs(tmp_path, monkeypatch):
+    # neither flow run reads samples: the supercritical run and the control
+    # each serve both variants
+    assert _sweep_flow_runs(tmp_path, monkeypatch, "samples", ["50", "60"]) == 2
 
 
 def test_beta_sweep_runs_each_control(tmp_path, monkeypatch):

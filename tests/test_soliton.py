@@ -16,8 +16,9 @@ from anicurve.soliton import (
 
 def test_problem_validation(grid200):
     p = ac.FlowParams(k=1, beta=2.0, alpha=-2.0)
-    with pytest.raises(ValueError):
-        SolitonProblem(p, c=-1.0)
+    for c in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="speed constant c must be positive and finite"):
+            SolitonProblem(p, c=c)
     with pytest.raises(ValueError, match="alpha <= 1 - k\\*beta"):
         SolitonProblem(ac.FlowParams(k=1, beta=1.5, alpha=0.5))
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anicurve import differentiate, extrema, integrate, make_field, make_grid
+from anicurve import differentiate, integrate, make_field, make_grid
 from anicurve.sphere import _derivatives, _extend
 from conftest import observed_orders
 
@@ -29,10 +29,18 @@ def test_make_grid_too_small():
 
 def test_make_field_rejects_bad_input():
     g = make_grid(16)
-    with pytest.raises(ValueError):
-        make_field(g, np.ones(5))
-    with pytest.raises(ValueError):
-        make_field(g, np.full(16, np.nan))
+    for data in (np.ones(5), lambda t: np.ones(5)):
+        with pytest.raises(ValueError, match="expected 16 values, got shape \\(5,\\)"):
+            make_field(g, data)
+    for data in (np.full(16, np.nan), lambda t: np.inf):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            make_field(g, data)
+
+
+def test_make_field_takes_arrays_scalars_and_callables():
+    g = make_grid(16)
+    for data in (2.0, np.float64(2.0), np.full(16, 2.0), [2.0] * 16, lambda t: 2.0, lambda t: 2.0 + 0 * t):
+        assert np.array_equal(make_field(g, data).values, np.full(16, 2.0))
 
 
 def test_derivative_of_constant(grid200):
@@ -69,32 +77,34 @@ def test_derivative_rejects_bad_args(grid200):
 
 def test_pole_ghosts_are_the_sequential_sum():
     # 1.5*u0 + (-0.6)*u1 + 0.1*u2, summed left to right, at both poles of
-    # every row: no BLAS dot product whose rounding depends on the build
+    # every profile, contiguous or strided: no BLAS dot product whose
+    # rounding depends on the build; the odd ghosts mirror with a sign flip
+    # and vanish at the poles
     rng = np.random.default_rng(12)
-    u = rng.uniform(0.5, 2.0, (4, 500, 20)) * 10.0 ** rng.integers(-3, 4, (4, 500, 1))
-    for values in (u, u[0, 0], np.asfortranarray(u[1])):
-        v = _extend(values, "even")
-        u0, u1, u2 = values[..., 0], values[..., 1], values[..., 2]
-        assert np.array_equal(v[..., 1], 1.5 * u0 + -0.6 * u1 + 0.1 * u2)
-        u0, u1, u2 = values[..., -1], values[..., -2], values[..., -3]
-        assert np.array_equal(v[..., -2], 1.5 * u0 + -0.6 * u1 + 0.1 * u2)
-        assert np.array_equal(v[..., 0], values[..., 0])
-        assert np.array_equal(v[..., -1], values[..., -1])
-        assert np.array_equal(v[..., 2:-2], values)
+    u = rng.uniform(0.5, 2.0, (500, 20)) * 10.0 ** rng.integers(-3, 4, (500, 1))
+    near = 1.5 * u[:, 0] + -0.6 * u[:, 1] + 0.1 * u[:, 2]
+    far = 1.5 * u[:, -1] + -0.6 * u[:, -2] + 0.1 * u[:, -3]
+    for rows in (u, np.asfortranarray(u)):
+        for values, pole0, pole1 in zip(rows, near, far):
+            v = _extend(values, "even")
+            assert v[1] == pole0 and v[-2] == pole1
+            assert v[0] == values[0] and v[-1] == values[-1]
+            assert np.array_equal(v[2:-2], values)
+            v = _extend(values, "odd")
+            assert [v[0], v[1], v[-2], v[-1]] == [-values[0], 0.0, 0.0, -values[-1]]
+            assert np.array_equal(v[2:-2], values)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("shape", [(16,), (200,), (10, 64), (3, 2, 33)], ids=str)
+@pytest.mark.parametrize("shape", [(16,), (200,)], ids=str)
 def test_derivatives_match_written_out_stencils(parity, shape):
-    # the flat-stack correlation rounds as the 5-term sums written out
+    # the "valid" correlation rounds as the 5-term sums written out
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
-    values = rng.uniform(0.5, 2.0, shape) * 10.0 ** rng.integers(-3, 4, shape[:-1] + (1,))
+    values = rng.uniform(0.5, 2.0, shape) * 10.0 ** rng.integers(-3, 4)
     h = np.pi / (shape[-1] + 1)
     v = _extend(values, parity)
-    d1 = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    d2 = (
-        -v[..., :-4] + 16.0 * v[..., 1:-3] - 30.0 * v[..., 2:-2] + 16.0 * v[..., 3:-1] - v[..., 4:]
-    ) / (12.0 * h * h)
+    d1 = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    d2 = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h * h)
     got1, got2 = _derivatives(values, h, parity)
     assert np.array_equal(got1, d1)
     assert np.array_equal(got2, d2)
@@ -171,10 +181,3 @@ def test_integrate_sixth_order_refinement(sizes):
         errs.append((abs(integrate(make_field(g, lambda t: np.exp(np.cos(t)))) - exact), g.h))
     assert min(observed_orders(errs)) >= 5.5
 
-
-def test_extrema(grid200):
-    assert extrema(make_field(grid200, 2.0)) == (2.0, 2.0)
-    lo, hi = extrema(make_field(grid200, lambda t: 1.0 + 0.3 * np.cos(t)))
-    assert lo == pytest.approx(0.7, abs=1e-3)
-    assert hi == pytest.approx(1.3, abs=1e-3)
-    assert lo > 0.7 - 1e-9 and hi < 1.3 + 1e-9
