@@ -243,14 +243,15 @@ def test_profile_csv(tmp_path, grid200):
     assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
 
 
-def _profile(grid, seed=3):
-    """A profile near one random convex body."""
+def _stack(grid, rows=10, seed=3):
+    """rows profiles near one random convex body, as a (rows, n) stack."""
     rng = np.random.default_rng(seed)
     u = random_convex_body(grid, rng).values
-    return u * (1.0 + 1e-6 * rng.standard_normal(grid.n))
+    return u * (1.0 + 1e-6 * rng.standard_normal((rows, grid.n)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["profile", "stack"])
 @pytest.mark.parametrize(
     "bad, cause",
     [
@@ -260,10 +261,13 @@ def _profile(grid, seed=3):
         ("negative radius", "uniform convexity lost"),
     ],
 )
-def test_admissibility_names_its_cause(grid64, bad, cause):
+def test_admissibility_names_its_cause(grid64, shape, bad, cause):
     # one reduction decides admissibility; the failure path alone names the
-    # cause, and neither NaN nor a non-positive value warns on the way
-    row = _profile(grid64)
+    # cause, and neither NaN nor a non-positive value warns on the way, for a
+    # contiguous profile and for a row read as a strided view out of a
+    # Fortran-ordered stack
+    stack = np.asfortranarray(_stack(grid64))
+    row = stack[7]
     if bad == "negative value":
         row[3] = -row[3]
     elif bad == "zero value":
@@ -273,8 +277,13 @@ def test_admissibility_names_its_cause(grid64, bad, cause):
     else:
         row += 0.9 * row.mean() * np.cos(2 * grid64.theta)  # b11 < 0 at the poles
         assert row.min() > 0
+    if shape == "profile":
+        row = row.copy()
+    else:
+        assert not row.flags.c_contiguous
     with pytest.raises(ConvexityLostError, match=cause):
         _radii(row, grid64, 2)
+    _radii(np.ascontiguousarray(stack[6]), grid64, 2)
 
 
 @pytest.mark.parametrize("n", [96, 200, 800])
