@@ -35,10 +35,10 @@ from .functionals import (
     Anisotropy,
     FlowParams,
     DiagnosticsRecord,
+    critical_offset,
     constant_anisotropy,
     power_of_linear_anisotropy,
     tabulated_anisotropy,
-    require_convergent_regime,
     speed_factor,
     speed_moment,
     mean_speed_factor,
@@ -47,10 +47,13 @@ from .functionals import (
     alexandrov_fenchel_margin,
     moment_powers,
     diagnostics,
+    diagnostics_csv_header,
+    diagnostics_csv_row,
 )
 from .flow import (
     MODES,
     StoppingConfig,
+    RunStats,
     Trajectory,
     speed,
     adaptive_dt,
@@ -74,14 +77,12 @@ from .counterexample import (
     BlowupReport,
     subsolution_profile,
     subsolution_profile_dt,
-    profile_branch_values,
-    profile_branch_slopes,
     profile_radii,
     verify_case_bounds,
     capped_profile_body,
     blowup_experiment,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, load_config
-from .cli import run_experiment
+from .cli import main, run_experiment
 
 __version__ = "0.1.0"

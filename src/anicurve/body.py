@@ -27,6 +27,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives
 
 __all__ = [
+    "SPHERE_AREA",
     "ConvexityLostError",
     "CurvatureMatrix",
     "BodyGeometry",
@@ -78,11 +79,14 @@ def round_body(grid: Grid, radius: float) -> ScalarField:
     return make_field(grid, radius)
 
 
-def translated_ball(grid: Grid, offset: float, radius: float = 1.0) -> ScalarField:
-    """Unit-type ball of given radius translated by `offset` along the axis."""
-    if abs(offset) >= radius:
+def translated_ball(grid: Grid, offset: float) -> ScalarField:
+    """The unit ball translated by `offset` along the axis: u = 1 + offset cos.
+
+    |offset| < 1 keeps the origin inside the ball.
+    """
+    if abs(offset) >= 1.0:
         raise ValueError("offset must keep the origin inside the ball")
-    return make_field(grid, radius + offset * grid.cos)
+    return make_field(grid, 1.0 + offset * grid.cos)
 
 
 def spheroid_support(grid: Grid, a: float, b: float) -> ScalarField:

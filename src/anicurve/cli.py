@@ -85,6 +85,17 @@ def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
     return make_field(grid, values)
 
 
+def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
+    """The stopping rules the config sets."""
+    return StoppingConfig(
+        t_max=cfg.t_max,
+        tol_conv=cfg.tol_conv,
+        R_blowup=cfg.R_blowup,
+        dt_min=cfg.dt_min,
+        record_every=cfg.record_every,
+    )
+
+
 def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
     echo = {key: getattr(cfg, key) for key in _SCALARS}
     echo.update(
@@ -157,14 +168,7 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     u0 = _build_initial(cfg, grid)
     if cfg.mode == "volume_normalized":
         u0 = normalize_body(u0, cfg.k)
-    stop = StoppingConfig(
-        t_max=cfg.t_max,
-        tol_conv=cfg.tol_conv,
-        R_blowup=cfg.R_blowup,
-        dt_min=cfg.dt_min,
-        record_every=cfg.record_every,
-    )
-    traj = run(u0, p, cfg.mode, stop)
+    traj = run(u0, p, cfg.mode, _stopping(cfg))
     _write_trajectory(out, traj, p)
     if cfg.mode != "dual_radial":
         write_profile_csv(out / "profile_final.csv", profile_curve(traj.final()))
@@ -216,13 +220,8 @@ def _counterexample_experiment(
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
     bounds = verify_case_bounds(sp, p, samples=cfg.samples, seed=seed)
     u0 = _build_initial(cfg, grid)
-    stop = StoppingConfig(
-        record_every=cfg.record_every,
-        R_blowup=cfg.R_blowup,
-        tol_conv=cfg.tol_conv,
-        dt_min=cfg.dt_min,
-    )
-    rep = blowup_experiment(p, u0, cfg.horizon, stop, runs)
+    # blowup_experiment runs to tau = horizon in place of t_max
+    rep = blowup_experiment(p, u0, cfg.horizon, _stopping(cfg), runs)
     _write_trajectory(out, rep.trajectory, p)
     _write_trajectory(out, rep.control_trajectory, p, prefix="control_")
     report = {
@@ -248,10 +247,11 @@ def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     if p.q >= 0:
         print("barriers need the subcritical regime (alpha + k*beta - 1 < 0)", file=sys.stderr)
         return 1
-    a = cfg.initial[1] if cfg.initial[0] == "round" else 0.5
+    # config._validate admits only `initial = round <r>` and f = 1
+    a = cfg.initial[1]
     u0 = round_body(grid, a)
-    stop = StoppingConfig(t_max=cfg.t_max, tol_conv=0.0, record_every=cfg.record_every)
-    traj = run(u0, p, "round_normalized", stop)
+    # the comparison runs to t_max, so convergence does not stop it
+    traj = run(u0, p, "round_normalized", replace(_stopping(cfg), tol_conv=0.0))
     worst = 0.0
     with open(out / "barrier_comparison.csv", "w", encoding="utf-8") as fh:
         fh.write("tau,u_numeric,u_exact,abs_err\n")
@@ -421,6 +421,8 @@ def main(argv=None) -> int:
         return 1
     cfg.experiment = args.experiment
     try:
+        # a config without an experiment key was validated as a flow
+        _validate(cfg)
         if args.sweep:
             return _run_sweep(cfg, args.sweep, args.out, args.seed)
         return run_experiment(cfg, args.out, args.seed)

@@ -192,12 +192,15 @@ def _validate(cfg: ExperimentConfig) -> None:
                 "counterexample experiments need alpha > 1 - k*beta "
                 f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
             )
-    if (
-        cfg.experiment == "flow"
-        and cfg.mode in ("round_normalized", "dual_radial")
-        and not (cfg.f[0] == "constant" and cfg.f[1] == 1.0)
-    ):
+    f_is_one = cfg.f[0] == "constant" and cfg.f[1] == 1.0
+    if cfg.experiment == "flow" and cfg.mode in ("round_normalized", "dual_radial") and not f_is_one:
         raise ConfigError(f"{cfg.mode} flow requires f = constant 1")
+    if cfg.experiment == "barriers":
+        # the exact barriers are the round solutions of the isotropic flow
+        if cfg.initial[0] != "round":
+            raise ConfigError("barriers experiments need initial = round <r>")
+        if not f_is_one:
+            raise ConfigError("barriers experiments require f = constant 1")
 
 
 def load_config(path) -> ExperimentConfig:

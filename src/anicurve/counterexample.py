@@ -50,7 +50,6 @@ class SubsolutionParams:
     q: float
     theta: float
     mu: float
-    a: float = 1.0
 
     def __post_init__(self):
         if self.q <= 0:
@@ -59,15 +58,13 @@ class SubsolutionParams:
             raise ValueError("theta must exceed 1/q")
         if not (0 < self.mu < 1):
             raise ValueError("mu must lie in (0, 1)")
-        if self.a <= 0:
-            raise ValueError("speed multiplier a must be positive")
 
     @classmethod
-    def from_exponents(cls, alpha: float, k: int, beta: float, theta: float, a: float = 1.0):
+    def from_exponents(cls, alpha: float, k: int, beta: float, theta: float):
         alpha_hat = 2.0 - alpha
         q = k * beta + 1.0 - alpha_hat
         mu = (q * theta - 1.0) / (k * beta * theta)
-        return cls(alpha_hat=alpha_hat, q=q, theta=theta, mu=mu, a=a)
+        return cls(alpha_hat=alpha_hat, q=q, theta=theta, mu=mu)
 
     @property
     def k_beta(self) -> float:
@@ -146,24 +143,6 @@ def subsolution_profile(rho: float, t: float, sp: SubsolutionParams) -> float:
     return float(_profile(rho, -t, sp))
 
 
-def profile_branch_values(rho: float, t: float, sp: SubsolutionParams) -> tuple[float, float]:
-    """(inner, outer) closed-form branch values at one point.
-
-    Used to check the C0 matching at the junction rho = |t|^theta, where the
-    two formulas must agree identically.
-    """
-    _check_domain(rho, t)
-    inner, outer = _branch_values(rho, -t, sp)
-    return float(inner), float(outer)
-
-
-def profile_branch_slopes(rho: float, t: float, sp: SubsolutionParams) -> tuple[float, float]:
-    """(inner, outer) closed-form branch slopes in rho at one point."""
-    _check_domain(rho, t)
-    inner, outer = _branch_slopes(rho, -t, sp)
-    return float(inner), float(outer)
-
-
 def subsolution_profile_dt(rho: float, t: float, sp: SubsolutionParams) -> float:
     """Time derivative of the cap height at fixed rho (positive: the cap rises)."""
     _check_domain(rho, t)
@@ -186,6 +165,8 @@ def profile_radii(sp: SubsolutionParams, rho: float, t: float) -> tuple[float, f
 # samples per block of verify_case_bounds; even, so that a block's even rows
 # are the samples of even index
 _BLOCK = 1024
+# the range of |t| that verify_case_bounds samples
+_T_LO, _T_HI = 1e-3, 0.5
 
 
 def verify_case_bounds(
@@ -193,11 +174,11 @@ def verify_case_bounds(
     p: FlowParams,
     samples: int = 1000,
     seed: int = 0,
-    t_range: tuple[float, float] = (1e-3, 0.5),
 ) -> dict:
     """Sample the two case inequalities of the comparison argument.
 
-    Draws (rho, t) log-uniformly in |t| and within each branch, and reports
+    Draws (rho, t) log-uniformly in |t| in [_T_LO, _T_HI] = [1e-3, 0.5] and
+    within each branch, and reports
 
       L = r^alpha_hat * sigma_k(radii)^beta with r the distance of the graph
           point from the origin, normalized by |t|^(theta-1): its minimum is
@@ -216,18 +197,15 @@ def verify_case_bounds(
 
     The exact pointwise ratio of T is theta*(1 + (1-mu)|t|^(theta*mu)) on the
     outer branch and lies between theta and that value on the inner branch,
-    so for |t| <= hi the maximum satisfies
-    theta <= T_ratio_max <= theta*(1 + (1-mu)*hi^(theta*mu)); it approaches
+    so the maximum satisfies
+    theta <= T_ratio_max <= theta*(1 + (1-mu)*_T_HI^(theta*mu)); it approaches
     theta only as t -> 0-.  The comparison argument needs C finite, not
     C = theta.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
-    lo, hi = t_range
-    if not (0 < lo < hi < 1):
-        raise ValueError("t_range must satisfy 0 < lo < hi < 1")
-    log_lo, log_hi = np.log(lo), np.log(hi)
+    log_lo, log_hi = np.log(_T_LO), np.log(_T_HI)
 
     # per branch: count, L min, L max, T min, T max
     acc = {b: [0, np.inf, -np.inf, np.inf, -np.inf] for b in ("inner", "outer")}
@@ -237,7 +215,7 @@ def verify_case_bounds(
         s = np.exp(log_lo + (log_hi - log_lo) * u[:, 0])
         split = s**sp.theta
         if not (1e-3 * split).min() > 0:
-            raise ValueError("theta too large for t_range: the inner branch |t|^theta underflows")
+            raise ValueError("theta too large: the inner branch |t|^theta underflows")
         log_split = np.log(split)
         inner = np.arange(len(u)) % 2 == 0
         low = np.where(inner, np.log(1e-3 * split), log_split)
@@ -276,20 +254,25 @@ def verify_case_bounds(
     }
 
 
+# meridian samples of capped_profile_body, half on the graph, half on the
+# closing sphere
+_MERIDIAN_SAMPLES = 24_000
 # entries per array of one block of capped_profile_body's support maximum:
 # its two 512 kB arrays fit in a core's L2 cache (4 MB blocks measured slower
 # than the node loop)
 _SUPPORT_BLOCK = 1 << 16
 
 
-def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float, n_samples: int = 24_000) -> ScalarField:
+def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float) -> ScalarField:
     """Support function of the convex body bounded below by the cap profile.
 
     The lower boundary is the rotation graph of psi(., t) over rho in [0, 1];
     a sphere tangent at the rim (the profile slope there is 2 for every
     admissible parameter set) closes the body on top.  The support function
-    is evaluated as a discrete maximum over a dense sampling of the meridian,
-    which yields the support of the convex hull of the samples.
+    is evaluated as a discrete maximum over the meridian, sampled at
+    _MERIDIAN_SAMPLES // 2 log-spaced graph points plus the axis point and
+    as many points on the sphere, which yields the support of the convex
+    hull of the samples.
 
     Its lowest point sits at distance |t|^theta below the origin under a cap
     whose curvature radii shrink like |t|^(theta(1-mu)), so the expansion
@@ -305,7 +288,7 @@ def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float, n_samples: 
     _check_domain(0.0, t)
     s = -t
     # graph part, log-spaced toward the tip to resolve the cap
-    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, n_samples // 2)))
+    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, _MERIDIAN_SAMPLES // 2)))
     z = _profile(rho, s, sp)
     # closing sphere, tangent at (1, psi(1)) with slope 2: radius sqrt(5)/2,
     # center on the axis half a unit above the rim
@@ -313,7 +296,7 @@ def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float, n_samples: 
     radius = np.sqrt(5.0) / 2.0
     z_center = z_rim + 0.5
     a_rim = np.arctan2(1.0, z_rim - z_center)
-    arc = np.linspace(0.0, a_rim, n_samples // 2)
+    arc = np.linspace(0.0, a_rim, _MERIDIAN_SAMPLES // 2)
     rho_cap = radius * np.sin(arc)
     z_cap = z_center + radius * np.cos(arc)
 

@@ -49,11 +49,10 @@ from .body import (
     _jacobian_band,
     _radii,
 )
-from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics, moment_powers
+from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics
 
 __all__ = [
     "MODES",
-    "ConvexityLostError",
     "StoppingConfig",
     "RunStats",
     "Trajectory",
@@ -385,7 +384,6 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     if stop.fixed_dt is not None and not 0 < stop.fixed_dt < np.inf:
         raise ValueError("fixed_dt must be positive and finite")
     eng = _Engine(u0.grid, p, mode)
-    powers = moment_powers(p.beta)
     vals = u0.values.copy()
 
     traj = Trajectory(stats=eng.stats)
@@ -397,7 +395,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         u = ScalarField(eng.grid, vals.copy())
         traj.snapshots.append(u)
         if mode == "dual_radial":
-            rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, s, s, powers)
+            rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, s, s)
             rec.R = float(vals.max() / vals.min())
             rec.umin, rec.umax = float(vals.min()), float(vals.max())
             traj.times.append(s)
@@ -419,7 +417,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         else:
             t_phys = float("nan")  # t depends on eta along the run, not on vals
         traj.times.append(t_phys if mode == "raw" else tau)
-        traj.diagnostics.append(diagnostics(u, p, t_phys, tau, powers))
+        traj.diagnostics.append(diagnostics(u, p, t_phys, tau))
         traj.usigma.append(usigma)
 
     record(vals, s)

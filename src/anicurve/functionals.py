@@ -25,7 +25,6 @@ __all__ = [
     "constant_anisotropy",
     "power_of_linear_anisotropy",
     "tabulated_anisotropy",
-    "require_convergent_regime",
     "speed_factor",
     "speed_moment",
     "mean_speed_factor",
@@ -89,9 +88,9 @@ class FlowParams:
 
     A finite beta > 0 and a finite alpha are required at construction, with
     tests that NaN fails.  The convergence theory of the normalized flows
-    additionally needs beta > 1/k; that stricter condition is enforced by
-    require_convergent_regime at the call sites that rely on it, so that
-    raw-flow and blowup experiments keep the full beta > 0 range.
+    additionally needs beta > 1/k; config._validate enforces that stricter
+    condition for every CLI run, while direct calls, such as raw-flow and
+    blowup experiments, keep the full beta > 0 range.
     """
 
     k: int
@@ -132,12 +131,6 @@ class FlowParams:
         if self.f.field.grid.n != grid.n:
             raise ValueError("anisotropy lives on a different grid")
         return self.f.field.values
-
-
-def require_convergent_regime(p: FlowParams) -> None:
-    """Guard for operations whose contracts assume beta > 1/k."""
-    if p.beta * p.k <= 1.0:
-        raise ValueError(f"beta must exceed 1/k (beta={p.beta}, k={p.k})")
 
 
 def _evaluate(values: np.ndarray, grid: Grid, p: FlowParams, power: float):
@@ -236,30 +229,26 @@ class DiagnosticsRecord:
     Q_max: float
 
 
-def diagnostics(
-    u: ScalarField,
-    p: FlowParams,
-    t: float,
-    tau: float,
-    powers: tuple[float, ...] | None = None,
-) -> DiagnosticsRecord:
-    """Evaluate the full diagnostics vector at one state."""
+def diagnostics(u: ScalarField, p: FlowParams, t: float, tau: float) -> DiagnosticsRecord:
+    """Evaluate the full diagnostics vector at one state.
+
+    Z holds the speed moments at moment_powers(p.beta), and eta is Z[1]
+    over the sphere area.
+    """
     g = u.grid
     vals = u.values
-    if powers is None:
-        powers = moment_powers(p.beta)
+    powers = moment_powers(p.beta)
     rho, b11, b22, d1, sig = _evaluate(vals, g, p, p.alpha - 1.0)
     # near-degenerate bodies can push high moments past the float range;
     # record them as inf rather than warn
     with np.errstate(over="ignore", invalid="ignore"):
         base = g.weights @ np.column_stack([vals * sig * rho**pw for pw in powers])
     Z = {pw: float(val) for pw, val in zip(powers, base)}
-    z1 = Z[1.0] if 1.0 in Z else float(g.weights @ (vals * sig * rho))
     return DiagnosticsRecord(
         t=t,
         tau=tau,
         R=float(vals.max() / vals.min()),
-        eta=z1 / SPHERE_AREA,
+        eta=Z[1.0] / SPHERE_AREA,
         J=float(g.weights @ (vals * sig * rho ** (-1.0 / p.beta))),
         Z=Z,
         umin=float(vals.min()),

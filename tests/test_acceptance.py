@@ -27,10 +27,10 @@ import anicurve as ac
 from anicurve.soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from anicurve.counterexample import (
     SubsolutionParams,
+    _branch_slopes,
+    _branch_values,
     blowup_experiment,
     capped_profile_body,
-    profile_branch_slopes,
-    profile_branch_values,
     verify_case_bounds,
 )
 from conftest import random_convex_body
@@ -295,8 +295,8 @@ def test_criterion_09_subsolution_checks():
         sp = SubsolutionParams.from_exponents(alpha, k, beta, theta)
         t = -float(rng.uniform(0.05, 0.9))
         split = (-t) ** theta
-        inner, outer = profile_branch_values(split, t, sp)
-        slope_in, slope_out = profile_branch_slopes(split, t, sp)
+        inner, outer = _branch_values(split, -t, sp)
+        slope_in, slope_out = _branch_slopes(split, -t, sp)
         match_ok = match_ok and abs(inner - outer) <= 1e-12 * max(1.0, abs(outer))
         match_ok = match_ok and abs(slope_in - slope_out) <= 1e-12 * max(1.0, abs(slope_out))
         count += 1

@@ -6,12 +6,13 @@ import pytest
 import anicurve as ac
 from anicurve.counterexample import (
     BlowupReport,
+    _MERIDIAN_SAMPLES,
     SubsolutionParams,
+    _branch_slopes,
+    _branch_values,
     _profile,
     blowup_experiment,
     capped_profile_body,
-    profile_branch_slopes,
-    profile_branch_values,
     profile_radii,
     subsolution_profile,
     subsolution_profile_dt,
@@ -62,9 +63,9 @@ def test_profile_continuity_and_slope_sweep():
         sp = SubsolutionParams.from_exponents(alpha, k, beta, theta)
         t = -float(rng.uniform(0.05, 0.9))
         split = (-t) ** theta
-        inner, outer = profile_branch_values(split, t, sp)
+        inner, outer = _branch_values(split, -t, sp)
         assert abs(inner - outer) < 1e-12 * max(1.0, abs(outer))
-        slope_in, slope_out = profile_branch_slopes(split, t, sp)
+        slope_in, slope_out = _branch_slopes(split, -t, sp)
         assert slope_in == pytest.approx(slope_out, rel=1e-12)
         count += 1
 
@@ -313,15 +314,14 @@ def test_capped_body_matches_node_loop(n, t, alpha):
     # blocked maximum must give the same bits
     grid = ac.make_grid(n)
     sp = SubsolutionParams.from_exponents(alpha=alpha, k=1, beta=1.5, theta=2.0)
-    n_samples = 24_000
-    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, n_samples // 2)))
+    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, _MERIDIAN_SAMPLES // 2)))
     z = _profile(rho, -t, sp)
     radius, z_center = np.sqrt(5.0) / 2.0, z[-1] + 0.5
-    arc = np.linspace(0.0, np.arctan2(1.0, z[-1] - z_center), n_samples // 2)
+    arc = np.linspace(0.0, np.arctan2(1.0, z[-1] - z_center), _MERIDIAN_SAMPLES // 2)
     pr = np.concatenate([rho, radius * np.sin(arc)])
     pz = np.concatenate([z, z_center + radius * np.cos(arc)])
     want = np.empty(grid.n)
     for i in range(grid.n):
         want[i] = np.max(np.sin(grid.theta[i]) * pr + np.cos(grid.theta[i]) * pz)
-    got = capped_profile_body(grid, sp, t, n_samples).values
+    got = capped_profile_body(grid, sp, t).values
     assert np.array_equal(got, want)

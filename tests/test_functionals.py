@@ -18,7 +18,6 @@ from anicurve import (
     mean_speed_factor,
     moment_powers,
     power_of_linear_anisotropy,
-    require_convergent_regime,
     round_body,
     soliton_residual,
     speed,
@@ -70,14 +69,6 @@ def test_regime_on_critical_line_given_in_decimals():
     assert p.regime == "critical"
     assert critical_offset(1, 2.2, -1.2) == 0.0
     assert critical_offset(1, 2.2, -1.2 + 1e-12) > 0.0
-
-
-def test_require_convergent_regime():
-    require_convergent_regime(FlowParams(k=1, beta=2.0, alpha=-2.0))
-    with pytest.raises(ValueError, match="exceed 1/k"):
-        require_convergent_regime(FlowParams(k=1, beta=1.0, alpha=0.0))
-    with pytest.raises(ValueError, match="exceed 1/k"):
-        require_convergent_regime(FlowParams(k=2, beta=0.5, alpha=0.0))
 
 
 def test_anisotropy_constructors(grid200):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -159,6 +160,23 @@ def test_every_exported_name_is_defined(name):
     assert [n for n in module.__all__ if n not in vars(module)] == []
 
 
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(anicurve.__path__) if m.name != "__main__")
+)
+def test_package_exports_match_module_all(name):
+    # `import anicurve` and `from anicurve.<module> import *` give the same
+    # names of each module
+    module = importlib.import_module(f"anicurve.{name}")
+    tree = ast.parse(Path(anicurve.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == name
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(module.__all__)
+
+
 def test_python_m_anicurve_runs_without_warnings():
     # `python -m anicurve.cli` makes runpy warn, because the package imports
     # cli before running it as __main__; the package's own entry point does not
@@ -315,6 +333,41 @@ def test_barriers_experiment(tmp_path, capsys):
     assert rows[0] == "tau,u_numeric,u_exact,abs_err"
     errs = [float(r.split(",")[3]) for r in rows[1:]]
     assert max(errs) < 1e-6
+
+
+def test_barriers_reject_bodies_the_barriers_do_not_describe(tmp_path, capsys):
+    # the exact barriers are the round solutions of the flow with f = 1; any
+    # other initial body or anisotropy was echoed in summary.json but not run
+    base = "experiment = barriers\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"
+    with pytest.raises(ConfigError, match="initial = round <r>"):
+        parse_config(base + "initial = spheroid 1 2\n")
+    with pytest.raises(ConfigError, match="require f = constant 1"):
+        parse_config(base + "f = power-of-linear 0.2 5\n")
+    # a config without an experiment key is checked as the command line's
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("N = 32\nk = 1\nbeta = 2\nalpha = -2\ninitial = spheroid 1 2\n")
+    assert main(["barriers", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "initial = round <r>" in capsys.readouterr().err
+
+
+def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
+    from anicurve import cli
+
+    stops = []
+    original = cli.run
+
+    def recording(u0, p, mode, stop):
+        stops.append(stop)
+        return original(u0, p, mode, stop)
+
+    monkeypatch.setattr(cli, "run", recording)
+    text = (
+        "experiment = barriers\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"
+        "initial = round 0.5\nt_max = 0.1\ndt_min = 1e-3\nR_blowup = 1.5\n"
+    )
+    assert run_experiment(parse_config(text), tmp_path, seed=0) == 0
+    # only tol_conv is overridden: the comparison runs to t_max
+    assert [(s.t_max, s.dt_min, s.R_blowup, s.tol_conv) for s in stops] == [(0.1, 1e-3, 1.5, 0.0)]
 
 
 def test_validate_experiment(tmp_path, capsys):
