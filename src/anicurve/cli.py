@@ -247,11 +247,12 @@ def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     if p.q >= 0:
         print("barriers need the subcritical regime (alpha + k*beta - 1 < 0)", file=sys.stderr)
         return 1
-    # config._validate admits only `initial = round <r>` and f = 1
+    # config._validate admits only `initial = round <r>`, f = 1 and this mode
+    cfg = replace(cfg, mode="round_normalized")
     a = cfg.initial[1]
     u0 = round_body(grid, a)
     # the comparison runs to t_max, so convergence does not stop it
-    traj = run(u0, p, "round_normalized", replace(_stopping(cfg), tol_conv=0.0))
+    traj = run(u0, p, cfg.mode, replace(_stopping(cfg), tol_conv=0.0))
     worst = 0.0
     with open(out / "barrier_comparison.csv", "w", encoding="utf-8") as fh:
         fh.write("tau,u_numeric,u_exact,abs_err\n")

@@ -201,6 +201,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("barriers experiments need initial = round <r>")
         if not f_is_one:
             raise ConfigError("barriers experiments require f = constant 1")
+        if "mode" in cfg.raw and cfg.mode != "round_normalized":
+            raise ConfigError("barriers experiments run mode = round_normalized")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -336,10 +336,14 @@ class BlowupReport:
     control_trajectory: Trajectory
 
 
-def _monotone(seq, direction: int, slack: float = 1e-9) -> bool:
+# relative step against the direction that _monotone forgives
+_SLACK = 1e-9
+
+
+def _monotone(seq, direction: int) -> bool:
     arr = np.asarray(seq)
     diffs = direction * np.diff(arr)
-    return bool(np.all(diffs >= -slack * np.abs(arr[:-1])))
+    return bool(np.all(diffs >= -_SLACK * np.abs(arr[:-1])))
 
 
 def _shared_run(runs: dict, u_start: ScalarField, p: FlowParams, stop: StoppingConfig) -> Trajectory:

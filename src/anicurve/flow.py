@@ -15,24 +15,25 @@ with an embedded order-3 solution (Hairer & Wanner, Solving ODEs II, IV.7,
 the method of their rodas.f); being linearly implicit, it is not held to the
 parabolic bound dt ~ h^2.  Its Jacobian is analytic: the node-local part of
 the right side has bandwidth 2 and is assembled from the node values (speed,
-b11, b22, sigma_k) of the step's own first stage, with no further kernel
-call (body._jacobian_band, shared with the soliton Newton solver), and the
-drift eta(u) of the volume-normalized flow adds the rank-1 term
--u (x) grad eta, whose gradient follows from the speed's band by the chain
-rule, and which Sherman-Morrison folds into each stage solve (the other
-modes have no rank-1 term and skip it); eta itself is the one the right side
-computed at the same state.  The six solves of a step share one LU
-factorization of the (2, 2) band (body._band_solver), into which
-I/(gamma dt) - B is written directly; with a rank-1 term the first solve
-takes f0 and u as the two columns of one Fortran-ordered right side.  The
-stage inputs, the stage right sides and the new state are summed in place
-in the written-out order, so a step carries the bits of the formula written
-out.  A step evaluates five right sides of its own (stages 2 to 5 and the
-embedded solution).  Every right side applies the one admissibility rule of
-body._radii (u > 0 and both principal radii > 0, else ConvexityLostError, a
-ValueError), and the right side at a step's result is both its admissibility
-test and the next step's first stage; a step whose stages or result lose
-uniform convexity is retried at half the size.
+b11, b22, sigma_k, eta) that the right side at the step's state returned
+beside f0, with no further kernel call (body._jacobian_band, shared with
+the soliton Newton solver, whose residual passes its node values to its
+Jacobian the same way); the drift eta(u) of the volume-normalized flow adds
+the rank-1 term -u (x) grad eta, whose gradient follows from the speed's
+band by the chain rule, and which Sherman-Morrison folds into each stage
+solve (the other modes have no rank-1 term and skip it).  The six solves
+of a step share one LU factorization of the (2, 2) band
+(body._band_solver), into which I/(gamma dt) - B is written directly; with
+a rank-1 term the first solve takes f0 and u as the two columns of one
+Fortran-ordered right side.  The stage inputs, the stage right sides and
+the new state are summed in place in the written-out order, so a step
+carries the bits of the formula written out.  A step evaluates five right
+sides of its own (stages 2 to 5 and the embedded solution).  Every right
+side applies the one admissibility rule of body._radii (u > 0 and both
+principal radii > 0, else ConvexityLostError, a ValueError), and the right
+side at a step's result is both its admissibility test and the next step's
+first stage; a step whose stages or result lose uniform convexity is
+retried at half the size.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +117,7 @@ class RunStats:
     result, which it evaluates whether it is accepted or not), an RK4 step
     four, and the run one at its start; an attempt that loses convexity
     stops at the first right side that fails; a Jacobian evaluates no right
-    side (it reuses the node values of the step's first stage);
+    side (it is passed the node values of the right side at its state);
     record_steps is the accepted-step count at each record."""
 
     accepted: int = 0
@@ -148,7 +149,8 @@ def _require_unit_f(p: FlowParams, mode: str) -> None:
 
 
 class _Engine:
-    """Array-level right-hand sides bound to one grid and parameter set."""
+    """Array-level right-hand sides bound to one grid and parameter set;
+    between calls it keeps nothing but its work counts (stats)."""
 
     def __init__(self, grid: Grid, p: FlowParams, mode: str):
         if mode not in MODES:
@@ -161,20 +163,13 @@ class _Engine:
         self.gamma = p.gamma
         self._dual_power = 2.0 - p.alpha
         self.stats = RunStats()
-        # (vals, speed, b11, b22, sigma_k) of the last node-local evaluation
-        # (those of w = 1/vals in the dual mode), for the Jacobian at the same
-        # state; keyed by identity, so a state must not be written in place
-        # once rhs() has read it.  rk4() and rodas4() keep to that: each stage
-        # input is a new array that nothing writes after rhs() has read it, and
-        # their sums run in place only in the step's own arrays and in stage
-        # right sides, new arrays that rhs() returned and the step owns.  The
-        # engine keeps no buffer from one step to the next.
-        self._last = None
-        # (vals, eta) of the last volume-normalized rhs(), keyed the same way
-        self._eta = None
 
-    def _local(self, vals: np.ndarray) -> np.ndarray:
-        """Node-local part of the right side: all of it but -eta(u) * u."""
+    def rhs(self, vals: np.ndarray):
+        """(right side, nodes) at vals, with nodes = (speed, b11, b22,
+        sigma_k, eta) the node values it was formed from: those of w = 1/vals
+        in the dual mode, and eta = 0.0 outside the volume-normalized mode.
+        In the raw and dual modes the right side is the speed array itself."""
+        self.stats.rhs_evaluations += 1
         p = self.p
         if self.mode == "dual_radial":
             b11, b22, _, sig = _radii(1.0 / vals, self.grid, p.k)
@@ -183,32 +178,23 @@ class _Engine:
             np.negative(spd, out=spd)
         else:
             spd, b11, b22, _, sig = _evaluate(vals, self.grid, p, p.alpha)
-        self._last = (vals, spd, b11, b22, sig)
+        eta = 0.0
         if self.mode == "round_normalized":
-            return spd - self.gamma * vals
-        return spd
+            f = spd - self.gamma * vals
+        elif self.mode == "volume_normalized":
+            eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
+            f = spd - eta * vals
+        else:
+            f = spd
+        return f, (spd, b11, b22, sig, eta)
 
-    def rhs(self, vals: np.ndarray) -> np.ndarray:
-        self.stats.rhs_evaluations += 1
-        local = self._local(vals)
-        if self.mode != "volume_normalized":
-            return local
-        _, spd, _, _, sig = self._last
-        eta = (self.grid.weights @ (spd * sig)) / SPHERE_AREA
-        self._eta = (vals, eta)
-        return spd - eta * vals
-
-    def jacobian(self, vals: np.ndarray):
+    def jacobian(self, vals: np.ndarray, nodes):
         """(B, eta, g) with rhs'(vals) = B - eta*I - vals (x) g, B in (2, 2)
         band storage; eta and g vanish outside the volume-normalized mode.
-        B is analytic (body._jacobian_band), from the node values (and eta)
-        of the last rhs() if it was evaluated at this very array (in run(),
-        always the accepted step's f0); otherwise from one node-local
-        evaluation here."""
+        B is analytic (body._jacobian_band), assembled from the nodes that
+        rhs(vals) returned, with no kernel call."""
         self.stats.jacobian_evaluations += 1
-        if self._last is None or self._last[0] is not vals:
-            self._local(vals)
-        _, spd, b11, b22, sig = self._last
+        spd, b11, b22, sig, eta = nodes
         p = self.p
         if self.mode == "dual_radial":
             w = 1.0 / vals
@@ -218,18 +204,16 @@ class _Engine:
         if self.mode == "round_normalized":
             ab[_BAND] -= self.gamma
         if self.mode != "volume_normalized":
-            return ab, 0.0, np.zeros(vals.size)
+            return ab, eta, np.zeros(vals.size)
         # eta = w.(speed * sigma_k) / |S^2|, and speed = f u^alpha sigma_k^beta
         # gives d(speed sigma_k)_i/du_j = (1 + 1/beta) sigma_k,i B_ij
         # - delta_ij (alpha/beta) speed_i sigma_k,i / u_i: grad eta follows from
         # the band B (column j holds rows j-2..j+2) without further evaluations
         w = self.grid.weights
-        if self._eta is None or self._eta[0] is not vals:
-            self._eta = (vals, (w @ (spd * sig)) / SPHERE_AREA)
         rows = _band_plan(vals.size)[1]
         col_sums = ((w * sig)[rows] * ab).sum(axis=0)
         grad = (1.0 + 1.0 / p.beta) * col_sums - (p.alpha / p.beta) * w * spd * sig / vals
-        return ab, self._eta[1], grad / SPHERE_AREA
+        return ab, eta, grad / SPHERE_AREA
 
     def rk4(self, vals: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
         """One RK4 step; the result is unchecked until rhs() is evaluated there.
@@ -241,17 +225,17 @@ class _Engine:
         and the result is a new array.
         """
         if k1 is None:
-            k1 = self.rhs(vals)
+            k1 = self.rhs(vals)[0]
         half = 0.5 * dt
         y = k1 * half
         y += vals
-        k2 = self.rhs(y)
+        k2 = self.rhs(y)[0]
         y = k2 * half
         y += vals
-        k3 = self.rhs(y)
+        k3 = self.rhs(y)[0]
         y = k3 * dt
         y += vals
-        k4 = self.rhs(y)
+        k4 = self.rhs(y)[0]
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
@@ -261,18 +245,17 @@ class _Engine:
         k2 += vals
         return k2
 
-    def rodas4(self, vals: np.ndarray, dt: float, f0=None, jac=None):
-        """One RODAS4 step: (new state, scaled RMS error estimate); a retry from
-        the same state passes f0 = rhs(vals) and jac = jacobian(vals) in.  The
-        new state is unchecked until rhs() is evaluated there.
+    def rodas4(self, vals: np.ndarray, dt: float, f0: np.ndarray, jac):
+        """One RODAS4 step from vals, given f0, nodes = rhs(vals) and
+        jac = jacobian(vals, nodes): (new state, scaled RMS error estimate).
+        The new state is unchecked until rhs() is evaluated there.
 
         The sums are formed in place in the written-out order, in arrays of
-        the step's own or in the right side of a stage (never in vals, f0,
-        the Jacobian or an array that rhs() has read), so the bits are those
-        of the expressions in the comments.
+        the step's own or in the right side of a stage (never in vals, f0 or
+        the Jacobian), so the bits are those of the expressions in the
+        comments.
         """
-        f0 = self.rhs(vals) if f0 is None else f0
-        band, eta, g = self.jacobian(vals) if jac is None else jac
+        band, eta, g = jac
         lu_solve = _band_solver(band, 1.0 / (_RODAS_GAMMA * dt) + eta)
         tmp = np.empty_like(vals)
         if g.any():
@@ -304,16 +287,15 @@ class _Engine:
                 for a_ij, k in zip(a[1:], ks[1:]):
                     y += np.multiply(k, a_ij, out=tmp)
             else:
-                # the embedded solution y^ = y + k_5, a new array: rhs() has read y
-                y = y + ks[4]
+                y += ks[4]  # the embedded solution y^ = y + k_5
             # k_i = A^-1 (((F(y) + (c_i1/dt) k_1) + (c_i2/dt) k_2) + ...), summed in F(y)
-            r = self.rhs(y)
+            r = self.rhs(y)[0]
             for c_ij, k in zip(c, ks):
                 r += np.multiply(k, c_ij / dt, out=tmp)
             ks.append(solve(r))
-        # new = y^ + k_6, a new array: rhs() has read y^
         est = ks[5]
-        new = y + est
+        new = y
+        new += est  # new = y^ + k_6
         # err = sqrt(mean((k6 / (atol + rtol max(|vals|, |new|)))^2))
         scale = np.abs(vals)
         np.maximum(scale, np.abs(new, out=tmp), out=scale)
@@ -357,14 +339,16 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     The integration variable is tau for the normalized modes and t for the
     raw and dual modes; the companion variable recorded in the diagnostics
     follows from the closed-form reparametrization of the raw and round
-    cases and is nan where there is none: raw flows past the blowup horizon
-    or with f != 1, and every volume-normalized flow, whose t depends on the
-    integral of eta along the run rather than on the state.  Steps are RK4 at
-    stop.fixed_dt if set, recorded every record_every steps; else RODAS4 under
-    error control, taken at dt_min when the controller asks for less and
-    landed on each multiple of record_every * _RECORD_DT of the integration
-    variable, where it is recorded (t_max is the last such mark).  The final
-    state is always recorded.  Work counts go to traj.stats.
+    cases (dual records describe w = 1/r, a body of the raw flow, and take
+    its tau) and is nan where there is none: raw and dual flows past the
+    blowup horizon, raw flows with f != 1, and every volume-normalized flow,
+    whose t depends on the integral of eta along the run rather than on the
+    state.  Steps are RK4 at stop.fixed_dt if set, recorded every
+    record_every steps; else RODAS4 under error control, taken at dt_min
+    when the controller asks for less and landed on each multiple of
+    record_every * _RECORD_DT of the integration variable, where it is
+    recorded (t_max is the last such mark).  The final state is always
+    recorded.  Work counts go to traj.stats.
 
     Stop reasons: converged (sup norm of the right side below tol_conv),
     t_max, convexity_lost (a step and three halvings of it all lost uniform
@@ -390,23 +374,15 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     stats = traj.stats
     s = 0.0  # integration variable
 
-    def record(vals, s):
+    def record(vals, nodes, s):
         stats.record_steps.append(stats.accepted)
         u = ScalarField(eng.grid, vals.copy())
         traj.snapshots.append(u)
-        if mode == "dual_radial":
-            rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, s, s)
-            rec.R = float(vals.max() / vals.min())
-            rec.umin, rec.umax = float(vals.min()), float(vals.max())
-            traj.times.append(s)
-            traj.diagnostics.append(rec)
-            traj.usigma.append(float("nan"))
-            return
-        usigma = float(eng.grid.weights @ (vals * _radii(vals, eng.grid, p.k)[3]))
         t_phys, tau = s, s
-        if mode == "raw":
-            # the closed-form remap is undefined past the supercritical
-            # blowup horizon and for general anisotropies
+        if mode in ("raw", "dual_radial"):
+            # dual records describe w = 1/r, a body of the raw flow; the
+            # closed-form remap is undefined past the supercritical blowup
+            # horizon and for general anisotropies
             try:
                 tau = normalized_time(s, p) if p.f is None else float("nan")
             except ValueError:
@@ -416,11 +392,20 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             t_phys = s if m == 0.0 else float(np.expm1(m * s) / (m * p.gamma))
         else:
             t_phys = float("nan")  # t depends on eta along the run, not on vals
-        traj.times.append(t_phys if mode == "raw" else tau)
-        traj.diagnostics.append(diagnostics(u, p, t_phys, tau))
+        if mode == "dual_radial":
+            rec = diagnostics(ScalarField(eng.grid, 1.0 / vals), p, t_phys, tau)
+            rec.R = float(vals.max() / vals.min())
+            rec.umin, rec.umax = float(vals.min()), float(vals.max())
+            usigma = float("nan")
+        else:
+            rec = diagnostics(u, p, t_phys, tau)
+            usigma = float(eng.grid.weights @ (vals * nodes[3]))
+        traj.times.append(s)
+        traj.diagnostics.append(rec)
         traj.usigma.append(usigma)
 
-    record(vals, s)
+    f0, nodes = eng.rhs(vals)  # right side at vals and its node values
+    record(vals, nodes, s)
     just_recorded = True
     fixed = stop.fixed_dt is not None
     dt = stop.fixed_dt if fixed else max(stop.dt_min, _DT_START)
@@ -431,7 +416,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         # of it lands on it; a rejected step is retried only if this shortens it
         return dt if mark - s - dt >= stop.dt_min else mark - s
 
-    f0, jac = eng.rhs(vals), None  # right side at vals; its Jacobian once evaluated
+    jac = None  # the Jacobian at vals, once evaluated
     failures = 0  # convexity losses of the current step
     grow = _FAC_MAX  # largest step increase; 1 right after a rejection
     while True:
@@ -465,9 +450,9 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             if fixed:
                 new, err = eng.rk4(vals, h, k1=f0), 0.0
             else:
-                jac = eng.jacobian(vals) if jac is None else jac
+                jac = eng.jacobian(vals, nodes) if jac is None else jac
                 new, err = eng.rodas4(vals, h, f0, jac)
-            f_new = eng.rhs(new)  # the result's admissibility test and the next f0
+            f_new, nodes_new = eng.rhs(new)  # the result's admissibility test and the next f0
         except ConvexityLostError:
             stats.rejected += 1
             stats.convexity_rejections += 1
@@ -489,7 +474,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         stats.accepted += 1
         stats.step_min = min(h, stats.step_min or h)
         stats.step_max = max(h, stats.step_max or h)
-        vals, f0, jac = new, f_new, None
+        vals, f0, nodes, jac = new, f_new, nodes_new, None
         failures, grow = 0, _FAC_MAX
         if fixed:
             s, dt = s + h, stop.fixed_dt
@@ -499,10 +484,10 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             s = mark if just_recorded else s + h
             marks += just_recorded
         if just_recorded:
-            record(vals, s)
+            record(vals, nodes, s)
 
     if not just_recorded:
-        record(vals, s)
+        record(vals, nodes, s)
     return traj
 
 

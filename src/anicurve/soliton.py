@@ -33,6 +33,9 @@ __all__ = [
     "round_soliton_radius",
 ]
 
+# Newton iterations before solve_soliton gives up
+_MAX_ITER = 60
+
 
 class NewtonStagnationError(RuntimeError):
     """Newton iteration stopped making progress; carries the last iterate."""
@@ -105,7 +108,6 @@ def solve_soliton(
     prob: SolitonProblem,
     grid: Grid | None = None,
     tol_factor: float = 1e-10,
-    max_iter: int = 60,
 ) -> SolitonResult:
     """Damped Newton iteration for the self-similar body.
 
@@ -155,9 +157,9 @@ def solve_soliton(
     history = [sup]
     damping = []
     while sup >= tol:
-        if len(damping) == max_iter:
+        if len(damping) == _MAX_ITER:
             raise NewtonStagnationError(
-                f"no convergence in {max_iter} iterations; |residual|_inf = {sup:.3e}",
+                f"no convergence in {_MAX_ITER} iterations; |residual|_inf = {sup:.3e}",
                 ScalarField(grid, vals),
                 sup,
             )

@@ -12,6 +12,12 @@ def p_of(k, beta, alpha, f=None):
     return FlowParams(k=k, beta=beta, alpha=alpha, f=f)
 
 
+def _rodas4(eng, vals, dt):
+    """One RODAS4 step from vals with the right side and Jacobian there."""
+    f0, nodes = eng.rhs(vals)
+    return eng.rodas4(vals, dt, f0, eng.jacobian(vals, nodes))
+
+
 def test_speed_examples(grid200):
     s = ac.speed(ac.round_body(grid200, 1.0), p_of(1, 1.0, 0.0))
     assert np.max(np.abs(s.values - 2.0)) < 1e-12
@@ -217,6 +223,9 @@ def test_dual_flow_identity(grid200):
     assert tr_s.stop_reason == tr_r.stop_reason == "t_max"
     for ts, tr in zip(tr_s.times, tr_r.times):
         assert abs(ts - tr) < 1e-12
+    # dual records describe w = 1/r, a body of the raw flow, and take its tau
+    assert [r.tau for r in tr_r.diagnostics] == [r.tau for r in tr_s.diagnostics]
+    assert tr_s.diagnostics[-1].tau > tr_s.times[-1]
     worst = max(
         np.max(np.abs(r.values * s.values - 1.0))
         for s, r in zip(tr_s.snapshots, tr_r.snapshots)
@@ -245,7 +254,7 @@ def test_rosenbrock_agrees_with_explicit(grid64):
     dt = 2e-5
     for _ in range(400):
         u = eng.rk4(u, dt)
-        v, _ = eng.rodas4(v, dt)
+        v, _ = _rodas4(eng, v, dt)
     assert np.max(np.abs(u - v)) < 1e-4
 
 
@@ -255,7 +264,7 @@ def test_rosenbrock_stable_beyond_cfl(grid64):
     eng = _Engine(grid64, p, "round_normalized")
     v = ac.translated_ball(grid64, 0.3).values.copy()
     for _ in range(600):
-        v, _ = eng.rodas4(v, 0.01)
+        v, _ = _rodas4(eng, v, 0.01)
     assert np.max(np.abs(v - 1.0)) < 1e-5
 
 
@@ -291,7 +300,7 @@ def test_rosenbrock_order_against_barrier():
         eng = _Engine(g, p, "round_normalized")
         v = ac.round_body(g, 0.5).values.copy()
         for _ in range(n):
-            v, _ = eng.rodas4(v, 1.0 / n)
+            v, _ = _rodas4(eng, v, 1.0 / n)
         errs.append(np.max(np.abs(v - exact)))
     assert np.log2(errs[0] / errs[1]) >= 2.8
 
@@ -307,7 +316,7 @@ def test_rodas4_order_against_barrier():
         eng = _Engine(g, p, "round_normalized")
         v = ac.round_body(g, 0.5).values.copy()
         for _ in range(n):
-            v, _ = eng.rodas4(v, 1.0 / n)
+            v, _ = _rodas4(eng, v, 1.0 / n)
         errs.append(np.max(np.abs(v - exact)))
     assert np.log2(errs[0] / errs[1]) >= 3.8
 
@@ -481,7 +490,7 @@ def test_jacobian_matches_dense_differences(mode):
     p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
     u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.4), 2).values
     eng = _Engine(g, p, mode)
-    band, eta, grad = eng.jacobian(u)
+    band, eta, grad = eng.jacobian(u, eng.rhs(u)[1])
     jac = -eta * np.eye(g.n) - np.outer(u, grad)
     for d in range(-2, 3):
         j = np.arange(max(0, -d), min(g.n, g.n - d))
@@ -492,7 +501,7 @@ def test_jacobian_matches_dense_differences(mode):
         for j in range(g.n):
             e = np.zeros(g.n)
             e[j] = step * max(1.0, u[j])
-            dense[:, j] = (eng.rhs(u + e) - eng.rhs(u - e)) / (2.0 * e[j])
+            dense[:, j] = (eng.rhs(u + e)[0] - eng.rhs(u - e)[0]) / (2.0 * e[j])
         return dense
 
     dense = (4.0 * central(1e-4) - central(2e-4)) / 3.0
@@ -515,7 +524,12 @@ def test_analytic_band_matches_dense_differences(k, mode):
     if mode == "dual_radial":
         u = 1.0 / u
     eng = _Engine(g, p, mode)
-    ab = eng.jacobian(u)[0]
+    ab = eng.jacobian(u, eng.rhs(u)[1])[0]
+
+    def local(y):
+        f, (spd, *_) = eng.rhs(y)
+        return spd if mode == "volume_normalized" else f
+
     assert not ab[0, :2].any() and not ab[1, 0] and not ab[3, -1] and not ab[4, -2:].any()
     band = np.zeros((g.n, g.n))
     for d in range(-2, 3):
@@ -525,7 +539,7 @@ def test_analytic_band_matches_dense_differences(k, mode):
     for j in range(g.n):
         e = np.zeros(g.n)
         e[j] = 6e-8 * max(1.0, u[j])
-        dense[:, j] = (eng._local(u + e) - eng._local(u - e)) / (2.0 * e[j])
+        dense[:, j] = (local(u + e) - local(u - e)) / (2.0 * e[j])
     assert np.max(np.abs(band - dense)) <= 1e-7 * np.max(np.abs(dense))
 
 
@@ -535,10 +549,9 @@ def _jacobians_equal(a, b):
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_jacobian_reuses_no_stale_speed(mode):
-    # the volume-normalized Jacobian takes the speed and sigma_k of the last
-    # right side when that was evaluated at the same array; after a right
-    # side elsewhere, or a step that lost convexity after some stages, it
-    # must still equal the Jacobian of a fresh engine bit for bit
+    # the engine keeps nothing between calls: after right sides elsewhere, or
+    # a step that lost convexity after some stages, the right side at u and
+    # the Jacobian from its node values equal a fresh engine's bit for bit
     g = ac.make_grid(32)
     f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
     p = p_of(2, 1.0, -2.0, f=f if mode in ("raw", "volume_normalized") else None)
@@ -546,26 +559,36 @@ def test_jacobian_reuses_no_stale_speed(mode):
     other = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.2), 2).values
     if mode == "dual_radial":
         u, other = 1.0 / u, 1.0 / other
-    fresh = _Engine(g, p, mode).jacobian(u)
+    engine = _Engine(g, p, mode)
+    fresh_f, fresh_nodes = engine.rhs(u)
+    fresh = engine.jacobian(u, fresh_nodes)
+
+    def same_as_fresh(f, nodes):
+        return (
+            np.array_equal(f, fresh_f)
+            and all(np.array_equal(a, b) for a, b in zip(nodes, fresh_nodes))
+            and _jacobians_equal(eng.jacobian(u, nodes), fresh)
+        )
 
     eng = _Engine(g, p, mode)
-    eng.rhs(u)
-    assert _jacobians_equal(eng.jacobian(u), fresh)
+    f0, nodes = eng.rhs(u)
+    assert same_as_fresh(f0, nodes)
     eng.rhs(u)
     eng.rhs(other)
-    assert _jacobians_equal(eng.jacobian(u), fresh)
-    f0 = eng.rhs(u)
+    assert _jacobians_equal(eng.jacobian(u, nodes), fresh)
+    assert same_as_fresh(*eng.rhs(u))
     before = eng.stats.rhs_evaluations
     with pytest.raises(ac.ConvexityLostError):
         eng.rk4(u, 0.2, k1=f0)
     assert eng.stats.rhs_evaluations - before >= 2  # a stage passed before the loss
-    assert _jacobians_equal(eng.jacobian(u), fresh)
+    assert _jacobians_equal(eng.jacobian(u, nodes), fresh)
+    assert same_as_fresh(*eng.rhs(u))
 
 
 def test_one_kernel_evaluation_per_right_side_and_jacobian(grid64, monkeypatch):
     # every right side evaluates the speed once, and each record once for its
-    # diagnostics; a Jacobian evaluates none, since it reuses the node values
-    # of the step's own f0
+    # diagnostics; a Jacobian evaluates none, since it is passed the node
+    # values that the right side returned with the step's f0
     calls = []
     evaluate = functionals._evaluate
 
@@ -621,7 +644,11 @@ def test_fixed_dt_run_matches_written_out_rk4(grid64, mode):
     traj = ac.run(u0, p, mode, stop)
     assert traj.stop_reason == "t_max" and traj.stats.accepted == 50
 
-    rhs = _Engine(grid64, p, mode).rhs
+    eng = _Engine(grid64, p, mode)
+
+    def rhs(y):
+        return eng.rhs(y)[0]
+
     vals = u0.values.copy()
     expected = [vals]
     for _ in range(50):
@@ -642,8 +669,11 @@ def test_rk4_sums_keep_their_order(grid64):
     # increments are as large as the state shows any regrouping at once
     rng = np.random.default_rng(9)
     eng = _Engine(grid64, p_of(1, 2.0, -2.0), "raw")
-    eng.rhs = lambda y: np.cos(7.0 * y) * y
-    rhs = eng.rhs
+
+    def rhs(y):
+        return np.cos(7.0 * y) * y
+
+    eng.rhs = lambda y: (rhs(y), None)
     for _ in range(20):
         vals, dt = rng.uniform(1.0, 2.0, grid64.n), rng.uniform(0.1, 1.0)
         k1 = rhs(vals)
@@ -674,7 +704,7 @@ def _unchanged(arrays, call):
 def test_no_function_changes_its_arguments(grid64, mode):
     # the kernel, the right sides, the Jacobian band and the steps read their
     # inputs and write only arrays of their own; rk4's in-place sums never
-    # touch vals or k1
+    # touch vals or k1, and nothing writes the node values rhs() returned
     from anicurve.body import _jacobian_band, _radii
     from anicurve.sphere import _derivatives, _extend
 
@@ -700,14 +730,14 @@ def test_no_function_changes_its_arguments(grid64, mode):
                     lambda: _jacobian_band(vals, rho, b11, b22, sig, k, p.beta, p.alpha, scale),
                 )
         eng = _Engine(g, p, mode)
-        k1 = _unchanged(held, lambda: eng.rhs(vals))
+        k1, nodes = _unchanged(held, lambda: eng.rhs(vals))
         held.append(k1)
+        held.extend(a for a in nodes if isinstance(a, np.ndarray))
         for given in (None, k1):
             new = _unchanged(held, lambda: eng.rk4(vals, 1e-5, k1=given))
             assert not np.shares_memory(new, vals) and not np.shares_memory(new, k1)
-        jac = _unchanged(held, lambda: eng.jacobian(vals))
+        jac = _unchanged(held, lambda: eng.jacobian(vals, nodes))
         held.extend(a for a in jac if isinstance(a, np.ndarray))
-        _unchanged(held, lambda: eng.rodas4(vals, 1e-3))
         _unchanged(held, lambda: eng.rodas4(vals, 1e-3, k1, jac))
         _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))
 
@@ -718,8 +748,8 @@ def _written_out_rodas4(eng, vals, dt, rank_one=False):
     With a nonzero gradient, or with rank_one, the Sherman-Morrison form:
     the two-column right side stacked in C order and a correction after
     every solve; otherwise plain solves."""
-    f0 = eng.rhs(vals)
-    band, eta, g = eng.jacobian(vals)
+    f0, nodes = eng.rhs(vals)
+    band, eta, g = eng.jacobian(vals, nodes)
     ab = -band
     ab[2] += 1.0 / (_RODAS_GAMMA * dt) + eta
     padded = np.zeros((7, vals.size), order="F")
@@ -749,13 +779,16 @@ def _written_out_rodas4(eng, vals, dt, rank_one=False):
     (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = [
         [c / dt for c in row] for row in _RODAS_C
     ]
-    k2 = solve(eng.rhs(vals + a21 * k1) + c21 * k1)
-    k3 = solve(eng.rhs(vals + a31 * k1 + a32 * k2) + c31 * k1 + c32 * k2)
-    k4 = solve(eng.rhs(vals + a41 * k1 + a42 * k2 + a43 * k3) + c41 * k1 + c42 * k2 + c43 * k3)
+    def rhs(y):
+        return eng.rhs(y)[0]
+
+    k2 = solve(rhs(vals + a21 * k1) + c21 * k1)
+    k3 = solve(rhs(vals + a31 * k1 + a32 * k2) + c31 * k1 + c32 * k2)
+    k4 = solve(rhs(vals + a41 * k1 + a42 * k2 + a43 * k3) + c41 * k1 + c42 * k2 + c43 * k3)
     y5 = vals + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4
-    k5 = solve(eng.rhs(y5) + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4)
+    k5 = solve(rhs(y5) + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4)
     embedded = y5 + k5
-    k6 = solve(eng.rhs(embedded) + c61 * k1 + c62 * k2 + c63 * k3 + c64 * k4 + c65 * k5)
+    k6 = solve(rhs(embedded) + c61 * k1 + c62 * k2 + c63 * k3 + c64 * k4 + c65 * k5)
     new = embedded + k6
     scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
     return new, float(np.sqrt(np.mean((k6 / scale) ** 2)))
@@ -764,8 +797,8 @@ def _written_out_rodas4(eng, vals, dt, rank_one=False):
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_rodas4_matches_written_out_step(mode):
     # the step forms its band, right sides and sums in buffers of its own;
-    # (new, err) must carry the bits of the step written out above, with f0
-    # and the Jacobian evaluated inside the step or passed in.  Without a
+    # (new, err) must carry the bits of the step written out above, and a
+    # retry with the same f0 and Jacobian the same bits again.  Without a
     # gradient the step skips Sherman-Morrison, which must change no bit
     for n in (17, 64):
         g = ac.make_grid(n)
@@ -781,8 +814,8 @@ def test_rodas4_matches_written_out_step(mode):
                 full = _written_out_rodas4(_Engine(g, p, mode), u, dt, rank_one=True)
                 assert np.array_equal(full[0], want[0]) and full[1] == want[1]
             eng = _Engine(g, p, mode)
-            new, err = eng.rodas4(u, dt)
-            assert np.array_equal(new, want[0]) and err == want[1]
-            f0 = eng.rhs(u)
-            new, err = eng.rodas4(u, dt, f0, eng.jacobian(u))
-            assert np.array_equal(new, want[0]) and err == want[1]
+            f0, nodes = eng.rhs(u)
+            jac = eng.jacobian(u, nodes)
+            for _ in range(2):
+                new, err = eng.rodas4(u, dt, f0, jac)
+                assert np.array_equal(new, want[0]) and err == want[1]

@@ -343,6 +343,10 @@ def test_barriers_reject_bodies_the_barriers_do_not_describe(tmp_path, capsys):
         parse_config(base + "initial = spheroid 1 2\n")
     with pytest.raises(ConfigError, match="require f = constant 1"):
         parse_config(base + "f = power-of-linear 0.2 5\n")
+    # they run round_normalized only; any other mode was echoed but not run
+    with pytest.raises(ConfigError, match="run mode = round_normalized"):
+        parse_config(base + "mode = raw\n")
+    parse_config(base + "mode = round_normalized\n")
     # a config without an experiment key is checked as the command line's
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("N = 32\nk = 1\nbeta = 2\nalpha = -2\ninitial = spheroid 1 2\n")
@@ -357,6 +361,7 @@ def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
     original = cli.run
 
     def recording(u0, p, mode, stop):
+        assert mode == "round_normalized"
         stops.append(stop)
         return original(u0, p, mode, stop)
 
@@ -368,6 +373,9 @@ def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
     assert run_experiment(parse_config(text), tmp_path, seed=0) == 0
     # only tol_conv is overridden: the comparison runs to t_max
     assert [(s.t_max, s.dt_min, s.R_blowup, s.tol_conv) for s in stops] == [(0.1, 1e-3, 1.5, 0.0)]
+    # the echo names the mode that ran, not the config default
+    echo = json.loads((tmp_path / "summary.json").read_text())["echo"]
+    assert echo["mode"] == "round_normalized"
 
 
 def test_validate_experiment(tmp_path, capsys):
