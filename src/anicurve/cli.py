@@ -203,6 +203,8 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "residual_history": res.residual_history,
         "damping": res.damping,
         "residual_evaluations": res.residual_evaluations,
+        "coarse_iterations": res.coarse_iterations,
+        "coarse_residual_evaluations": res.coarse_residual_evaluations,
         "umin": float(res.u.values.min()),
         "umax": float(res.u.values.max()),
         "echo": _echo(cfg, seed, p),

@@ -7,6 +7,7 @@ enforced through parity ghost values when differentiating, which keeps
 cot(theta) terms finite downstream.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,46 @@ def _extend(values: np.ndarray, parity: str) -> np.ndarray:
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return v
+
+
+def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
+    """An even nodal profile on grid read at the nodes of a coarser grid.
+
+    Linear interpolation (np.interp) over the nodes and the even pole values
+    of _extend: O(n) work and memory, error O(h^2) of the finer grid.
+    """
+    nodes = np.concatenate(([0.0], grid.theta, [np.pi]))
+    return np.interp(coarse.theta, nodes, _extend(values, "even")[1:-1])
+
+
+@functools.cache
+def _prolongation(n_coarse: int, n_fine: int) -> np.ndarray:
+    """(n_fine, n_coarse + 2) matrix taking the values of an even profile at
+    theta_j = j*h, j = 0..n_coarse + 1 (both poles included) on the
+    n_coarse-node grid to its cosine series at the n_fine-node grid's nodes;
+    built once per pair of sizes and read-only.
+
+    The series is the discrete cosine transform of type I over those
+    M + 1 = n_coarse + 2 points, sum_m w_m a_m cos(m theta) with
+    a_m = (2/M) sum_j w_j u_j cos(m j pi/M) and half weights w at 0 and M,
+    so every a + b cos(m theta) with m <= M is reproduced to rounding.
+    """
+    m = n_coarse + 1
+    j = np.arange(m + 1)
+    w = np.ones(m + 1)
+    w[0] = w[-1] = 0.5
+    analysis = np.cos(np.outer(j, j) * (np.pi / m))
+    analysis *= np.outer(w, w) * (2.0 / m)
+    matrix = np.cos(np.outer(make_grid(n_fine).theta, j)) @ analysis
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _prolong(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """An even nodal profile on a coarser grid read at the nodes of grid,
+    through its cosine series (_prolongation) with the even pole values of
+    _extend."""
+    return _prolongation(values.size, grid.n) @ _extend(values, "even")[1:-1]
 
 
 def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray, np.ndarray]:

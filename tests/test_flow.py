@@ -706,7 +706,7 @@ def test_no_function_changes_its_arguments(grid64, mode):
     # inputs and write only arrays of their own; rk4's in-place sums never
     # touch vals or k1, and nothing writes the node values rhs() returned
     from anicurve.body import _jacobian_band, _radii
-    from anicurve.sphere import _derivatives, _extend
+    from anicurve.sphere import _derivatives, _extend, _prolong, _restrict
 
     g = grid64
     u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.3), 1).values
@@ -720,6 +720,8 @@ def test_no_function_changes_its_arguments(grid64, mode):
                 _unchanged(held, lambda: _extend(vals, parity))
                 _unchanged(held, lambda: _derivatives(vals, g.h, parity))
             _unchanged(held, lambda: _radii(vals, g, p.k))
+            _unchanged(held, lambda: _restrict(vals, g, ac.make_grid(32)))
+            _unchanged(held, lambda: _prolong(vals, ac.make_grid(256)))
         if mode == "raw":
             pieces = functionals._evaluate(vals, g, p, p.alpha - 1.0)
             rho, b11, b22, _, sig = pieces

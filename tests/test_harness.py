@@ -261,6 +261,8 @@ def test_soliton_experiment(tmp_path):
     # one residual for the start and one per line-search trial
     trials = sum(round(-math.log2(lam)) + 1 for lam in summary["damping"])
     assert 1 + summary["iterations"] <= summary["residual_evaluations"] == 1 + trials
+    # N = 48 is below the coarse phase's threshold
+    assert summary["coarse_iterations"] == summary["coarse_residual_evaluations"] == 0
 
 
 def test_soliton_experiment_on_critical_line(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 import anicurve as ac
+from anicurve import soliton
 from anicurve.body import _jacobian_band
 from anicurve.functionals import _evaluate
+from anicurve.sphere import _prolongation, _restrict
 from anicurve.soliton import (
     NewtonStagnationError,
     SolitonProblem,
@@ -233,3 +236,195 @@ def test_newton_statistics(grid200):
     # every trial costs one residual evaluation, one that loses convexity too
     trials = sum(round(-np.log2(lam)) + 1 for lam in res.damping)
     assert 1 + res.iterations <= res.residual_evaluations == 1 + trials
+
+
+def test_solve_rejects_grid_unlike_the_initial_guess():
+    # the grid beside an initial guess was dropped: an init on 200 nodes
+    # passed with a 400-node grid was solved on 200 nodes
+    p = ac.FlowParams(k=1, beta=2.0, alpha=-2.0)
+    u0 = ac.round_body(ac.make_grid(200), 4.0)
+    with pytest.raises(ValueError, match="400 nodes but the initial guess has 200"):
+        solve_soliton(SolitonProblem(p, 1.0, u0), ac.make_grid(400))
+    res = solve_soliton(SolitonProblem(p, 1.0, u0), ac.make_grid(200))
+    assert res.u.grid is u0.grid
+
+
+def _random_start(prob, grid, rng):
+    """Admissible start of the soliton_newton benchmark: a scaled round body
+    plus low cosine modes."""
+    r0 = round_soliton_radius(prob, grid)
+    while True:
+        vals = r0 * float(np.exp(rng.uniform(-0.4, 0.4))) * np.ones(grid.n)
+        for m in range(1, 4):
+            vals += r0 * rng.uniform(-0.05, 0.05) * np.cos(m * grid.theta)
+        if vals.min() > 0 and ac.convexity_margin(ac.ScalarField(grid, vals)) > 0:
+            return ac.ScalarField(grid, vals)
+
+
+def _single_grid(prob):
+    """solve_soliton's iteration on the problem's own grid alone, as
+    uniqueness_spread runs it."""
+    vals, grid = soliton._checked_start(prob, None)
+    return soliton._newton(vals, grid, prob.params, prob.c, 1e-10 * prob.c)
+
+
+def test_prolongation_reproduces_cosines():
+    # the cosine series through the coarse nodes and both poles is exact for
+    # every mode the coarse grid carries
+    nc = soliton._COARSE_N
+    th = np.pi / (nc + 1) * np.arange(nc + 2)  # the nodes and both poles
+    fine = ac.make_grid(8 * nc + 5)
+    matrix = _prolongation(nc, fine.n)
+    assert matrix.shape == (fine.n, nc + 2) and not matrix.flags.writeable
+    assert _prolongation(nc, fine.n) is matrix
+    for m in range(nc + 1):
+        got = matrix @ (0.7 + 0.3 * np.cos(m * th))
+        assert np.max(np.abs(got - (0.7 + 0.3 * np.cos(m * fine.theta)))) < 1e-14
+
+
+def test_restriction_is_second_order():
+    # linear interpolation over the nodes and the even pole values
+    coarse = ac.make_grid(soliton._COARSE_N)
+    errs = []
+    for n in (200, 400):
+        grid = ac.make_grid(n)
+        u = ac.spheroid_support(grid, 1.0, 1.5).values
+        exact = ac.spheroid_support(coarse, 1.0, 1.5).values
+        errs.append(np.max(np.abs(_restrict(u, grid, coarse) - exact)))
+    assert errs[0] < 1e-4
+    assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("k", [1, 2])
+def test_coarse_start_agrees_with_single_grid(n, k):
+    grid = ac.make_grid(n)
+    prob = _problem(grid, k)
+    rng = np.random.default_rng(n + k)
+    for _ in range(2):
+        start = SolitonProblem(prob.params, prob.c, _random_start(prob, grid, rng))
+        res = solve_soliton(start)
+        alone = _single_grid(start)
+        assert res.residual_sup < 1e-10 and alone.coarse_residual_evaluations == 0
+        assert np.max(np.abs(res.u.values - alone.u.values)) < 1e-9
+        assert 0 < res.iterations <= 2
+        assert res.iterations < alone.iterations
+        assert 0 < res.coarse_iterations < res.coarse_residual_evaluations
+
+
+def test_fine_phase_newton_statistics(monkeypatch):
+    # test_newton_statistics' invariants hold for the iteration on the
+    # requested grid, which starts from the prolonged coarse solution
+    grid = ac.make_grid(400)
+    prob = _problem(grid, 1)
+    th = grid.theta
+    r0 = round_soliton_radius(prob, grid)
+    u0 = ac.ScalarField(grid, 1.3 * r0 * (1 + 0.05 * np.cos(th)))
+    starts = []
+    original = soliton._prolong
+
+    def recording(values, fine):
+        starts.append(original(values, fine))
+        return starts[-1]
+
+    monkeypatch.setattr(soliton, "_prolong", recording)
+    res = solve_soliton(SolitonProblem(prob.params, prob.c, u0))
+    hist = res.residual_history
+    assert len(starts) == 1
+    assert len(hist) == res.iterations + 1
+    assert len(res.damping) == res.iterations
+    start = ac.ScalarField(grid, starts[0])
+    assert hist[0] == pytest.approx(np.max(np.abs(soliton_residual(start, prob).values)))
+    assert hist[-1] == res.residual_sup
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert all(0.0 < lam <= 1.0 for lam in res.damping)
+    trials = sum(round(-np.log2(lam)) + 1 for lam in res.damping)
+    assert 1 + res.iterations <= res.residual_evaluations == 1 + trials
+    assert 1 + res.coarse_iterations <= res.coarse_residual_evaluations
+
+
+def _raise(error):
+    def wrap(original):
+        def failing(*args):
+            raise error
+
+        return failing
+
+    return wrap
+
+
+def _raise_on_coarse_grid(error):
+    def wrap(newton):
+        def failing(vals, grid, *args):
+            if grid.n == soliton._COARSE_N:
+                raise error
+            return newton(vals, grid, *args)
+
+        return failing
+
+    return wrap
+
+
+def _negate(prolong):
+    return lambda values, grid: -prolong(values, grid)  # no support function is negative
+
+
+@pytest.mark.parametrize(
+    "name, wrap",
+    [
+        ("_restrict", _raise(ValueError("restriction failed"))),
+        ("_newton", _raise_on_coarse_grid(NewtonStagnationError("stagnated", None, 1.0))),
+        ("_newton", _raise_on_coarse_grid(LinAlgError("singular matrix"))),
+        ("_prolong", _negate),
+    ],
+    ids=["restriction", "stagnation", "singular", "prolonged-start"],
+)
+def test_failed_coarse_phase_leaves_single_grid_result(monkeypatch, name, wrap):
+    # each way the coarse phase can fail falls back to the given start, and
+    # the result is the single-grid one, bit for bit
+    grid = ac.make_grid(400)
+    prob = _problem(grid, 1)
+    u0 = _random_start(prob, grid, np.random.default_rng(3))
+    start = SolitonProblem(prob.params, prob.c, u0)
+    alone = _single_grid(start)
+    calls = []
+    failing = wrap(getattr(soliton, name))
+
+    def counting(*args):
+        calls.append(args)
+        return failing(*args)
+
+    monkeypatch.setattr(soliton, name, counting)
+    res = solve_soliton(start)
+    assert calls and (name != "_newton" or calls[0][1].n == soliton._COARSE_N)
+    assert res.u.values.tobytes() == alone.u.values.tobytes()
+    assert (res.iterations, res.residual_sup, res.residual_history, res.damping) == (
+        alone.iterations,
+        alone.residual_sup,
+        alone.residual_history,
+        alone.damping,
+    )
+    assert res.residual_evaluations == alone.residual_evaluations
+    assert res.coarse_iterations == res.coarse_residual_evaluations == 0
+
+
+def test_no_coarse_phase_below_threshold_or_on_critical_line(monkeypatch):
+    calls = []
+    original = soliton._coarse_start
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(soliton, "_coarse_start", counting)
+    grid = ac.make_grid(8 * soliton._COARSE_N - 1)
+    res = solve_soliton(_problem(grid, 1), grid)
+    assert res.iterations > 0
+    # the unit sphere solves the dilation invariant critical equation for c = 2^beta
+    crit = ac.FlowParams(k=1, beta=2.2, alpha=-1.2)
+    u0 = ac.round_body(ac.make_grid(400), 1.0)
+    res_crit = solve_soliton(SolitonProblem(crit, 2**2.2, u0))
+    assert res_crit.residual_sup < 1e-10 * 2**2.2
+    assert calls == []
+    for r in (res, res_crit):
+        assert r.coarse_iterations == r.coarse_residual_evaluations == 0
