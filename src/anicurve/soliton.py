@@ -14,30 +14,46 @@ factorization and solve of the (2, 2) band (body._band_solver).  The
 residual applies the admissibility rule of body._radii, so evaluating it at
 a trial iterate is also that iterate's convexity test.
 
+While the residual's sup is at least _LOG_ABOVE * c, the step is that of
+the log form log f + (alpha-1) log u + beta log sigma_k = log c in the
+variables log u (_log_band: the same band, its rows divided by rho and its
+columns multiplied by u), and the trial is u * exp(lam * delta).  The
+equation is homogeneous of degree q = alpha + k*beta - 1 in u, so in this
+form a dilation is an additive constant and a scale error goes in one full
+step (on keeping Newton's variables natural to the problem: Deuflhard,
+Newton Methods for Nonlinear Problems, Springer 2004).  Below the threshold
+the step is the plain one: with log steps all the way down, 26 of the 256
+solves of the soliton_newton benchmark at seed 7 took a second iteration on
+the requested grid.
+
 On grids of at least 8 * _COARSE_N nodes off the critical line, the start
-and f are first restricted to _COARSE_N nodes (sphere._restrict, linear
-interpolation), Newton runs there under the same stop rule, and the
-solution, prolonged by its cosine series (sphere._prolong), starts the
-iteration on the requested grid.  The iteration count does not depend on
-the grid (mesh independence: Allgower, Boehmer, Potra and Rheinboldt, SIAM
-J. Numer. Anal. 23, 1986), so the coarse grid takes the iterations and the
-requested grid is left about one.  Per solve, without -> with the coarse
-start, for criterion 6's cases A and B from 16 random starts each (2 vCPUs,
-one BLAS thread, median over the starts of the best of 7 solves):
+and f are first restricted to _COARSE_N nodes (sphere._restrict, cubic
+Lagrange interpolation), Newton runs there until the residual is below
+max(tol, _COARSE_STOP * c), and the solution, prolonged by its cosine
+series (sphere._prolong), starts the iteration on the requested grid.  The
+iteration count does not depend on the grid (mesh independence: Allgower,
+Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so the
+coarse grid takes the iterations and the requested grid is left one.  The
+prolonged start's residual on the requested grid is about 1.2-1.3e-5 * c
+for cases A and B at N = 256 to 800 however accurate the coarse solution
+(the transfer's error, not the coarse iteration's), so the coarse phase
+stops at _COARSE_STOP * c rather than at the stop rule.  Per solve, before ->
+after the log step, the coarse stop and the cubic restriction, for
+criterion 6's cases A and B from 16 random starts each (2 vCPUs, one BLAS
+thread, median over the starts of the best of 7 solves, in-process
+alternation; the range is over two runs on a shared host):
 
-    N    case  iterations             time per solve
-    200  A     6.25 (unchanged)       389 -> 388 us
-    200  B     5.25 (unchanged)       311 -> 310 us
-    256  A     6.25 -> 2 + 6.25       404 -> 420 us
-    256  B     5.25 -> 2 + 5.25       340 -> 376 us
-    400  A     6.25 -> 1 + 6.25       539 -> 412 us
-    400  B     5.25 -> 2 + 5.25       444 -> 427 us
-    800  A     6.31 -> 1 + 6.25       771 -> 441 us
-    800  B     5.25 -> 1 + 5.25       704 -> 411 us
+    N    case  iterations                   time per solve
+    200  A     6.25 -> 4.62                 -18% to -22%
+    200  B     5.25 -> 4.44                 -11% to -12%
+    256  A     2 + 6.25 -> 1 + 4.06         -31% to -32%
+    256  B     2 + 5.25 -> 1 + 3.88         -25% to -28%
+    400  A     1 + 6.25 -> 1 + 4.06         -22% to -24%
+    400  B     2 + 5.25 -> 1 + 3.88         -25% to -28%
+    800  A     1 + 6.25 -> 1 + 4.06         -19% to -21%
+    800  B     1 + 5.25 -> 1 + 3.88         -8% to -10%
 
-(iterations on the requested grid + on the coarse grid).  The linear
-restriction of f leaves the prolonged start about 3e-5 from the solution at
-N = 256, hence two fine iterations there.
+(iterations on the requested grid + on the coarse grid).
 
 If the coarse phase fails, the iteration starts from the given start.  On
 the critical line the residual is dilation invariant, so a coarse solution
@@ -51,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import Grid, ScalarField, make_grid, _prolong, _restrict
-from .body import ConvexityLostError, _band_solver, _jacobian_band, _margin
+from .body import ConvexityLostError, _band_plan, _band_solver, _jacobian_band, _margin
 from .functionals import (
     FlowParams,
     _evaluate,
@@ -73,6 +89,11 @@ __all__ = [
 _MAX_ITER = 60
 # Nodes of the coarse grid; grids of at least 8 times as many start from it
 _COARSE_N = 32
+# Newton steps in (log u, log rho) while sup|rho - c| >= _LOG_ABOVE * c
+_LOG_ABOVE = 1e-4
+# The coarse phase stops at max(tol, _COARSE_STOP * c): the transfer to the
+# requested grid leaves an error above this whatever the coarse accuracy
+_COARSE_STOP = 1e-6
 
 
 class NewtonStagnationError(RuntimeError):
@@ -156,10 +177,14 @@ def solve_soliton(
 
     The Jacobian is analytic, from the node values of the accepted iterate's
     residual (it has bandwidth 2, see the module docstring), and each Newton
-    step is one factorization and solve of that band.  A step is accepted
-    only if the iterate stays uniformly convex (its residual evaluates
-    without ConvexityLostError) and the sup norm of the residual decreases;
-    otherwise the step is halved.
+    step is one factorization and solve of that band.  While the residual's
+    sup is at least _LOG_ABOVE * c, the step is that of the log form
+    log rho = log c in the variables log u, and the trial is u * exp(lam *
+    delta); below it, the step is the plain one and the trial u + lam *
+    delta.  Either way a step is accepted only if the iterate stays
+    uniformly convex (its residual evaluates without ConvexityLostError) and
+    the sup norm of the raw residual rho - c decreases; otherwise the step
+    is halved.
     An initial guess outside the admissible class raises ConvexityLostError.
     Convergence is declared at |residual|_inf < tol_factor * c.  The default
     1e-10 * c sits at the residual's rounding floor on fine grids: case A of
@@ -172,8 +197,9 @@ def solve_soliton(
     The grid is that of the initial guess when one is given; a grid passed
     beside it must have as many nodes, else ValueError.  On grids of at
     least 8 * _COARSE_N nodes off the critical line, Newton first runs on
-    _COARSE_N nodes (see the module docstring); the result's coarse_* fields
-    count that phase and the others the iteration on the requested grid.
+    _COARSE_N nodes until the residual is below max(tol_factor, _COARSE_STOP)
+    * c (see the module docstring); the result's coarse_* fields count that
+    phase and the others the iteration on the requested grid.
 
     For k = 1 the anisotropy must satisfy the admissibility condition
     (positive anisotropy_condition_margin); for k = 2 (the top symmetric
@@ -229,6 +255,14 @@ def _residual(v: np.ndarray, grid: Grid, p: FlowParams, c: float):
     return rho - c, (rho, b11, b22, sig)
 
 
+def _log_band(jac: np.ndarray, vals: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """jac, the band of d rho / d vals, scaled in place to diag(1/rho) jac
+    diag(vals): the band of d log rho / d log vals."""
+    jac *= vals
+    jac /= rho[_band_plan(vals.size)[1]]
+    return jac
+
+
 def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -> SolitonResult:
     """The damped Newton loop of solve_soliton on one grid, from vals."""
     evaluations = 1
@@ -244,11 +278,16 @@ def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -
                 sup,
             )
         jac = _jacobian_band(vals, *pieces, p.k, p.beta, p.alpha - 1.0)
-        delta = _band_solver(jac)(-res)
+        log_step = sup >= _LOG_ABOVE * c
+        if log_step:
+            rho = pieces[0]
+            delta = _band_solver(_log_band(jac, vals, rho))(-np.log(rho / c))
+        else:
+            delta = _band_solver(jac)(-res)
 
         lam = 1.0
         while True:
-            trial = vals + lam * delta
+            trial = vals * np.exp(lam * delta) if log_step else vals + lam * delta
             evaluations += 1
             try:
                 trial_res, trial_pieces = _residual(trial, grid, p, c)
@@ -285,9 +324,10 @@ def _coarse_start(p: FlowParams, c: float, vals: np.ndarray, grid: Grid, tol: fl
     """(start on grid, coarse SolitonResult) of the coarse phase, or None
     when it fails.
 
-    The start and f are restricted to _coarse_grid() (sphere._restrict),
-    Newton runs there under the stop rule of grid, and its solution is
-    prolonged to grid by its cosine series (sphere._prolong).  A ValueError
+    The start and f are restricted to _coarse_grid() (sphere._restrict,
+    cubic), Newton runs there until the residual is below max(tol,
+    _COARSE_STOP * c), and its solution is prolonged to grid by its cosine
+    series (sphere._prolong).  A ValueError
     (ConvexityLostError and LinAlgError among them) or NewtonStagnationError
     abandons the phase; so does a prolonged start that the residual on grid
     rejects, in solve_soliton.
@@ -298,7 +338,11 @@ def _coarse_start(p: FlowParams, c: float, vals: np.ndarray, grid: Grid, tol: fl
         if p.f is not None:
             f = tabulated_anisotropy(coarse, _restrict(p.f.field.values, grid, coarse))
         phase = _newton(
-            _restrict(vals, grid, coarse), coarse, FlowParams(p.k, p.beta, p.alpha, f), c, tol
+            _restrict(vals, grid, coarse),
+            coarse,
+            FlowParams(p.k, p.beta, p.alpha, f),
+            c,
+            max(tol, _COARSE_STOP * c),
         )
         return _prolong(phase.u.values, grid), phase
     except (ValueError, NewtonStagnationError):

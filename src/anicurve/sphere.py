@@ -132,14 +132,42 @@ def _extend(values: np.ndarray, parity: str) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _restriction(n: int, n_coarse: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, weights), both (n_coarse, 4): the cubic Lagrange plan reading
+    an even profile on the n-node grid at the n_coarse-node grid's nodes;
+    built once per pair of sizes and read-only.
+
+    Row i holds the four positions of _extend's padded profile (theta =
+    (m - 1) h, m = 0..n + 3) nearest the coarse node, two on each side, and
+    their Lagrange weights.
+    """
+    s = make_grid(n_coarse).theta / (np.pi / (n + 1)) + 1.0
+    base = np.floor(s)
+    t = (s - base)[:, None]
+    index = base.astype(np.intp)[:, None] + np.arange(-1, 3)
+    weights = np.hstack(
+        (
+            -t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            -(t + 1.0) * t * (t - 2.0) / 2.0,
+            (t + 1.0) * t * (t - 1.0) / 6.0,
+        )
+    )
+    for a in (index, weights):
+        a.flags.writeable = False
+    return index, weights
+
+
 def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     """An even nodal profile on grid read at the nodes of a coarser grid.
 
-    Linear interpolation (np.interp) over the nodes and the even pole values
-    of _extend: O(n) work and memory, error O(h^2) of the finer grid.
+    Cubic Lagrange interpolation over the nodes and _extend's ghost and even
+    pole values (_restriction): one padding, one gather and one weighted
+    sum, error O(h^4) of the finer grid.
     """
-    nodes = np.concatenate(([0.0], grid.theta, [np.pi]))
-    return np.interp(coarse.theta, nodes, _extend(values, "even")[1:-1])
+    index, weights = _restriction(grid.n, coarse.n)
+    return (_extend(values, "even")[index] * weights).sum(axis=1)
 
 
 @functools.cache

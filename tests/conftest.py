@@ -38,3 +38,17 @@ def observed_orders(errs_and_h):
         np.log(e0 / e1) / np.log(h0 / h1)
         for (e0, h0), (e1, h1) in zip(errs_and_h, errs_and_h[1:])
     ]
+
+
+def exact_spheroid_soliton(grid, a, b, k, beta, alpha, c=1.0):
+    """(u*, f*) node values: the support function of the spheroid with
+    semiaxes (a, a, b) and the anisotropy for which it solves
+    f u^(alpha-1) sigma_k^beta = c exactly.
+
+    The spheroid's principal radii are closed forms of its support function
+    u: a^2 b^2 / u^3 along the meridian and a^2 / u along the parallel.
+    """
+    u = np.sqrt(a * a * grid.sin**2 + b * b * grid.cos**2)
+    r1, r2 = (a * b) ** 2 / u**3, a * a / u
+    sig = r1 + r2 if k == 1 else r1 * r2
+    return u, c / (u ** (alpha - 1.0) * sig**beta)
