@@ -11,8 +11,9 @@ whose values are the principal curvature radii of the boundary.
 Every node-local map of u, b11 and b22 (the flow speeds, the speed factor)
 has a Jacobian of bandwidth 2: _jacobian_band assembles it analytically
 from the node values of one evaluation and the per-size bands of the linear
-maps u -> b11, b22 (_entry_bands), and _band_solver factors it once for
-any number of solves.  The flow integrator and the soliton Newton solver
+maps u -> b11, b22 (_entry_bands), and _band_solver factors it and solves
+the first right side in one LAPACK call, keeping the factors for any
+number of later solves.  The flow integrator and the soliton Newton solver
 share this one linearization.
 """
 
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives
 
@@ -210,18 +211,24 @@ def _jacobian_band(vals, s, b11, b22, sig, k, beta, a, scale=None):
     return ab
 
 
-def _band_solver(ab: np.ndarray, shift: float | None = None):
-    """solve(b) for the (2, 2) band ab in solve_banded storage, or for
-    shift*I - ab when a shift is given.
+def _band_solver(
+    ab: np.ndarray, b: np.ndarray, shift: float | None = None, overwrite: bool = False
+):
+    """(x, solve): the solution x of the (2, 2) band ab in solve_banded
+    storage, or of shift*I - ab when a shift is given, for the right side b,
+    and solve(b) for later right sides.
 
     The matrix is written straight into LAPACK's padded band, with no
-    negated copy of ab.  One LU factorization (dgbtrf) serves every right
-    side b, one vector or the columns of an (n, m) array (one dgbtrs per
-    call), with solve_banded's checks: ValueError on a non-finite band or
-    right side, LinAlgError on a singular band.  solve(b, overwrite=True)
-    solves in b itself when b is 1-D or in Fortran order, for a caller whose
-    right side nothing else reads; otherwise the LAPACK wrapper solves in a
-    copy and b is left as it was.
+    negated copy of ab.  One dgbsv call factors the band and solves for b;
+    it is dgbtrf followed by dgbtrs, so x has the bits of solve_banded, and
+    the LU factors it leaves serve every later right side (one dgbtrs per
+    solve call).  A right side is one vector or the columns of an (n, m)
+    array.  The checks are solve_banded's: ValueError on a non-finite band
+    or right side, LinAlgError on a singular band.  With overwrite=True the
+    solve is done in b itself when b is 1-D or in Fortran order, for a
+    caller whose right side nothing else reads; otherwise the LAPACK wrapper
+    solves in a copy and b is left as it was.  solve(b, overwrite) follows
+    the same rule.
     """
     padded = np.zeros((3 * _BAND + 1, ab.shape[1]), order="F")
     if shift is None:
@@ -229,13 +236,13 @@ def _band_solver(ab: np.ndarray, shift: float | None = None):
     else:
         np.negative(ab, out=padded[_BAND:])
         padded[2 * _BAND] += shift
-    if not np.isfinite(padded).all():
+    if not (np.isfinite(padded).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = dgbtrf(padded, _BAND, _BAND, overwrite_ab=True)
+    lu, piv, x, info = dgbsv(_BAND, _BAND, padded, b, overwrite_ab=True, overwrite_b=overwrite)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
 
     def solve(b: np.ndarray, overwrite: bool = False) -> np.ndarray:
         if not np.isfinite(b).all():
@@ -245,7 +252,7 @@ def _band_solver(ab: np.ndarray, shift: float | None = None):
             raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
         return x
 
-    return solve
+    return x, solve
 
 
 def curvature_matrix(u: ScalarField) -> CurvatureMatrix:

@@ -205,6 +205,7 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "residual_evaluations": res.residual_evaluations,
         "coarse_iterations": res.coarse_iterations,
         "coarse_residual_evaluations": res.coarse_residual_evaluations,
+        "noise_floor": res.noise_floor,
         "umin": float(res.u.values.min()),
         "umax": float(res.u.values.max()),
         "echo": _echo(cfg, seed, p),

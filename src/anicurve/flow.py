@@ -23,8 +23,9 @@ the rank-1 term -u (x) grad eta, whose gradient follows from the speed's
 band by the chain rule, and which Sherman-Morrison folds into each stage
 solve (the other modes have no rank-1 term and skip it).  The six solves
 of a step share one LU factorization of the (2, 2) band
-(body._band_solver), into which I/(gamma dt) - B is written directly; with
-a rank-1 term the first solve takes f0 and u as the two columns of one
+(body._band_solver), into which I/(gamma dt) - B is written directly; the
+first solve is made in the factorization's own LAPACK call (dgbsv), and
+with a rank-1 term it takes f0 and u as the two columns of one
 Fortran-ordered right side.  The stage inputs, the stage right sides and
 the new state are summed in place in the written-out order, so a step
 carries the bits of the formula written out.  A step evaluates five right
@@ -256,13 +257,15 @@ class _Engine:
         comments.
         """
         band, eta, g = jac
-        lu_solve = _band_solver(band, 1.0 / (_RODAS_GAMMA * dt) + eta)
+        shift = 1.0 / (_RODAS_GAMMA * dt) + eta
         tmp = np.empty_like(vals)
         if g.any():
             # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
             # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the
-            # two columns of one Fortran-ordered solve
-            k1, z = lu_solve(np.array((f0, vals)).T, overwrite=True).T
+            # two columns of one Fortran-ordered right side, solved in the
+            # factorization's own call
+            x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift, overwrite=True)
+            k1, z = x.T
             z /= 1.0 + g @ z
             k1 -= np.multiply(z, g @ k1, out=tmp)
 
@@ -272,7 +275,7 @@ class _Engine:
                 return x
 
         else:  # no rank-1 term: the corrections would all subtract zero
-            k1 = lu_solve(f0)
+            k1, lu_solve = _band_solver(band, f0, shift)
 
             def solve(r):
                 return lu_solve(r, overwrite=True)

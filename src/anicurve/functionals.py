@@ -40,10 +40,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Anisotropy:
-    """Positive directional weight multiplying the flow speed."""
+    """Positive directional weight multiplying the flow speed.
+
+    The node values are a read-only copy of the field passed in, so what is
+    derived from them once (the soliton solver's per-problem set-up) cannot
+    go stale, and the caller's array stays as it was.
+    """
 
     field: ScalarField
     kind: str  # "constant" | "power-of-linear" | "tabulated"
+
+    def __post_init__(self):
+        values = self.field.values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "field", ScalarField(self.field.grid, values))
 
 
 def constant_anisotropy(grid: Grid, value: float = 1.0) -> Anisotropy:

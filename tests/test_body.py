@@ -288,10 +288,11 @@ def test_admissibility_names_its_cause(grid64, shape, bad, cause):
 
 @pytest.mark.parametrize("n", [96, 200, 800])
 def test_band_solver_matches_solve_banded(n):
-    # one dgbtrf, then one dgbtrs per right side, is what solve_banded does
-    # in one call: the bits agree for one and for two right sides, for the
-    # band and for shift*I - band written into LAPACK's band directly, and
-    # whether or not the solve may write into b
+    # one dgbsv (dgbtrf, then dgbtrs) for the first right side, then one
+    # dgbtrs per later right side, is what solve_banded does in one call: the
+    # bits agree for one and for two right sides, for the band and for
+    # shift*I - band written into LAPACK's band directly, and whether or not
+    # the solve may write into b
     rng = np.random.default_rng(n)
     for _ in range(5):
         ab = rng.standard_normal((5, n))
@@ -299,12 +300,16 @@ def test_band_solver_matches_solve_banded(n):
         shift = rng.uniform(8.0, 12.0)
         shifted = -ab
         shifted[2] += shift
-        for solve, matrix in ((_band_solver(ab), ab), (_band_solver(ab, shift), shifted)):
+        for given, matrix in ((None, ab), (shift, shifted)):
             for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
                 want = solve_banded((2, 2), matrix, b)
+                first, solve = _band_solver(ab, b, given)
                 x = solve(b)
-                assert x.shape == b.shape
-                assert np.array_equal(x, want)
+                for got in (first, x):
+                    assert got.shape == b.shape
+                    assert np.array_equal(got, want)
+                own = np.array(b, order="F")
+                assert np.array_equal(_band_solver(ab, own, given, overwrite=True)[0], want)
                 assert np.array_equal(solve(np.asfortranarray(b), overwrite=True), want)
 
 
@@ -313,19 +318,22 @@ def test_band_solver_checks():
     ab = np.zeros((5, n))
     ab[2] = 4.0
     ab[[1, 3]] = -1.0
-    solve = _band_solver(ab)
+    good = np.ones(n)
+    _, solve = _band_solver(ab, good)
     bad = np.ones(n)
     bad[5] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve(bad)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _band_solver(np.where(np.arange(n) == 9, np.inf, ab))
+        _band_solver(ab, bad)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _band_solver(ab, np.nan)
+        _band_solver(np.where(np.arange(n) == 9, np.inf, ab), good)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_solver(ab, good, np.nan)
     singular = ab.copy()
     singular[:, 4] = 0.0  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        _band_solver(singular)
+        _band_solver(singular, good)
 
 
 def _band_times(ab, x):

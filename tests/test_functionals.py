@@ -82,6 +82,27 @@ def test_anisotropy_constructors(grid200):
     assert constant_anisotropy(grid200, 2.0).field.values[0] == 2.0
 
 
+def test_anisotropy_values_are_a_read_only_copy():
+    # what is derived once per FlowParams cannot go stale: every constructor
+    # leaves the caller's arrays (the grid's among them) writable and as they
+    # were, and a write to the anisotropy's own values raises
+    grid = make_grid(64)
+    table = 1.0 + 0.3 * np.cos(2.0 * grid.theta)
+    kept = [a.copy() for a in (table, grid.theta, grid.cos)]
+    for f in (
+        constant_anisotropy(grid, 2.0),
+        power_of_linear_anisotropy(grid, 0.2, 5.0),
+        tabulated_anisotropy(grid, table),
+    ):
+        assert not np.shares_memory(f.field.values, table)
+        with pytest.raises(ValueError, match="read-only"):
+            f.field.values[3] = 7.0
+        for a, before in zip((table, grid.theta, grid.cos), kept):
+            assert a.flags.writeable and np.array_equal(a, before)
+    table[3] = 7.0  # the caller's array is the caller's
+    assert f.field.values[3] != 7.0
+
+
 def test_speed_factor_round(grid200):
     p = FlowParams(k=1, beta=1.0, alpha=-1.0)
     rho = speed_factor(round_body(grid200, 1.0), p)

@@ -7,6 +7,7 @@ import re
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,51 @@ def test_soliton_experiment(tmp_path):
     assert 1 + summary["iterations"] <= summary["residual_evaluations"] == 1 + trials
     # N = 48 is below the coarse phase's threshold
     assert summary["coarse_iterations"] == summary["coarse_residual_evaluations"] == 0
+
+
+def test_soliton_experiment_reports_its_noise_floor(tmp_path):
+    # the exact spheroid soliton of f* at N = 1200 stalls above 1e-10 * c,
+    # under the residual's rounding floor, and converges there
+    from conftest import exact_spheroid_soliton
+
+    grid = anicurve.make_grid(1200)
+    star, f = exact_spheroid_soliton(grid, 1.0, 1.3, 1, 2.0, -2.0)
+    np.savetxt(tmp_path / "f.csv", f, delimiter=",")
+    cfg_path = tmp_path / "floor.cfg"
+    cfg_path.write_text(
+        "experiment = soliton\nN = 1200\nk = 1\nbeta = 2\nalpha = -2\n"
+        f"f = table {tmp_path / 'f.csv'}\nc = 1\ntrials = 0\n"
+    )
+    assert main(["soliton", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert 1e-10 <= summary["residual_sup"] < summary["noise_floor"] < 1e-9
+    u = np.loadtxt(tmp_path / "o" / "snapshot_0.csv", delimiter=",", skiprows=1)[:, -1]
+    assert np.max(np.abs(u - star)) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "alpha, extra, message",
+    [
+        ("-1", "initial = spheroid 1 1.5\n", "error: Newton stagnated at"),
+        ("-1.001", "", "error: the round soliton's scale"),
+    ],
+    ids=["critical", "near-critical"],
+)
+def test_soliton_failure_ends_in_one_error_line(tmp_path, capsys, alpha, extra, message):
+    # on the critical line c = 1 is not the eigenvalue, so Newton stalls (its
+    # log trials would overflow on the way); just below it the round
+    # soliton's scale overflows a double: exit 1, one error line, no warning
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(
+        "experiment = soliton\nN = 200\nk = 1\nbeta = 2\n"
+        f"alpha = {alpha}\nf = power-of-linear 0.2 5\nc = 1\n{extra}"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["soliton", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message)
 
 
 def test_soliton_experiment_on_critical_line(tmp_path):

@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
@@ -538,3 +542,122 @@ def test_no_coarse_phase_below_threshold_or_on_critical_line(monkeypatch):
     assert calls == []
     for r in (res, res_crit):
         assert r.coarse_iterations == r.coarse_residual_evaluations == 0
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.3), (1.3, 1.0)], ids=["prolate", "oblate"])
+@pytest.mark.parametrize("k, beta", [(1, 2.0), (2, 1.0)])
+def test_exact_spheroid_soliton_converges_at_its_noise_floor(k, beta, a, b):
+    # from N = 1200 the residual stalls above 1e-10 * c, under its rounding
+    # floor; the default stop ends there converged, and the iterate keeps
+    # order 4 against u* (measured: orders 3.69-4.19 from N = 400 to 1200
+    # and 1600, floors 2.1-2.8e-10 and 3.8-5.1e-10); an explicit tol_factor
+    # raises
+    errs = []
+    for n in (400, 1200, 1600):
+        grid = ac.make_grid(n)
+        star, f = exact_spheroid_soliton(grid, a, b, k, beta, -2.0)
+        p = ac.FlowParams(k=k, beta=beta, alpha=-2.0, f=ac.tabulated_anisotropy(grid, f))
+        res = solve_soliton(SolitonProblem(p, 1.0), grid)
+        if n == 400:
+            assert res.noise_floor is None and res.residual_sup < 1e-10
+        else:
+            assert 1e-10 <= res.residual_sup < res.noise_floor < 1e-9
+        errs.append((np.max(np.abs(res.u.values - star)), grid.h))
+    orders = [observed_orders([errs[0], e])[0] for e in errs[1:]]
+    assert all(3.5 < order < 4.5 for order in orders), orders
+    with pytest.raises(NewtonStagnationError, match="stagnated"):
+        solve_soliton(SolitonProblem(p, 1.0), grid, tol_factor=1e-10)
+
+
+def _critical_line_problem(grid):
+    """The critical line k = 1, beta = 2, alpha = -1 with f = (1 + 0.2 cos)^5,
+    c = 1 and a prolate start: c is not the eigenvalue c*(f), so no soliton
+    exists and Newton stalls far from one."""
+    f = ac.power_of_linear_anisotropy(grid, 0.2, 5.0)
+    p = ac.FlowParams(k=1, beta=2.0, alpha=-1.0, f=f)
+    return SolitonProblem(p, 1.0, ac.spheroid_support(grid, 1.0, 1.5))
+
+
+def test_stall_above_the_noise_floor_raises():
+    # on the way the log trial u * exp(lam * delta) would overflow; it is
+    # halved with no warning, and the stall, far above the residual's noise
+    # floor, raises under the default stop rule
+    grid = ac.make_grid(200)
+    prob = _critical_line_problem(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonStagnationError, match="stagnated") as exc:
+            solve_soliton(prob)
+    last = exc.value.last_iterate.values
+    res = soliton_residual(exc.value.last_iterate, prob).values
+    floor = soliton._noise_floor(last, res, grid, prob.params, prob.c)
+    assert exc.value.residual_sup == np.max(np.abs(res)) > 1e6 * floor > 0
+
+
+def test_iteration_limit_above_the_noise_floor_raises(monkeypatch):
+    # the other stall: the iteration limit, reached here before any step
+    monkeypatch.setattr(soliton, "_MAX_ITER", 0)
+    grid = ac.make_grid(200)
+    with pytest.raises(NewtonStagnationError, match="no convergence in 0 iterations"):
+        solve_soliton(_problem(grid, 1), grid)
+
+
+@pytest.mark.parametrize("k, beta, q", [(1, 2.0, 1e-3), (2, 1.0, 1e-4)])
+def test_round_radius_not_representable(k, beta, q):
+    # just below the critical line (c / (mean f * gamma))^(1/q) leaves the
+    # range of a double: a ValueError that says so, not an OverflowError
+    grid = ac.make_grid(192)
+    f = ac.power_of_linear_anisotropy(grid, 0.2, 5.0)
+    prob = SolitonProblem(ac.FlowParams(k=k, beta=beta, alpha=1.0 - k * beta - q, f=f), 1.0)
+    for call in (lambda: round_soliton_radius(prob, grid), lambda: solve_soliton(prob, grid)):
+        with pytest.raises(ValueError, match="not representable as a double"):
+            call()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(soliton, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(soliton, name, counting)
+    return calls
+
+
+def test_per_problem_setup_runs_once(monkeypatch):
+    # solves of one FlowParams from many starts evaluate its condition margin
+    # and build its coarse anisotropy once, and give the bits of solves with
+    # a fresh, equal FlowParams
+    grid = ac.make_grid(400)
+    prob = _problem(grid, 1)
+    rng = np.random.default_rng(6)
+    starts = [_random_start(prob, grid, rng) for _ in range(3)]
+    margins = _counting(monkeypatch, "anisotropy_condition_margin")
+    coarse = _counting(monkeypatch, "tabulated_anisotropy")
+    shared = [solve_soliton(SolitonProblem(prob.params, prob.c, u0)) for u0 in starts]
+    assert len(margins) == len(coarse) == 1
+    assert all(r.coarse_iterations > 0 for r in shared)
+    p = prob.params
+    for u0, res in zip(starts, shared):
+        fresh = ac.FlowParams(p.k, p.beta, p.alpha, p.f)
+        alone = solve_soliton(SolitonProblem(fresh, prob.c, u0))
+        assert res.u.values.tobytes() == alone.u.values.tobytes()
+        assert (res.residual_history, res.damping, res.coarse_iterations) == (
+            alone.residual_history,
+            alone.damping,
+            alone.coarse_iterations,
+        )
+    assert len(margins) == len(coarse) == 1 + len(starts)
+
+
+def test_per_problem_setup_dies_with_its_params():
+    # the set-up kept for a FlowParams holds no strong reference to it
+    grid = ac.make_grid(400)
+    prob = _problem(grid, 1)
+    params = weakref.ref(prob.params)
+    assert solve_soliton(prob, grid).coarse_iterations > 0
+    del prob
+    gc.collect()
+    assert params() is None
