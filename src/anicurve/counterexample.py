@@ -66,10 +66,6 @@ class SubsolutionParams:
         mu = (q * theta - 1.0) / (k * beta * theta)
         return cls(alpha_hat=alpha_hat, q=q, theta=theta, mu=mu)
 
-    @property
-    def k_beta(self) -> float:
-        return self.q - 1.0 + self.alpha_hat
-
 
 def _check_domain(rho: float, t: float) -> None:
     if not -1.0 < t < 0.0:

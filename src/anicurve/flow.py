@@ -95,11 +95,14 @@ _RTOL = _ATOL = 1e-8
 _RECORD_DT = 0.002
 _DT_START = 1e-4
 _FAC_MIN, _FAC_MAX = 0.2, 6.0
+# Accepted steps after which run() raises RuntimeError
+_MAX_STEPS = 20_000_000
 
 
 @dataclass
 class StoppingConfig:
-    """Stopping rules and step control for run()."""
+    """Stopping rules and step control for run(); a run that accepts
+    _MAX_STEPS = 20_000_000 steps before a rule fires raises RuntimeError."""
 
     t_max: float = 10.0
     tol_conv: float = 1e-8
@@ -107,7 +110,6 @@ class StoppingConfig:
     dt_min: float = 1e-12
     record_every: int = 50
     fixed_dt: float | None = None
-    max_steps: int = 20_000_000
 
 
 @dataclass
@@ -356,7 +358,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     Stop reasons: converged (sup norm of the right side below tol_conv),
     t_max, convexity_lost (a step and three halvings of it all lost uniform
     convexity), ratio_blowup (max u / min u at R_blowup), step_underflow (a
-    halved step below dt_min).
+    halved step below dt_min).  A run that reaches the step budget,
+    _MAX_STEPS accepted steps, before any of these raises RuntimeError.
     """
     if stop is None:
         stop = StoppingConfig()
@@ -434,7 +437,7 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         if float(np.maximum.reduce(vals) / np.minimum.reduce(vals)) >= stop.R_blowup:
             traj.stop_reason = "ratio_blowup"
             break
-        if stats.accepted >= stop.max_steps:
+        if stats.accepted >= _MAX_STEPS:
             raise RuntimeError("step budget exceeded; loosen the stopping rules")
 
         if fixed:

@@ -48,7 +48,6 @@ class Anisotropy:
     """
 
     field: ScalarField
-    kind: str  # "constant" | "power-of-linear" | "tabulated"
 
     def __post_init__(self):
         values = self.field.values.copy()
@@ -59,7 +58,7 @@ class Anisotropy:
 def constant_anisotropy(grid: Grid, value: float = 1.0) -> Anisotropy:
     if value <= 0:
         raise ValueError("anisotropy must be positive")
-    return Anisotropy(make_field(grid, value), "constant")
+    return Anisotropy(make_field(grid, value))
 
 
 def power_of_linear_anisotropy(grid: Grid, eps: float, s: float) -> Anisotropy:
@@ -67,14 +66,14 @@ def power_of_linear_anisotropy(grid: Grid, eps: float, s: float) -> Anisotropy:
     base = 1.0 + eps * grid.cos
     if base.min() <= 0:
         raise ValueError("1 + eps*cos(theta) must stay positive")
-    return Anisotropy(make_field(grid, base**s), "power-of-linear")
+    return Anisotropy(make_field(grid, base**s))
 
 
 def tabulated_anisotropy(grid: Grid, values) -> Anisotropy:
     f = make_field(grid, values)
     if f.values.min() <= 0:
         raise ValueError("anisotropy must be positive")
-    return Anisotropy(f, "tabulated")
+    return Anisotropy(f)
 
 
 def critical_offset(k: int, beta: float, alpha: float) -> float:

@@ -29,7 +29,7 @@ the requested grid.
 On grids of at least 8 * _COARSE_N nodes off the critical line, the start
 and f are first restricted to _COARSE_N nodes (sphere._restrict, cubic
 Lagrange interpolation), Newton runs there until the residual is below
-max(tol, _COARSE_STOP * c), and the solution, prolonged by its cosine
+_COARSE_STOP * c, and the solution, prolonged by its cosine
 series (sphere._prolong), starts the iteration on the requested grid.  The
 iteration count does not depend on the grid (mesh independence: Allgower,
 Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so the
@@ -37,23 +37,7 @@ coarse grid takes the iterations and the requested grid is left one.  The
 prolonged start's residual on the requested grid is about 1.2-1.3e-5 * c
 for cases A and B at N = 256 to 800 however accurate the coarse solution
 (the transfer's error, not the coarse iteration's), so the coarse phase
-stops at _COARSE_STOP * c rather than at the stop rule.  Per solve, before ->
-after the log step, the coarse stop and the cubic restriction, for
-criterion 6's cases A and B from 16 random starts each (2 vCPUs, one BLAS
-thread, median over the starts of the best of 7 solves, in-process
-alternation; the range is over two runs on a shared host):
-
-    N    case  iterations                   time per solve
-    200  A     6.25 -> 4.62                 -18% to -22%
-    200  B     5.25 -> 4.44                 -11% to -12%
-    256  A     2 + 6.25 -> 1 + 4.06         -31% to -32%
-    256  B     2 + 5.25 -> 1 + 3.88         -25% to -28%
-    400  A     1 + 6.25 -> 1 + 4.06         -22% to -24%
-    400  B     2 + 5.25 -> 1 + 3.88         -25% to -28%
-    800  A     1 + 6.25 -> 1 + 4.06         -19% to -21%
-    800  B     1 + 5.25 -> 1 + 3.88         -8% to -10%
-
-(iterations on the requested grid + on the coarse grid).
+stops at _COARSE_STOP * c rather than at the stop rule.
 
 If the coarse phase fails, the iteration starts from the given start.  On
 the critical line the residual is dilation invariant, so a coarse solution
@@ -64,19 +48,15 @@ What depends on the problem alone is computed once per FlowParams object
 (_per_params): the anisotropy condition margin that k = 1 requires, and the
 coarse grid's FlowParams with f restricted there.  Solves of one problem
 from many starts (criterion 6, uniqueness_spread, the soliton_newton
-benchmark) then pay only for their iterations.  Per solve, on the 256
-solves of the soliton_newton benchmark at seed 7 (N = 800, 3.89 coarse
-iterations and one fine iteration each, unchanged), the set-up done once,
-one dgbsv per step in place of dgbtrf and dgbtrs, and sup norms by the
-ufunc reduction took the time from 356-381 us to 321-338 us (-10% to -14%;
-best of 5 passes, three alternating runs, one BLAS thread, 2 vCPUs on a
-shared host).
+benchmark) then pay only for their iterations.
 
-The default stop rule 1e-10 * c is below the residual's rounding floor on
-fine grids (from about N = 1000); where the iteration would raise
-NewtonStagnationError, it estimates that floor (_noise_floor) and, with
-the default rule, ends converged when the residual is under it (see
-solve_soliton).
+Every solve has one stop rule: it ends converged at |residual|_inf <
+_TOL_FACTOR * c = 1e-10 * c.  That is below the residual's rounding floor
+on fine grids (from about N = 1000), so an iteration that stalls estimates
+the floor (_noise_floor) and ends converged when its residual is under it,
+the estimate in the result's noise_floor; a stall above the floor raises
+NewtonStagnationError.  A result ended by the tolerance alone has
+noise_floor None.
 """
 
 import functools
@@ -111,10 +91,11 @@ _MAX_ITER = 60
 _COARSE_N = 32
 # Newton steps in (log u, log rho) while sup|rho - c| >= _LOG_ABOVE * c
 _LOG_ABOVE = 1e-4
-# The coarse phase stops at max(tol, _COARSE_STOP * c): the transfer to the
-# requested grid leaves an error above this whatever the coarse accuracy
+# The coarse phase stops at _COARSE_STOP * c: the transfer to the requested
+# grid leaves an error above this whatever the coarse accuracy
 _COARSE_STOP = 1e-6
-# The default stop rule, |residual|_inf < _TOL_FACTOR * c
+# The stop rule, |residual|_inf < _TOL_FACTOR * c, or under the noise floor
+# after a stall
 _TOL_FACTOR = 1e-10
 # Perturbed evaluations of the residual's noise-floor estimate (_noise_floor)
 _FLOOR_DRAWS = 4
@@ -160,12 +141,13 @@ class SolitonResult:
     residual_evaluations counts every profile the residual is evaluated at:
     the start, one per trial, rejected ones included, convex or not (the
     Jacobian reuses the node values of the accepted one and evaluates none),
-    and the noise-floor estimate's draws.  noise_floor is that estimate
-    (_noise_floor) when the iteration stalled under it and ended there by
-    the default stop rule, and None otherwise.  These describe the iteration
-    on the requested grid; coarse_iterations and coarse_residual_evaluations
-    count the same for the coarse phase whose solution started it, and are
-    0 when none did.
+    and the noise-floor estimate's draws.  Every solve ends by one rule
+    (see solve_soliton): at |residual|_inf < _TOL_FACTOR * c, where
+    noise_floor is None, or after a stall under the residual's noise floor,
+    where noise_floor is that estimate (_noise_floor).  These describe the
+    iteration on the requested grid; coarse_iterations and
+    coarse_residual_evaluations count the same for the coarse phase whose
+    solution started it, and are 0 when none did.
     """
 
     u: ScalarField
@@ -210,11 +192,7 @@ def round_soliton_radius(prob: SolitonProblem, grid: Grid) -> float:
     return float(radius)
 
 
-def solve_soliton(
-    prob: SolitonProblem,
-    grid: Grid | None = None,
-    tol_factor: float | None = None,
-) -> SolitonResult:
+def solve_soliton(prob: SolitonProblem, grid: Grid | None = None) -> SolitonResult:
     """Damped Newton iteration for the self-similar body.
 
     The Jacobian is analytic, from the node values of the accepted iterate's
@@ -229,23 +207,23 @@ def solve_soliton(
     is halved, and so is a log trial that could overflow.
     An initial guess outside the admissible class raises ConvexityLostError.
 
-    Convergence is declared at |residual|_inf < tol_factor * c.  With
-    tol_factor left at None the stop is _TOL_FACTOR * c = 1e-10 * c, and an
-    iteration that stalls (the halving runs out, or _MAX_ITER iterations
-    pass) with its sup under the residual's noise floor (_noise_floor) ends
-    converged, the estimate in the result's noise_floor.  The rounding floor
-    grows like N^2 (the kernel divides by h^2) and passes 1e-10 * c near
-    N = 1000: case A of criterion 6 (k = 1, f = (1 + 0.2 cos)^5) from random
-    starts stalls at 1.2-1.4e-10 at N = 1200, under its floor of about
-    2.2e-10, with the iterate still converging at order 4 to the exact
-    solution where one is known.  An explicit tol_factor is strict: a stall
-    raises NewtonStagnationError whatever the floor.
+    There is one stop rule.  Convergence is declared at |residual|_inf <
+    _TOL_FACTOR * c = 1e-10 * c; an iteration that stalls (the halving runs
+    out, or _MAX_ITER iterations pass) ends converged if its sup is under
+    the residual's noise floor (_noise_floor), the estimate in the result's
+    noise_floor, and raises NewtonStagnationError otherwise.  The rounding
+    floor grows like N^2 (the kernel divides by h^2) and passes 1e-10 * c
+    near N = 1000: case A of criterion 6 (k = 1, f = (1 + 0.2 cos)^5) from
+    random starts stalls at 1.2-1.4e-10 at N = 1200, under its floor of
+    about 2.2e-10, with the iterate still converging at order 4 to the exact
+    solution where one is known.  A result whose noise_floor is None ended
+    at the tolerance.
 
     The grid is that of the initial guess when one is given; a grid passed
     beside it must have as many nodes, else ValueError.  On grids of at
     least 8 * _COARSE_N nodes off the critical line, Newton first runs on
-    _COARSE_N nodes until the residual is below max(tol, _COARSE_STOP * c)
-    (see the module docstring); the result's coarse_* fields count that
+    _COARSE_N nodes until the residual is below _COARSE_STOP * c (see the
+    module docstring); the result's coarse_* fields count that
     phase and the others the iteration on the requested grid.
 
     For k = 1 the anisotropy must satisfy the admissibility condition
@@ -256,21 +234,19 @@ def solve_soliton(
     """
     vals, grid = _checked_start(prob, grid)
     p, c = prob.params, prob.c
-    floor = tol_factor is None
-    tol = (_TOL_FACTOR if floor else tol_factor) * c
     if grid.n >= 8 * _COARSE_N and p.q != 0:
-        coarse = _coarse_start(p, c, vals, grid, tol)
+        coarse = _coarse_start(p, c, vals, grid)
         if coarse is not None:
             start, phase = coarse
             try:
-                result = _newton(start, grid, p, c, tol, floor)
+                result = _newton(start, grid, p, c, _TOL_FACTOR * c)
             except ConvexityLostError:  # only the start raises it: trials are halved
                 pass
             else:
                 result.coarse_iterations = phase.iterations
                 result.coarse_residual_evaluations = phase.residual_evaluations
                 return result
-    return _newton(vals, grid, p, c, tol, floor)
+    return _newton(vals, grid, p, c, _TOL_FACTOR * c)
 
 
 def _per_params(build):
@@ -374,12 +350,11 @@ def _noise_floor(vals: np.ndarray, res: np.ndarray, grid: Grid, p: FlowParams, c
     return level
 
 
-def _newton(
-    vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float, floor: bool = False
-) -> SolitonResult:
-    """The damped Newton loop of solve_soliton on one grid, from vals.  With
-    floor, a stalled iteration whose sup is under the residual's noise floor
-    ends converged instead of raising NewtonStagnationError."""
+def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -> SolitonResult:
+    """The damped Newton loop of solve_soliton on one grid, from vals, until
+    the residual's sup is below tol; a stalled iteration ends converged if
+    its sup is under the residual's noise floor and raises
+    NewtonStagnationError otherwise."""
     evaluations = 1
     res, pieces = _residual(vals, grid, p, c)
     sup = _sup(res)
@@ -425,10 +400,9 @@ def _newton(
         damping.append(lam)
     level = None
     if stalled is not None:
-        if floor:
-            level = _noise_floor(vals, res, grid, p, c)
-            evaluations += _FLOOR_DRAWS
-        if level is None or not sup < level:
+        level = _noise_floor(vals, res, grid, p, c)
+        evaluations += _FLOOR_DRAWS
+        if not sup < level:
             raise NewtonStagnationError(f"{stalled} {sup:.3e}", ScalarField(grid, vals), sup)
     return SolitonResult(
         ScalarField(grid, vals), len(damping), sup, history, damping, evaluations, noise_floor=level
@@ -444,27 +418,23 @@ def _coarse_grid() -> Grid:
     return grid
 
 
-def _coarse_start(p: FlowParams, c: float, vals: np.ndarray, grid: Grid, tol: float):
+def _coarse_start(p: FlowParams, c: float, vals: np.ndarray, grid: Grid):
     """(start on grid, coarse SolitonResult) of the coarse phase, or None
     when it fails.
 
     The start is restricted to _coarse_grid() (sphere._restrict, cubic), as
     f was once per FlowParams (_coarse_params), Newton runs there until the
-    residual is below max(tol, _COARSE_STOP * c), and its solution is
-    prolonged to grid by its cosine series (sphere._prolong).  A ValueError
+    residual is below _COARSE_STOP * c, and its solution is prolonged to
+    grid by its cosine series (sphere._prolong).  A ValueError
     (ConvexityLostError and LinAlgError among them) or NewtonStagnationError
-    abandons the phase; so does a prolonged start that the residual on grid
-    rejects, in solve_soliton.
+    abandons the phase (its stop lies far above the noise floor, so a stall
+    estimates the floor and raises); so does a prolonged start that the
+    residual on grid rejects, in solve_soliton.
     """
     coarse = _coarse_grid()
     try:
-        phase = _newton(
-            _restrict(vals, grid, coarse),
-            coarse,
-            _coarse_params(p),
-            c,
-            max(tol, _COARSE_STOP * c),
-        )
+        start = _restrict(vals, grid, coarse)
+        phase = _newton(start, coarse, _coarse_params(p), c, _COARSE_STOP * c)
         return _prolong(phase.u.values, grid), phase
     except (ValueError, NewtonStagnationError):
         return None
@@ -478,7 +448,7 @@ def uniqueness_spread(
     Only meaningful strictly below the critical line (alpha < 1 - k*beta);
     at equality the solutions form a dilation family and the spread is not
     defined, so that case is rejected.  Each solve takes solve_soliton's
-    default stop rule, noise floor included.
+    stop rule, noise floor included.
     """
     p = prob.params
     if p.q >= 0:
@@ -499,7 +469,7 @@ def uniqueness_spread(
             raise RuntimeError("failed to draw an admissible start")
         start = SolitonProblem(p, prob.c, ScalarField(grid, vals))
         # on this grid alone: a shared coarse solution would leave no spread
-        result = _newton(*_checked_start(start, grid), p, prob.c, _TOL_FACTOR * prob.c, floor=True)
+        result = _newton(*_checked_start(start, grid), p, prob.c, _TOL_FACTOR * prob.c)
         solutions.append(result.u.values)
     worst = 0.0
     for i in range(len(solutions)):

@@ -442,11 +442,20 @@ def test_adaptive_work_count_case_b():
     "bad",
     [dict(fixed_dt=0.0, dt_min=0.0), dict(fixed_dt=-1e-3), dict(dt_min=0.0), dict(dt_min=-1.0)],
 )
-def test_run_rejects_nonpositive_steps(grid64, bad):
-    # a zero step and floor would spin to max_steps, a negative step would
-    # stop at once with step_underflow: both are configuration errors
-    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, max_steps=1000, **bad)
+def test_run_rejects_nonpositive_steps(grid64, bad, monkeypatch):
+    # a zero step and floor would spin to the step budget, a negative step
+    # would stop at once with step_underflow: both are configuration errors
+    monkeypatch.setattr(flow, "_MAX_STEPS", 1000)
+    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, **bad)
     with pytest.raises(ValueError):
+        ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
+
+
+def test_run_raises_past_its_step_budget(grid64, monkeypatch):
+    # the run needs 100 steps to reach t_max; a budget of 3 ends it first
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    stop = StoppingConfig(t_max=0.01, tol_conv=0.0, fixed_dt=1e-4)
+    with pytest.raises(RuntimeError, match="step budget exceeded"):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
 
 

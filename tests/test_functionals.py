@@ -73,7 +73,6 @@ def test_regime_on_critical_line_given_in_decimals():
 
 def test_anisotropy_constructors(grid200):
     f = power_of_linear_anisotropy(grid200, 0.2, 5.0)
-    assert f.kind == "power-of-linear"
     assert np.max(np.abs(f.field.values - (1 + 0.2 * grid200.cos) ** 5)) < 1e-14
     with pytest.raises(ValueError):
         power_of_linear_anisotropy(grid200, -1.2, 1.0)

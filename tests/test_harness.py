@@ -1,4 +1,3 @@
-import ast
 import importlib
 import json
 import math
@@ -165,17 +164,18 @@ def test_every_exported_name_is_defined(name):
     "name", sorted(m.name for m in pkgutil.iter_modules(anicurve.__path__) if m.name != "__main__")
 )
 def test_package_exports_match_module_all(name):
-    # `import anicurve` and `from anicurve.<module> import *` give the same
-    # names of each module
+    # `import anicurve` gives every name of `from anicurve.<module> import *`
     module = importlib.import_module(f"anicurve.{name}")
-    tree = ast.parse(Path(anicurve.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == name
-        for alias in node.names
-    ]
-    assert sorted(imported) == sorted(module.__all__)
+    assert [n for n in module.__all__ if n not in vars(anicurve)] == []
+
+
+def test_package_exports_only_module_all():
+    # every public name of the package that is not a submodule comes from
+    # some module's __all__
+    modules = [m.name for m in pkgutil.iter_modules(anicurve.__path__) if m.name != "__main__"]
+    exported = {n for m in modules for n in importlib.import_module(f"anicurve.{m}").__all__}
+    public = [n for n in vars(anicurve) if not n.startswith("_") and n not in modules]
+    assert [n for n in public if n not in exported] == []
 
 
 def test_python_m_anicurve_runs_without_warnings():
