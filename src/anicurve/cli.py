@@ -91,7 +91,6 @@ def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
         t_max=cfg.t_max,
         tol_conv=cfg.tol_conv,
         R_blowup=cfg.R_blowup,
-        dt_min=cfg.dt_min,
         record_every=cfg.record_every,
     )
 
@@ -247,10 +246,7 @@ def _counterexample_experiment(
 def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     grid = make_grid(cfg.N)
     p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha)
-    if p.q >= 0:
-        print("barriers need the subcritical regime (alpha + k*beta - 1 < 0)", file=sys.stderr)
-        return 1
-    # config._validate admits only `initial = round <r>`, f = 1 and this mode
+    # config._validate admits only q < 0, `initial = round <r>`, f = 1 and this mode
     cfg = replace(cfg, mode="round_normalized")
     a = cfg.initial[1]
     u0 = round_body(grid, a)

@@ -39,7 +39,6 @@ class ExperimentConfig:
     t_max: float = 10.0
     tol_conv: float = 1e-8
     R_blowup: float = 50.0
-    dt_min: float = 1e-12
     record_every: int = 50
     c: float = 1.0
     trials: int = 3
@@ -100,7 +99,6 @@ _SCALARS = {
     "t_max": float,
     "tol_conv": float,
     "R_blowup": float,
-    "dt_min": float,
     "c": float,
     "theta": float,
     "horizon": float,
@@ -169,8 +167,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("stopping configuration must be positive")
     if not cfg.R_blowup > 1.0:
         raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")
-    if not 0 < cfg.dt_min < float("inf"):
-        raise ConfigError("dt_min must be positive and finite")
     if not 0 < cfg.theta < float("inf"):
         raise ConfigError("theta must be positive and finite")
     if cfg.samples < 2:
@@ -197,6 +193,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.mode} flow requires f = constant 1")
     if cfg.experiment == "barriers":
         # the exact barriers are the round solutions of the isotropic flow
+        if not q < 0:
+            raise ConfigError(
+                "barriers experiments need alpha < 1 - k*beta "
+                f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
+            )
         if cfg.initial[0] != "round":
             raise ConfigError("barriers experiments need initial = round <r>")
         if not f_is_one:

@@ -21,20 +21,23 @@ the soliton Newton solver, whose residual passes its node values to its
 Jacobian the same way); the drift eta(u) of the volume-normalized flow adds
 the rank-1 term -u (x) grad eta, whose gradient follows from the speed's
 band by the chain rule, and which Sherman-Morrison folds into each stage
-solve (the other modes have no rank-1 term and skip it).  The six solves
-of a step share one LU factorization of the (2, 2) band
-(body._band_solver), into which I/(gamma dt) - B is written directly; the
-first solve is made in the factorization's own LAPACK call (dgbsv), and
-with a rank-1 term it takes f0 and u as the two columns of one
-Fortran-ordered right side.  The stage inputs, the stage right sides and
-the new state are summed in place in the written-out order, so a step
-carries the bits of the formula written out.  A step evaluates five right
+solve (the other modes have a zero gradient, whose corrections change no
+value: every mode takes the one solve path).  The six solves of a step
+share one LU factorization of the (2, 2) band (body._band_solver), into
+which I/(gamma dt) - B is written directly; the first solve is made in
+the factorization's own LAPACK call (dgbsv), with f0 and u as the two
+columns of one Fortran-ordered right side.  The stage inputs, the stage
+right sides and the new state are summed in place in the written-out
+order, so a step carries the bits of the formula written out.  A step evaluates five right
 sides of its own (stages 2 to 5 and the embedded solution).  Every right
 side applies the one admissibility rule of body._radii (u > 0 and both
 principal radii > 0, else ConvexityLostError, a ValueError), and the right
 side at a step's result is both its admissibility test and the next step's
 first stage; a step whose stages or result lose uniform convexity is
-retried at half the size.
+retried at half the size, and an adaptive step whose error estimate exceeds
+1 is never accepted: it is retried at the controller's smaller size, and a
+run whose step falls below the constant floor _DT_MIN = 1e-12 stops with
+step_underflow.
 """
 
 from dataclasses import dataclass, field
@@ -90,24 +93,27 @@ _RODAS_C = (  # c_ij of stages 2..6, j < i
 )
 # Tolerances of the scaled RMS error; the record spacing of adaptive runs,
 # which record at each multiple of record_every * _RECORD_DT in the
-# integration variable; the first step; the bounds on one step change.
+# integration variable; the first step; the bounds on one step change; the
+# step floor: a step below it ends the run with step_underflow, and a step
+# that ends within it of a record mark is recorded at the mark.
 _RTOL = _ATOL = 1e-8
 _RECORD_DT = 0.002
 _DT_START = 1e-4
 _FAC_MIN, _FAC_MAX = 0.2, 6.0
+_DT_MIN = 1e-12
 # Accepted steps after which run() raises RuntimeError
 _MAX_STEPS = 20_000_000
 
 
 @dataclass
 class StoppingConfig:
-    """Stopping rules and step control for run(); a run that accepts
-    _MAX_STEPS = 20_000_000 steps before a rule fires raises RuntimeError."""
+    """Stopping rules and step control for run().  The step floor is the
+    constant _DT_MIN = 1e-12, not a setting; a run that accepts _MAX_STEPS =
+    20_000_000 steps before a rule fires raises RuntimeError."""
 
     t_max: float = 10.0
     tol_conv: float = 1e-8
     R_blowup: float = 50.0
-    dt_min: float = 1e-12
     record_every: int = 50
     fixed_dt: float | None = None
 
@@ -251,7 +257,10 @@ class _Engine:
     def rodas4(self, vals: np.ndarray, dt: float, f0: np.ndarray, jac):
         """One RODAS4 step from vals, given f0, nodes = rhs(vals) and
         jac = jacobian(vals, nodes): (new state, scaled RMS error estimate).
-        The new state is unchecked until rhs() is evaluated there.
+        The new state is unchecked until rhs() is evaluated there; run()
+        accepts it only if the estimate is at most 1.  There is one solve
+        path: every stage solve folds in the rank-1 term by Sherman-Morrison,
+        whose corrections change no value when the gradient is zero.
 
         The sums are formed in place in the written-out order, in arrays of
         the step's own or in the right side of a stage (never in vals, f0 or
@@ -261,26 +270,20 @@ class _Engine:
         band, eta, g = jac
         shift = 1.0 / (_RODAS_GAMMA * dt) + eta
         tmp = np.empty_like(vals)
-        if g.any():
-            # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
-            # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the
-            # two columns of one Fortran-ordered right side, solved in the
-            # factorization's own call
-            x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift, overwrite=True)
-            k1, z = x.T
-            z /= 1.0 + g @ z
-            k1 -= np.multiply(z, g @ k1, out=tmp)
+        # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
+        # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the two
+        # columns of one Fortran-ordered right side, solved in the
+        # factorization's own call.  With g = 0 every correction subtracts a
+        # zero, which changes no value
+        x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift, overwrite=True)
+        k1, z = x.T
+        z /= 1.0 + g @ z
+        k1 -= np.multiply(z, g @ k1, out=tmp)
 
-            def solve(r):
-                x = lu_solve(r, overwrite=True)
-                x -= np.multiply(z, g @ x, out=tmp)
-                return x
-
-        else:  # no rank-1 term: the corrections would all subtract zero
-            k1, lu_solve = _band_solver(band, f0, shift)
-
-            def solve(r):
-                return lu_solve(r, overwrite=True)
+        def solve(r):
+            x = lu_solve(r, overwrite=True)
+            x -= np.multiply(z, g @ x, out=tmp)
+            return x
 
         ks = [k1]
         for i, c in enumerate(_RODAS_C):
@@ -349,17 +352,21 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     blowup horizon, raw flows with f != 1, and every volume-normalized flow,
     whose t depends on the integral of eta along the run rather than on the
     state.  Steps are RK4 at stop.fixed_dt if set, recorded every
-    record_every steps; else RODAS4 under error control, taken at dt_min
-    when the controller asks for less and landed on each multiple of
-    record_every * _RECORD_DT of the integration variable, where it is
-    recorded (t_max is the last such mark).  The final state is always
-    recorded.  Work counts go to traj.stats.
+    record_every steps; else RODAS4 under error control, recorded at each
+    multiple of record_every * _RECORD_DT of the integration variable (t_max
+    is the last such mark).  Every adaptive step follows one rule: it is
+    clipped at the next mark, h = min(dt, mark - s); one that ends within
+    the floor _DT_MIN = 1e-12 of the mark is recorded at the mark; one whose
+    error estimate exceeds 1 is rejected and retried at the controller's
+    fac * h, so no step above the tolerance is accepted.  The final state
+    is always recorded.  Work counts go to traj.stats.
 
     Stop reasons: converged (sup norm of the right side below tol_conv),
     t_max, convexity_lost (a step and three halvings of it all lost uniform
     convexity), ratio_blowup (max u / min u at R_blowup), step_underflow (a
-    halved step below dt_min).  A run that reaches the step budget,
-    _MAX_STEPS accepted steps, before any of these raises RuntimeError.
+    step below _DT_MIN: the controller or a halving asked for less).  A run
+    that reaches the step budget, _MAX_STEPS accepted steps, before any of
+    these raises RuntimeError.
     """
     if stop is None:
         stop = StoppingConfig()
@@ -367,7 +374,6 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         not stop.t_max > 0
         or not 0 <= stop.tol_conv < np.inf
         or stop.record_every < 1
-        or not 0 < stop.dt_min < np.inf
         or not stop.R_blowup > 1
     ):
         raise ValueError("invalid stopping configuration")
@@ -414,14 +420,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     record(vals, nodes, s)
     just_recorded = True
     fixed = stop.fixed_dt is not None
-    dt = stop.fixed_dt if fixed else max(stop.dt_min, _DT_START)
+    dt = stop.fixed_dt if fixed else max(_DT_MIN, _DT_START)
     span, marks = stop.record_every * _RECORD_DT, 1  # adaptive records at marks * span
-
-    def onto_mark(dt):
-        # a step that would pass the next mark or stop less than dt_min short
-        # of it lands on it; a rejected step is retried only if this shortens it
-        return dt if mark - s - dt >= stop.dt_min else mark - s
-
     jac = None  # the Jacobian at vals, once evaluated
     failures = 0  # convexity losses of the current step
     grow = _FAC_MAX  # largest step increase; 1 right after a rejection
@@ -442,14 +442,14 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
 
         if fixed:
             remaining = stop.t_max - s
-            if remaining <= stop.dt_min:
+            if remaining <= _DT_MIN:
                 traj.stop_reason = "t_max"
                 break
             h = min(dt, remaining)
         else:
-            mark = marks * span if marks * span < stop.t_max - stop.dt_min else stop.t_max
-            h = onto_mark(dt)
-        if h < stop.dt_min:
+            mark = marks * span if marks * span < stop.t_max - _DT_MIN else stop.t_max
+            h = min(dt, mark - s)
+        if h < _DT_MIN:
             traj.stop_reason = "step_underflow"
             break
         try:
@@ -471,8 +471,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         if not fixed:
             # err below 5.1e-4 already gives the largest increase; 1e-4 keeps 0 finite
             fac = min(grow, max(_FAC_MIN, 0.9 * max(err, 1e-4) ** (-1.0 / 4.0)))
-            dt = max(stop.dt_min, fac * h)
-            if not err <= 1.0 and onto_mark(dt) < h:
+            dt = fac * h
+            if not err <= 1.0:
                 stats.rejected += 1
                 grow = 1.0
                 continue
@@ -486,7 +486,8 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
             s, dt = s + h, stop.fixed_dt
             just_recorded = stats.accepted % stop.record_every == 0
         else:
-            just_recorded = h == mark - s
+            # a step that ends within the floor of the mark is recorded there
+            just_recorded = mark - s - h < _DT_MIN
             s = mark if just_recorded else s + h
             marks += just_recorded
         if just_recorded:

@@ -52,11 +52,12 @@ benchmark) then pay only for their iterations.
 
 Every solve has one stop rule: it ends converged at |residual|_inf <
 _TOL_FACTOR * c = 1e-10 * c.  That is below the residual's rounding floor
-on fine grids (from about N = 1000), so an iteration that stalls estimates
-the floor (_noise_floor) and ends converged when its residual is under it,
-the estimate in the result's noise_floor; a stall above the floor raises
-NewtonStagnationError.  A result ended by the tolerance alone has
-noise_floor None.
+on fine grids (from about N = 1000), so the first time a full plain step
+fails to decrease the residual, the iteration estimates the floor there
+(_noise_floor, once per solve) and ends converged when its residual is
+under it, the estimate in the result's noise_floor; a later stall reuses
+the estimate, and a stall above the floor raises NewtonStagnationError.
+A result ended by the tolerance has noise_floor None.
 """
 
 import functools
@@ -95,7 +96,7 @@ _LOG_ABOVE = 1e-4
 # grid leaves an error above this whatever the coarse accuracy
 _COARSE_STOP = 1e-6
 # The stop rule, |residual|_inf < _TOL_FACTOR * c, or under the noise floor
-# after a stall
+# once a full plain step fails
 _TOL_FACTOR = 1e-10
 # Perturbed evaluations of the residual's noise-floor estimate (_noise_floor)
 _FLOOR_DRAWS = 4
@@ -143,8 +144,9 @@ class SolitonResult:
     Jacobian reuses the node values of the accepted one and evaluates none),
     and the noise-floor estimate's draws.  Every solve ends by one rule
     (see solve_soliton): at |residual|_inf < _TOL_FACTOR * c, where
-    noise_floor is None, or after a stall under the residual's noise floor,
-    where noise_floor is that estimate (_noise_floor).  These describe the
+    noise_floor is None, or under the residual's noise floor once a full
+    plain step or the iteration fails, where noise_floor is that estimate
+    (_noise_floor).  These describe the
     iteration on the requested grid; coarse_iterations and
     coarse_residual_evaluations count the same for the coarse phase whose
     solution started it, and are 0 when none did.
@@ -208,10 +210,12 @@ def solve_soliton(prob: SolitonProblem, grid: Grid | None = None) -> SolitonResu
     An initial guess outside the admissible class raises ConvexityLostError.
 
     There is one stop rule.  Convergence is declared at |residual|_inf <
-    _TOL_FACTOR * c = 1e-10 * c; an iteration that stalls (the halving runs
-    out, or _MAX_ITER iterations pass) ends converged if its sup is under
-    the residual's noise floor (_noise_floor), the estimate in the result's
-    noise_floor, and raises NewtonStagnationError otherwise.  The rounding
+    _TOL_FACTOR * c = 1e-10 * c.  The first time a full plain step fails to
+    decrease the sup, the residual's noise floor is estimated there
+    (_noise_floor, once per solve); the iteration ends converged if its sup
+    is under it, then or when it stalls (the halving runs out, or _MAX_ITER
+    iterations pass), the estimate in the result's noise_floor, and a stall
+    above it raises NewtonStagnationError.  The rounding
     floor grows like N^2 (the kernel divides by h^2) and passes 1e-10 * c
     near N = 1000: case A of criterion 6 (k = 1, f = (1 + 0.2 cos)^5) from
     random starts stalls at 1.2-1.4e-10 at N = 1200, under its floor of
@@ -339,7 +343,8 @@ def _noise_floor(vals: np.ndarray, res: np.ndarray, grid: Grid, p: FlowParams, c
 
     For the exact spheroid solitons (1, 1.3) and (1.3, 1) at alpha = -2,
     k = 1 and 2, it reads 2.1-2.8e-10 at N = 1200 and 3.8-5.1e-10 at
-    N = 1600, and the iteration stalls at 0.50-0.61 of it.
+    N = 1600, and the iteration ends at 0.52-0.64 of it after 8 or 9
+    residual evaluations.
     """
     rng = np.random.default_rng(0)
     eps = np.finfo(float).eps
@@ -352,15 +357,25 @@ def _noise_floor(vals: np.ndarray, res: np.ndarray, grid: Grid, p: FlowParams, c
 
 def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -> SolitonResult:
     """The damped Newton loop of solve_soliton on one grid, from vals, until
-    the residual's sup is below tol; a stalled iteration ends converged if
-    its sup is under the residual's noise floor and raises
-    NewtonStagnationError otherwise."""
+    the residual's sup is below tol.  The first time a full plain step fails
+    to decrease the sup, the residual's noise floor is estimated there, once
+    per solve; a failed full plain step or a stall whose sup is under that
+    floor ends the iteration converged, and a stall above it raises
+    NewtonStagnationError."""
     evaluations = 1
     res, pieces = _residual(vals, grid, p, c)
     sup = _sup(res)
     history = [sup]
     damping = []
-    stalled = None
+    level = None  # the noise floor, estimated once per solve
+
+    def under_floor() -> bool:
+        nonlocal level, evaluations
+        if level is None:
+            level = _noise_floor(vals, res, grid, p, c)
+            evaluations += _FLOOR_DRAWS
+        return sup < level
+
     while sup >= tol:
         if len(damping) == _MAX_ITER:
             stalled = f"no convergence in {_MAX_ITER} iterations; |residual|_inf ="
@@ -391,21 +406,23 @@ def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -
                     trial_sup = np.inf
             if trial_sup < sup:
                 break
+            # a full plain step that fails may stand at the noise floor
+            if lam == 1.0 and not log_step and under_floor():
+                break
             lam *= 0.5
         else:
             stalled = "Newton stagnated at |residual|_inf ="
             break
+        if trial_sup >= sup:  # under the noise floor
+            break
         vals, res, sup, pieces = trial, trial_res, trial_sup, trial_pieces
         history.append(sup)
         damping.append(lam)
-    level = None
-    if stalled is not None:
-        level = _noise_floor(vals, res, grid, p, c)
-        evaluations += _FLOOR_DRAWS
-        if not sup < level:
-            raise NewtonStagnationError(f"{stalled} {sup:.3e}", ScalarField(grid, vals), sup)
+    if sup >= tol and not under_floor():
+        raise NewtonStagnationError(f"{stalled} {sup:.3e}", ScalarField(grid, vals), sup)
     return SolitonResult(
-        ScalarField(grid, vals), len(damping), sup, history, damping, evaluations, noise_floor=level
+        ScalarField(grid, vals), len(damping), sup, history, damping, evaluations,
+        noise_floor=None if sup < tol else level,
     )
 
 

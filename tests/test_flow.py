@@ -246,6 +246,30 @@ def test_raw_supercritical_pinches_translate(grid64):
     assert traj.stop_reason in ("convexity_lost", "ratio_blowup", "step_underflow")
 
 
+def test_no_step_is_accepted_above_the_tolerance(grid64, monkeypatch):
+    # on the pinching raw flow the controller asks for ever smaller steps;
+    # 55 attempts at the floor, with scaled errors from 1.04 up to 9.9e7, were
+    # accepted before the run stopped.  Every accepted attempt must now have
+    # err <= 1, and the run still stops with step_underflow
+    attempts = []  # (accepted steps before the attempt, h, err)
+    original = _Engine.rodas4
+
+    def recording(self, vals, dt, f0, jac):
+        new, err = original(self, vals, dt, f0, jac)
+        attempts.append((self.stats.accepted, dt, err))
+        return new, err
+
+    monkeypatch.setattr(_Engine, "rodas4", recording)
+    stop = StoppingConfig(t_max=5.0, tol_conv=0.0, record_every=100)
+    traj = ac.run(ac.translated_ball(grid64, 0.35), p_of(1, 1.5, 0.5), "raw", stop)
+    assert traj.stop_reason == "step_underflow"
+    counts = [a[0] for a in attempts] + [traj.stats.accepted]
+    accepted = [a for a, after in zip(attempts, counts[1:]) if after > a[0]]
+    assert len(accepted) == traj.stats.accepted > 0
+    assert all(err <= 1.0 for _, _, err in accepted)
+    assert traj.stats.step_min >= flow._DT_MIN
+
+
 def test_rosenbrock_agrees_with_explicit(grid64):
     p = p_of(1, 2.0, -2.0)
     eng = _Engine(grid64, p, "round_normalized")
@@ -268,10 +292,11 @@ def test_rosenbrock_stable_beyond_cfl(grid64):
     assert np.max(np.abs(v - 1.0)) < 1e-5
 
 
-def test_implicit_fallback_engages(grid64):
-    # an artificially high dt_min puts the step floor to work inside run()
+def test_implicit_fallback_engages(grid64, monkeypatch):
+    # an artificially high floor puts the step floor to work inside run()
+    monkeypatch.setattr(flow, "_DT_MIN", 1e-3)
     p = p_of(1, 2.0, -2.0)
-    stop = StoppingConfig(t_max=6.0, tol_conv=1e-5, record_every=50, dt_min=1e-3)
+    stop = StoppingConfig(t_max=6.0, tol_conv=1e-5, record_every=50)
     traj = ac.run(ac.translated_ball(grid64, 0.2), p, "round_normalized", stop)
     assert traj.stop_reason in ("converged", "t_max")
     assert np.max(np.abs(traj.final().values - 1.0)) < 1e-2
@@ -388,7 +413,7 @@ def test_run_stats(grid64):
     assert len(st.record_steps) == len(traj.times)
 
 
-def test_records_on_time_marks(grid64):
+def test_records_on_time_marks(grid64, monkeypatch):
     p = p_of(1, 2.0, -2.0)
     u0 = ac.translated_ball(grid64, 0.1)
     stop = StoppingConfig(t_max=2.0, tol_conv=0.0, record_every=100)
@@ -400,10 +425,10 @@ def test_records_on_time_marks(grid64):
     # no step cap: the controller's steps exceed the record spacing constant
     assert traj.stats.step_max > 0.002
 
-    # t_max is the last mark: a 0.0005 gap below dt_min = 1e-3 is not a step
-    # of its own, so the run neither underflows nor stops short of t_max; a
-    # stretched step that fails error control must not be retried unchanged
-    stop = StoppingConfig(t_max=0.3005, tol_conv=0.0, record_every=50, dt_min=1e-3)
+    # t_max is the last mark: a 0.0005 gap below a floor of 1e-3 is not a
+    # step of its own, so the run neither underflows nor stops short of t_max
+    monkeypatch.setattr(flow, "_DT_MIN", 1e-3)
+    stop = StoppingConfig(t_max=0.3005, tol_conv=0.0, record_every=50)
     traj = ac.run(u0, p, "round_normalized", stop)
     span = stop.record_every * _RECORD_DT
     assert traj.stop_reason in ("t_max", "converged")
@@ -438,14 +463,10 @@ def test_adaptive_work_count_case_b():
     assert traj.stats.jacobian_evaluations == traj.stats.accepted
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [dict(fixed_dt=0.0, dt_min=0.0), dict(fixed_dt=-1e-3), dict(dt_min=0.0), dict(dt_min=-1.0)],
-)
-def test_run_rejects_nonpositive_steps(grid64, bad, monkeypatch):
-    # a zero step and floor would spin to the step budget, a negative step
-    # would stop at once with step_underflow: both are configuration errors
-    monkeypatch.setattr(flow, "_MAX_STEPS", 1000)
+@pytest.mark.parametrize("bad", [dict(fixed_dt=0.0), dict(fixed_dt=-1e-3)])
+def test_run_rejects_nonpositive_steps(grid64, bad):
+    # a zero or negative step would stop at once with step_underflow: both
+    # are configuration errors
     stop = StoppingConfig(t_max=0.01, tol_conv=0.0, **bad)
     with pytest.raises(ValueError):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "round_normalized", stop)
@@ -627,14 +648,10 @@ def test_step_rejects_non_finite_or_nonpositive_dt(grid64, dt):
 
 @pytest.mark.parametrize(
     "bad, message",
-    [
-        (dict(fixed_dt=float("inf")), "fixed_dt must be positive and finite"),
-        (dict(dt_min=float("inf")), "invalid stopping configuration"),
-    ],
+    [(dict(fixed_dt=float("inf")), "fixed_dt must be positive and finite")],
 )
 def test_run_rejects_infinite_steps(grid64, bad, message):
-    # fixed_dt = inf took one step of t_max and counted it as accepted;
-    # dt_min = inf passed, and the run stopped at once with step_underflow
+    # fixed_dt = inf took one step of t_max and counted it as accepted
     stop = StoppingConfig(t_max=0.01, tol_conv=0.0, **bad)
     with pytest.raises(ValueError, match=message):
         ac.run(ac.translated_ball(grid64, 0.1), p_of(1, 2.0, -2.0), "raw", stop)
@@ -810,7 +827,8 @@ def test_rodas4_matches_written_out_step(mode):
     # the step forms its band, right sides and sums in buffers of its own;
     # (new, err) must carry the bits of the step written out above, and a
     # retry with the same f0 and Jacobian the same bits again.  Without a
-    # gradient the step skips Sherman-Morrison, which must change no bit
+    # gradient the step still takes the Sherman-Morrison path, which must
+    # give the bits of plain solves
     for n in (17, 64):
         g = ac.make_grid(n)
         f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))

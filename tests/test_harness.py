@@ -64,18 +64,10 @@ def test_parse_rejects_duplicate():
         parse_config("k = 1\nk = 2\n")
 
 
-def test_parse_rejects_nonpositive_dt_min():
-    # a zero floor lets a step shrink without end instead of stopping the run
-    for value in ("0", "-1e-3", "nan"):
-        with pytest.raises(ConfigError, match="dt_min must be positive"):
-            parse_config(f"dt_min = {value}\n")
-    assert parse_config("dt_min = 1e-6\n").dt_min == 1e-6
-
-
-def test_parse_rejects_infinite_dt_min():
-    # an infinite floor passed, and the run stopped at once with step_underflow
-    with pytest.raises(ConfigError, match="dt_min must be positive and finite"):
-        parse_config("dt_min = inf\n")
+def test_parse_rejects_dt_min():
+    # the step floor is a constant of flow.run, not a setting
+    with pytest.raises(ConfigError, match="unknown key 'dt_min'"):
+        parse_config("dt_min = 1e-12\n")
 
 
 def test_parse_rejects_bad_theta(tmp_path):
@@ -402,6 +394,26 @@ def test_barriers_reject_bodies_the_barriers_do_not_describe(tmp_path, capsys):
     assert "initial = round <r>" in capsys.readouterr().err
 
 
+def test_barriers_need_the_subcritical_regime(tmp_path, capsys):
+    # the exact barriers need q < 0; on the critical line the run printed a
+    # message without the "error:" prefix, and a sweep over alpha = -2, -1 ran
+    # its first variant to the end before the second failed
+    base = "experiment = barriers\nN = 32\nk = 1\nbeta = 2\ninitial = round 0.5\n"
+    for alpha in ("-1", "0.5"):
+        with pytest.raises(ConfigError, match=r"barriers experiments need alpha < 1 - k\*beta"):
+            parse_config(base + f"alpha = {alpha}\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(base + "alpha = -1\n")
+    assert main(["barriers", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: barriers experiments need")
+    cfg_path.write_text(base + "alpha = -2\nt_max = 0.1\n")
+    out = tmp_path / "sweep"
+    assert main(["barriers", "--config", str(cfg_path), "--out", str(out), "--sweep", "alpha=-2,-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: barriers experiments need")
+    assert not out.exists()
+
+
 def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
     from anicurve import cli
 
@@ -416,11 +428,11 @@ def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", recording)
     text = (
         "experiment = barriers\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"
-        "initial = round 0.5\nt_max = 0.1\ndt_min = 1e-3\nR_blowup = 1.5\n"
+        "initial = round 0.5\nt_max = 0.1\nR_blowup = 1.5\n"
     )
     assert run_experiment(parse_config(text), tmp_path, seed=0) == 0
     # only tol_conv is overridden: the comparison runs to t_max
-    assert [(s.t_max, s.dt_min, s.R_blowup, s.tol_conv) for s in stops] == [(0.1, 1e-3, 1.5, 0.0)]
+    assert [(s.t_max, s.R_blowup, s.tol_conv) for s in stops] == [(0.1, 1.5, 0.0)]
     # the echo names the mode that ran, not the config default
     echo = json.loads((tmp_path / "summary.json").read_text())["echo"]
     assert echo["mode"] == "round_normalized"
