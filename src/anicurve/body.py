@@ -15,6 +15,12 @@ maps u -> b11, b22 (_entry_bands), and _band_solver factors it and solves
 the first right side in one LAPACK call, keeping the factors for any
 number of later solves.  The flow integrator and the soliton Newton solver
 share this one linearization.
+
+The two LAPACK routines, dgbsv and dgbtrs, come from scipy.linalg.lapack
+and are imported on the first band solve of a process (_lapack), not with
+the package: importing scipy.linalg costs more than the rest of the import,
+and a process that solves no band system (fixed-step flows, geometry,
+diagnostics) never needs it.
 """
 
 import functools
@@ -23,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .sphere import Grid, ScalarField, make_field, make_grid, _derivatives
 
@@ -211,6 +216,15 @@ def _jacobian_band(vals, s, b11, b22, sig, k, beta, a, scale=None):
     return ab
 
 
+@functools.cache
+def _lapack():
+    """(dgbsv, dgbtrs) from scipy.linalg.lapack, imported on the first call
+    and kept for the process."""
+    from scipy.linalg.lapack import dgbsv, dgbtrs
+
+    return dgbsv, dgbtrs
+
+
 def _band_solver(
     ab: np.ndarray, b: np.ndarray, shift: float | None = None, overwrite: bool = False
 ):
@@ -238,6 +252,7 @@ def _band_solver(
         padded[2 * _BAND] += shift
     if not (np.isfinite(padded).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
+    dgbsv, dgbtrs = _lapack()
     lu, piv, x, info = dgbsv(_BAND, _BAND, padded, b, overwrite_ab=True, overwrite_b=overwrite)
     if info > 0:
         raise LinAlgError("singular matrix")

@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         if args.sweep:
             return _run_sweep(cfg, args.sweep, args.out, args.seed)
         return run_experiment(cfg, args.out, args.seed)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -188,6 +188,62 @@ def test_python_m_anicurve_runs_without_warnings():
     assert "--config" in done.stdout
 
 
+_LAZY_LAPACK_SCRIPT = r"""
+import sys
+from pathlib import Path
+
+from anicurve import body, cli, flow, functionals, soliton, sphere
+
+def loaded(step):
+    print(step, "scipy.linalg" in sys.modules)
+
+loaded("import")
+grid = sphere.make_grid(32)
+u = body.translated_ball(grid, 0.2)
+p = functionals.FlowParams(k=1, beta=1.5, alpha=-2.0)
+stop = flow.StoppingConfig(t_max=1e-3, tol_conv=0.0, record_every=10, fixed_dt=1e-4)
+flow.run(u, p, "raw", stop)
+flow.run(body.polar_dual(u), p, "dual_radial", stop)
+loaded("fixed_dt run")
+functionals.diagnostics(u, p, 0.0, 0.0)
+loaded("diagnostics")
+body.normalize_body(u, 1)
+loaded("normalize_body")
+cfg = Path(sys.argv[1]) / "missing_table.cfg"
+cfg.write_text("experiment = flow\nN = 32\nf = table " + str(Path(sys.argv[1]) / "f.csv") + "\n")
+assert cli.main(["flow", "--config", str(cfg), "--out", str(Path(sys.argv[1]) / "o")]) == 1
+loaded("failed cli run")
+f = functionals.tabulated_anisotropy(grid, 1.0 + 0.3 * grid.cos**2)
+result = soliton.solve_soliton(soliton.SolitonProblem(functionals.FlowParams(1, 1.5, -2.0, f)), grid)
+assert result.iterations > 0 and result.residual_sup < 1e-10, result.residual_sup
+loaded("solve_soliton")
+"""
+
+
+def test_scipy_linalg_loads_with_the_first_band_solve(tmp_path):
+    # only the band solver needs scipy's LAPACK, so a process that solves no
+    # band system never imports scipy.linalg; its first solve does
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _LAZY_LAPACK_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import False",
+        "fixed_dt run False",
+        "diagnostics False",
+        "normalize_body False",
+        "failed cli run False",
+        "solve_soliton True",
+    ]
+
+
 def test_parse_initial_and_f_specs():
     cfg = parse_config("initial = spheroid 1 2\nf = power-of-linear 0.2 5\n")
     assert cfg.initial == ("spheroid", 1.0, 2.0)
@@ -301,6 +357,20 @@ def test_soliton_failure_ends_in_one_error_line(tmp_path, capsys, alpha, extra, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "spec", ["f = table {missing}\n", "initial = file {missing}\n"], ids=["table", "file"]
+)
+def test_missing_data_file_ends_in_one_error_line(tmp_path, capsys, spec):
+    # np.loadtxt raises FileNotFoundError, an OSError: exit 1 and one error
+    # line, not a traceback
+    missing = tmp_path / "missing.csv"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("experiment = flow\nN = 32\n" + spec.format(missing=missing))
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
 
 
 def test_soliton_experiment_on_critical_line(tmp_path):
