@@ -225,9 +225,7 @@ def _lapack():
     return dgbsv, dgbtrs
 
 
-def _band_solver(
-    ab: np.ndarray, b: np.ndarray, shift: float | None = None, overwrite: bool = False
-):
+def _band_solver(ab: np.ndarray, b: np.ndarray, shift: float | None = None):
     """(x, solve): the solution x of the (2, 2) band ab in solve_banded
     storage, or of shift*I - ab when a shift is given, for the right side b,
     and solve(b) for later right sides.
@@ -238,11 +236,10 @@ def _band_solver(
     the LU factors it leaves serve every later right side (one dgbtrs per
     solve call).  A right side is one vector or the columns of an (n, m)
     array.  The checks are solve_banded's: ValueError on a non-finite band
-    or right side, LinAlgError on a singular band.  With overwrite=True the
-    solve is done in b itself when b is 1-D or in Fortran order, for a
-    caller whose right side nothing else reads; otherwise the LAPACK wrapper
-    solves in a copy and b is left as it was.  solve(b, overwrite) follows
-    the same rule.
+    or right side, LinAlgError on a singular band.  Every right side is
+    the caller's to give up: the solve is done in b itself when b is 1-D or
+    in Fortran order (otherwise the LAPACK wrapper solves in a copy), and
+    solve(b) follows the same rule.
     """
     padded = np.zeros((3 * _BAND + 1, ab.shape[1]), order="F")
     if shift is None:
@@ -253,16 +250,16 @@ def _band_solver(
     if not (np.isfinite(padded).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     dgbsv, dgbtrs = _lapack()
-    lu, piv, x, info = dgbsv(_BAND, _BAND, padded, b, overwrite_ab=True, overwrite_b=overwrite)
+    lu, piv, x, info = dgbsv(_BAND, _BAND, padded, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
 
-    def solve(b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    def solve(b: np.ndarray) -> np.ndarray:
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
-        x, info = dgbtrs(lu, _BAND, _BAND, b, piv, overwrite_b=overwrite)
+        x, info = dgbtrs(lu, _BAND, _BAND, b, piv, overwrite_b=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
         return x

@@ -54,6 +54,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+_SNAPSHOT_HEADER = "theta,u"
+
+
 def _build_anisotropy(cfg: ExperimentConfig, grid: Grid) -> Anisotropy | None:
     kind = cfg.f[0]
     if kind == "constant":
@@ -66,13 +69,9 @@ def _build_anisotropy(cfg: ExperimentConfig, grid: Grid) -> Anisotropy | None:
     return tabulated_anisotropy(grid, values)
 
 
-def _build_params(cfg: ExperimentConfig) -> tuple[Grid, FlowParams]:
-    grid = make_grid(cfg.N)
-    f = _build_anisotropy(cfg, grid)
-    return grid, FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=f)
-
-
 def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
+    """The initial body; a file holds one column of node values or the
+    theta,u columns of a snapshot that _write_snapshot wrote."""
     kind = cfg.initial[0]
     if kind == "round":
         return round_body(grid, cfg.initial[1])
@@ -80,7 +79,10 @@ def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
         return translated_ball(grid, cfg.initial[1])
     if kind == "spheroid":
         return spheroid_support(grid, cfg.initial[1], cfg.initial[2])
-    data = np.loadtxt(cfg.initial[1], delimiter=",")
+    lines = Path(cfg.initial[1]).read_text(encoding="utf-8").splitlines()
+    if lines[:1] == [_SNAPSHOT_HEADER]:
+        lines = lines[1:]
+    data = np.loadtxt(lines, delimiter=",")
     values = data[:, 1] if data.ndim == 2 else data
     return make_field(grid, values)
 
@@ -128,7 +130,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_snapshot(path: Path, u: ScalarField) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,u\n")
+        fh.write(_SNAPSHOT_HEADER + "\n")
         for th, val in zip(u.grid.theta, u.values):
             fh.write(f"{_fmt(th)},{_fmt(val)}\n")
 
@@ -152,8 +154,9 @@ def _write_trajectory(out: Path, traj: Trajectory, p: FlowParams, prefix: str = 
         _write_snapshot(out / f"{prefix}snapshot_{idx_out}.csv", traj.snapshots[idx])
 
 
-def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid, p = _build_params(cfg)
+def _flow_experiment(
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+) -> int:
     if cfg.mode == "volume_normalized" and p.f is not None and cfg.k == 1:
         margin = anisotropy_condition_margin(p.f, p)
         if margin <= 0:
@@ -164,7 +167,6 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
                 file=sys.stderr,
             )
             return 1
-    u0 = _build_initial(cfg, grid)
     if cfg.mode == "volume_normalized":
         u0 = normalize_body(u0, cfg.k)
     traj = run(u0, p, cfg.mode, _stopping(cfg))
@@ -189,10 +191,12 @@ def _flow_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid, p = _build_params(cfg)
+def _soliton_experiment(
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+) -> int:
+    grid = u0.grid
     # on the critical line no round radius is singled out: start from `initial`
-    prob = SolitonProblem(p, cfg.c, _build_initial(cfg, grid) if p.q == 0 else None)
+    prob = SolitonProblem(p, cfg.c, u0 if p.q == 0 else None)
     res = solve_soliton(prob, grid)
     _write_snapshot(out / "snapshot_0.csv", res.u)
     payload = {
@@ -216,14 +220,16 @@ def _soliton_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _counterexample_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, runs: dict | None = None
+    cfg: ExperimentConfig,
+    out: Path,
+    seed: int,
+    p: FlowParams,
+    u0: ScalarField,
+    runs: dict | None = None,
 ) -> int:
-    grid, p = _build_params(cfg)
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
     bounds = verify_case_bounds(sp, p, samples=cfg.samples, seed=seed)
-    u0 = _build_initial(cfg, grid)
-    # blowup_experiment runs to tau = horizon in place of t_max
-    rep = blowup_experiment(p, u0, cfg.horizon, _stopping(cfg), runs)
+    rep = blowup_experiment(p, u0, _stopping(cfg), runs)
     _write_trajectory(out, rep.trajectory, p)
     _write_trajectory(out, rep.control_trajectory, p, prefix="control_")
     report = {
@@ -243,13 +249,12 @@ def _counterexample_experiment(
     return 0
 
 
-def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid = make_grid(cfg.N)
-    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha)
+def _barriers_experiment(
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+) -> int:
     # config._validate admits only q < 0, `initial = round <r>`, f = 1 and this mode
     cfg = replace(cfg, mode="round_normalized")
     a = cfg.initial[1]
-    u0 = round_body(grid, a)
     # the comparison runs to t_max, so convergence does not stop it
     traj = run(u0, p, cfg.mode, replace(_stopping(cfg), tol_conv=0.0))
     worst = 0.0
@@ -268,8 +273,10 @@ def _barriers_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def _validate_experiment(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    grid = make_grid(cfg.N)
+def _validate_experiment(
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+) -> int:
+    grid = u0.grid
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool, str]] = []
 
@@ -351,14 +358,20 @@ def run_experiment(
 ) -> int:
     """Run the experiment of a validated config; returns the exit status.
 
-    runs is the flow-run dict of counterexample.blowup_experiment, shared
-    by the variants of one sweep; the other experiments ignore it.
+    The grid, the flow parameters and the initial body are built, and every
+    input file read, before the output directory is created, so a run that
+    fails on a missing input leaves no directory behind.  runs is the
+    flow-run dict of counterexample.blowup_experiment, shared by the
+    variants of one sweep; the other experiments ignore it.
     """
+    grid = make_grid(cfg.N)
+    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build_anisotropy(cfg, grid))
+    u0 = _build_initial(cfg, grid)
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "counterexample":
-        return _counterexample_experiment(cfg, out, seed, runs)
-    return _DISPATCH[cfg.experiment](cfg, out, seed)
+        return _counterexample_experiment(cfg, out, seed, p, u0, runs)
+    return _DISPATCH[cfg.experiment](cfg, out, seed, p, u0)
 
 
 def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:

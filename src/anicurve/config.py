@@ -44,7 +44,6 @@ class ExperimentConfig:
     trials: int = 3
     theta: float = 2.0
     samples: int = 1000
-    horizon: float = 2.0
     out: str = "out"
     raw: dict = field(default_factory=dict)
 
@@ -101,7 +100,6 @@ _SCALARS = {
     "R_blowup": float,
     "c": float,
     "theta": float,
-    "horizon": float,
 }
 
 
@@ -163,16 +161,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"beta and alpha must be finite (beta={cfg.beta:g}, alpha={cfg.alpha:g})")
     if cfg.f[0] == "constant" and cfg.f[1] <= 0:
         raise ConfigError("anisotropy must be positive")
-    if not 0 <= cfg.tol_conv < float("inf") or not cfg.t_max > 0 or cfg.record_every < 1:
-        raise ConfigError("stopping configuration must be positive")
+    if not (0 <= cfg.tol_conv < math.inf and 0 < cfg.t_max < math.inf) or cfg.record_every < 1:
+        raise ConfigError("stopping configuration must be positive and finite")
     if not cfg.R_blowup > 1.0:
         raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")
     if not 0 < cfg.theta < float("inf"):
         raise ConfigError("theta must be positive and finite")
     if cfg.samples < 2:
         raise ConfigError(f"samples must be at least 2 (samples={cfg.samples})")
-    if not 0 < cfg.horizon < float("inf"):
-        raise ConfigError("horizon must be positive and finite")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
     if cfg.experiment == "soliton":
         if q > 0:

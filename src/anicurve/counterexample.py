@@ -21,7 +21,7 @@ order of a scalar loop and in blocks of bounded size, and
 capped_profile_body evaluates its meridian samples in one call.
 """
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -360,20 +360,15 @@ def _shared_run(runs: dict, u_start: ScalarField, p: FlowParams, stop: StoppingC
 
 
 def blowup_experiment(
-    p: FlowParams,
-    u0: ScalarField,
-    horizon: float,
-    stop: StoppingConfig | None = None,
-    runs: dict | None = None,
+    p: FlowParams, u0: ScalarField, stop: StoppingConfig, runs: dict | None = None
 ) -> BlowupReport:
     """A/B ratio experiment for the supercritical regime.
 
-    Runs the volume-normalized flow from the size-normalized u0 up to
-    tau = horizon (stop is copied with t_max = horizon; the caller's object
-    is left unchanged) and declares
-    "supports blowup" when the ratio R = max u / min u grows monotonically to
-    at least twice its initial value, or when the run dies by ratio blowup or
-    convexity loss with R having increased.  A ratio_blowup stop only shows
+    Runs the volume-normalized flow from the size-normalized u0 under stop,
+    up to tau = stop.t_max (the caller's stop is only read), and declares
+    "supports blowup" when the ratio R = max u / min u grows monotonically
+    to at least twice its initial value, or when the run dies by ratio
+    blowup or convexity loss with R having increased.  A ratio_blowup stop only shows
     that R crossed the threshold while rising: a threshold below a transient
     peak gives this verdict to a body that later rounds out.  R is read only
     at the records of flow.run, one per record_every * 0.002 of tau plus the
@@ -393,9 +388,6 @@ def blowup_experiment(
     """
     if p.q <= 0:
         raise ValueError("blowup experiment requires alpha > 1 - k*beta")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    stop = replace(stop or StoppingConfig(), t_max=horizon)
     runs = {} if runs is None else runs
 
     u_start = normalize_body(u0, p.k)

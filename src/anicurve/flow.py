@@ -40,6 +40,7 @@ run whose step falls below the constant floor _DT_MIN = 1e-12 stops with
 step_underflow.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,8 @@ _FAC_MIN, _FAC_MAX = 0.2, 6.0
 _DT_MIN = 1e-12
 # Accepted steps after which run() raises RuntimeError
 _MAX_STEPS = 20_000_000
+# Courant number of adaptive_dt
+_CFL = 0.4
 
 
 @dataclass
@@ -275,13 +278,13 @@ class _Engine:
         # columns of one Fortran-ordered right side, solved in the
         # factorization's own call.  With g = 0 every correction subtracts a
         # zero, which changes no value
-        x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift, overwrite=True)
+        x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift)
         k1, z = x.T
         z /= 1.0 + g @ z
         k1 -= np.multiply(z, g @ k1, out=tmp)
 
         def solve(r):
-            x = lu_solve(r, overwrite=True)
+            x = lu_solve(r)
             x -= np.multiply(z, g @ x, out=tmp)
             return x
 
@@ -320,13 +323,13 @@ def speed(u: ScalarField, p: FlowParams) -> ScalarField:
     return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha)[0])
 
 
-def adaptive_dt(u: ScalarField, p: FlowParams, cfl: float = 0.4) -> float:
-    """Parabolic CFL step cfl * h^2 / D_max of explicit raw-flow steps, D the
-    node-wise coefficient of the linearized second-order term."""
+def adaptive_dt(u: ScalarField, p: FlowParams) -> float:
+    """Parabolic CFL step _CFL * h^2 / D_max of explicit raw-flow steps, D
+    the node-wise coefficient of the linearized second-order term."""
     b11, b22, _, sig = _radii(u.values, u.grid, p.k)
     eig = 1.0 if p.k == 1 else np.maximum(b11, b22)
     d = p.beta * p.f_values(u.grid) * u.values**p.alpha * sig ** (p.beta - 1.0) * eig
-    return cfl * u.grid.h**2 / float(np.max(d))
+    return _CFL * u.grid.h**2 / float(np.max(d))
 
 
 def step(u: ScalarField, p: FlowParams, mode: str, dt: float) -> ScalarField:
@@ -345,13 +348,17 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     """Integrate one flow until a stopping rule fires.
 
     The integration variable is tau for the normalized modes and t for the
-    raw and dual modes; the companion variable recorded in the diagnostics
-    follows from the closed-form reparametrization of the raw and round
-    cases (dual records describe w = 1/r, a body of the raw flow, and take
-    its tau) and is nan where there is none: raw and dual flows past the
-    blowup horizon, raw flows with f != 1, and every volume-normalized flow,
-    whose t depends on the integral of eta along the run rather than on the
-    state.  Steps are RK4 at stop.fixed_dt if set, recorded every
+    raw and dual modes, and ends at stop.t_max at the latest.  Records carry
+    both clocks, related by the one time map of normalized_time: raw records
+    take tau = log1p(y) / (m*gamma) with y = m*gamma*t and m = -q (dual
+    records describe w = 1/r, a body of the raw flow, and take its tau),
+    and round-normalized records take t = tau * expm1(y) / y with y =
+    m*gamma*tau, both equal to their own clock on the critical line and
+    continuous across it.  The companion is nan where no closed form
+    exists: raw and dual flows past the supercritical blowup time, raw
+    flows with f != 1, and every volume-normalized flow, whose t depends on
+    the integral of eta along the run rather than on the state.  Steps are
+    RK4 at stop.fixed_dt if set, recorded every
     record_every steps; else RODAS4 under error control, recorded at each
     multiple of record_every * _RECORD_DT of the integration variable (t_max
     is the last such mark).  Every adaptive step follows one rule: it is
@@ -394,14 +401,14 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
         if mode in ("raw", "dual_radial"):
             # dual records describe w = 1/r, a body of the raw flow; the
             # closed-form remap is undefined past the supercritical blowup
-            # horizon and for general anisotropies
+            # time and for general anisotropies
             try:
                 tau = normalized_time(s, p) if p.f is None else float("nan")
             except ValueError:
                 tau = float("nan")
         elif mode == "round_normalized":
-            m = -p.q
-            t_phys = s if m == 0.0 else float(np.expm1(m * s) / (m * p.gamma))
+            # the inverse of normalized_time: t = expm1(y) / (m*gamma), y = m*gamma*tau
+            t_phys = s * _ratio(math.expm1, -p.q * p.gamma * s)
         else:
             t_phys = float("nan")  # t depends on eta along the run, not on vals
         if mode == "dual_radial":
@@ -499,38 +506,40 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
 
 
 def scale_factor(t: float, p: FlowParams) -> float:
-    """Dilation factor mapping the raw flow onto its normalized companion.
-
-    exp(gamma*t) in the critical regime alpha = 1 - k*beta, otherwise
-    (1 + (1-k*beta-alpha)*gamma*t)^(1/(1-k*beta-alpha)).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    m = -p.q
-    if m == 0.0:
-        return float(np.exp(p.gamma * t))
-    base = 1.0 + m * p.gamma * t
-    if base <= 0:
-        raise ValueError("scale factor undefined: 1 + (1-k*beta-alpha)*gamma*t <= 0")
-    return float(base ** (1.0 / m))
+    """Dilation factor mapping the raw flow onto its normalized companion:
+    exp(gamma * tau) with tau = normalized_time(t, p), which is
+    (1 + m*gamma*t)^(1/m) with m = 1 - k*beta - alpha, and exp(gamma*t) on
+    the critical line m = 0, with no jump next to it."""
+    return math.exp(p.gamma * normalized_time(t, p))
 
 
 def normalized_time(t: float, p: FlowParams) -> float:
-    """Reparametrized time of the round-normalized flow.
+    """Time tau of the round-normalized companion of a raw flow at time t.
 
-    tau = t in the critical regime, otherwise
-    log((1-alpha-beta*k)*gamma*t + 1) / (1-alpha-beta*k); strictly
-    increasing with tau(0) = 0.
+    tau = log1p(m*gamma*t) / (m*gamma) with m = 1 - k*beta - alpha, the
+    inverse of the t = expm1(m*gamma*tau) / (m*gamma) that run() records
+    for round-normalized flows: tau = t on the critical line m = 0, and the
+    ratio log1p(x) / x taken with its limit 1 at x = 0 keeps the map
+    continuous across the line.  Strictly increasing with tau(0) = 0;
+    undefined from the supercritical blowup time 1 + m*gamma*t = 0 on.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m = -p.q
-    if m == 0.0:
-        return float(t)
-    base = 1.0 + m * p.gamma * t
-    if base <= 0:
-        raise ValueError("time map undefined: (1-alpha-beta*k)*gamma*t + 1 <= 0")
-    return float(np.log(base) / m)
+    x = -p.q * p.gamma * t
+    if not x > -1.0:
+        raise ValueError("time map undefined: 1 + (1-k*beta-alpha)*gamma*t <= 0")
+    return t * _ratio(math.log1p, x)
+
+
+def _ratio(fn, x: float) -> float:
+    """fn(x) / x for fn = math.log1p or math.expm1, with its limit 1 at
+    x = 0, and inf where expm1(x) overflows a double."""
+    if x == 0.0:
+        return 1.0
+    try:
+        return fn(x) / x
+    except OverflowError:
+        return math.inf
 
 
 def barrier(a: float, t: float, p: FlowParams) -> float:

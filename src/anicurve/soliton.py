@@ -384,12 +384,12 @@ def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -
         log_step = sup >= _LOG_ABOVE * c
         if log_step:
             rho = pieces[0]
-            delta = _band_solver(_log_band(jac, vals, rho), -np.log(rho / c), overwrite=True)[0]
+            delta = _band_solver(_log_band(jac, vals, rho), -np.log(rho / c))[0]
             # vals * exp(lam * delta) stays finite while lam * top <= room
             top = float(np.maximum.reduce(delta, axis=None))
             room = _EXP_REACH - math.log(np.maximum.reduce(vals, axis=None))
         else:
-            delta = _band_solver(jac, -res, overwrite=True)[0]
+            delta = _band_solver(jac, -res)[0]
 
         lam = 1.0
         while lam >= 1e-8:

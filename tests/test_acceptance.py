@@ -261,8 +261,7 @@ def test_criterion_08_blowup_ab(grid):
     rep = blowup_experiment(
         p,
         u0,
-        horizon=3.0,
-        stop=ac.StoppingConfig(record_every=200, tol_conv=1e-6),
+        ac.StoppingConfig(t_max=3.0, record_every=200, tol_conv=1e-6),
     )
     elapsed = time.perf_counter() - start
     ok = rep.verdict == "supports blowup" and rep.control_r_decreasing and elapsed < 600.0

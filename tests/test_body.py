@@ -291,8 +291,8 @@ def test_band_solver_matches_solve_banded(n):
     # one dgbsv (dgbtrf, then dgbtrs) for the first right side, then one
     # dgbtrs per later right side, is what solve_banded does in one call: the
     # bits agree for one and for two right sides, for the band and for
-    # shift*I - band written into LAPACK's band directly, and whether or not
-    # the solve may write into b
+    # shift*I - band written into LAPACK's band directly, and whether the
+    # solve is done in b itself (1-D or Fortran order) or in LAPACK's copy
     rng = np.random.default_rng(n)
     for _ in range(5):
         ab = rng.standard_normal((5, n))
@@ -303,14 +303,15 @@ def test_band_solver_matches_solve_banded(n):
         for given, matrix in ((None, ab), (shift, shifted)):
             for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
                 want = solve_banded((2, 2), matrix, b)
-                first, solve = _band_solver(ab, b, given)
-                x = solve(b)
+                # every solve may write into its right side: each gets a copy
+                first, solve = _band_solver(ab, b.copy(), given)
+                x = solve(b.copy())
                 for got in (first, x):
                     assert got.shape == b.shape
                     assert np.array_equal(got, want)
                 own = np.array(b, order="F")
-                assert np.array_equal(_band_solver(ab, own, given, overwrite=True)[0], want)
-                assert np.array_equal(solve(np.asfortranarray(b), overwrite=True), want)
+                assert np.array_equal(_band_solver(ab, own, given)[0], want)
+                assert np.array_equal(solve(np.array(b, order="F")), want)
 
 
 def test_band_solver_checks():

@@ -165,20 +165,20 @@ def test_capped_body_ratio_growth_onset(grid200):
 def test_blowup_experiment_precondition(grid64):
     p_sub = ac.FlowParams(k=1, beta=1.5, alpha=-0.5)  # critical
     with pytest.raises(ValueError, match="alpha > 1 - k\\*beta"):
-        blowup_experiment(p_sub, ac.round_body(grid64, 1.0), horizon=0.1)
+        blowup_experiment(p_sub, ac.round_body(grid64, 1.0), ac.StoppingConfig(t_max=0.1))
 
 
-def test_blowup_experiment_rejects_nan_horizon(grid64):
+def test_blowup_experiment_rejects_nan_t_max(grid64):
     p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
-    with pytest.raises(ValueError, match="horizon must be positive"):
-        blowup_experiment(p, ac.round_body(grid64, 1.0), horizon=float("nan"))
+    with pytest.raises(ValueError, match="invalid stopping configuration"):
+        blowup_experiment(p, ac.round_body(grid64, 1.0), ac.StoppingConfig(t_max=float("nan")))
 
 
 def test_blowup_experiment_leaves_caller_stop_unchanged(grid64):
     p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
-    stop = ac.StoppingConfig(t_max=10.0, tol_conv=0.0, record_every=5)
+    stop = ac.StoppingConfig(t_max=0.01, tol_conv=0.0, record_every=5)
     before = dataclasses.replace(stop)
-    rep = blowup_experiment(p, ac.round_body(grid64, 1.0), horizon=0.01, stop=stop)
+    rep = blowup_experiment(p, ac.round_body(grid64, 1.0), stop)
     assert stop == before
     assert rep.trajectory.times[-1] == pytest.approx(0.01)
 
@@ -203,8 +203,7 @@ def test_blowup_experiment_supports_blowup_on_capped_body(grid200):
     rep = blowup_experiment(
         p,
         body,
-        horizon=2.0,
-        stop=ac.StoppingConfig(record_every=25, R_blowup=40.0),
+        ac.StoppingConfig(t_max=2.0, record_every=25, R_blowup=40.0),
     )
     assert isinstance(rep, BlowupReport)
     assert rep.stop_reason == "ratio_blowup"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -117,7 +119,7 @@ def test_scale_factor_and_time():
     assert ac.scale_factor(0.0, p) == 1.0
     assert ac.scale_factor(2.0, p) == pytest.approx(3.0, rel=1e-14)
     assert ac.normalized_time(0.0, p) == 0.0
-    assert ac.normalized_time(2.0, p) == pytest.approx(np.log(9) / 2, rel=1e-14)
+    assert ac.normalized_time(2.0, p) == pytest.approx(np.log(9) / 4, rel=1e-14)
     ts = np.linspace(0.0, 3.0, 30)
     taus = [ac.normalized_time(t, p) for t in ts]
     assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -194,15 +196,14 @@ def test_run_a_priori_bands(grid64):
 
 def test_raw_normalized_consistency(grid64):
     # evolving the raw flow and rescaling by the dilation factor matches the
-    # round-normalized flow; the time remap carries a 1/gamma factor relative
-    # to the closed-form normalized_time (see the round-solution ODE)
+    # round-normalized flow at tau = normalized_time(t)
     p = p_of(1, 1.0, -2.0)
     u0 = ac.translated_ball(grid64, 0.2)
     t_end = 1.0
     raw = ac.run(
         u0, p, "raw", StoppingConfig(t_max=t_end, tol_conv=0.0, record_every=10**9, fixed_dt=1e-4)
     )
-    tau_end = ac.normalized_time(t_end, p) / p.gamma
+    tau_end = ac.normalized_time(t_end, p)
     nef = ac.run(
         u0,
         p,
@@ -225,12 +226,87 @@ def test_dual_flow_identity(grid200):
         assert abs(ts - tr) < 1e-12
     # dual records describe w = 1/r, a body of the raw flow, and take its tau
     assert [r.tau for r in tr_r.diagnostics] == [r.tau for r in tr_s.diagnostics]
-    assert tr_s.diagnostics[-1].tau > tr_s.times[-1]
+    t_end, tau_end = tr_s.times[-1], tr_s.diagnostics[-1].tau
+    assert tau_end == ac.normalized_time(t_end, p) and tau_end < t_end
     worst = max(
         np.max(np.abs(r.values * s.values - 1.0))
         for s, r in zip(tr_s.snapshots, tr_r.snapshots)
     )
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("k, beta", [(1, 2.0), (2, 1.0)], ids=["gamma=4", "gamma=1"])
+def test_raw_and_round_normalized_records_share_one_clock(k, beta):
+    # the raw round body of radius 0.5 at t, divided by scale_factor(t), is
+    # the exact round-normalized solution (barrier) at the tau its record
+    # carries; a round-normalized run to that tau records the raw run's t
+    p = p_of(k, beta, -2.0)
+    q, a = p.q, 0.5
+    grid = ac.make_grid(32)
+    raw = ac.run(ac.round_body(grid, a), p, "raw", StoppingConfig(t_max=0.3, tol_conv=0.0))
+    rec = raw.diagnostics[-1]
+    assert rec.t == 0.3
+    v = raw.final().values / ac.scale_factor(rec.t, p)
+    # barrier(a, tau) = v solved for tau
+    taus = np.log((1.0 - v ** (-q)) / (1.0 - a ** (-q))) / (q * p.gamma)
+    assert np.max(np.abs(taus - rec.tau)) < 1e-12
+    nef = ac.run(
+        ac.round_body(grid, a), p, "round_normalized", StoppingConfig(t_max=rec.tau, tol_conv=0.0)
+    )
+    assert nef.times[-1] == rec.tau
+    assert abs(nef.diagnostics[-1].t - 0.3) < 1e-12
+
+
+def test_time_map_is_continuous_across_the_critical_line():
+    # the map moves by O(q) next to the line: scale_factor by 1.06e-8
+    # relative at q = 1e-9, with no jump to tau = t and no cancellation in
+    # 1 + m*gamma*t at q = 1e-13
+    line = p_of(1, 2.2, -1.2)
+    assert line.q == 0.0
+    for offset in (1e-9, -1e-9, 1e-13):
+        near = p_of(1, 2.2, -1.2 + offset)
+        assert near.q != 0.0
+        for clock in (ac.normalized_time, ac.scale_factor):
+            assert clock(1.0, near) == pytest.approx(clock(1.0, line), rel=1e-7)
+
+
+def test_round_normalized_record_time_past_the_double_range_is_inf():
+    # t = expm1(m*gamma*tau) / (m*gamma) with m*gamma = 36 leaves the double
+    # range before tau = 20: the record reads inf rather than raising
+    p = p_of(1, 2.0, -10.0)
+    stop = StoppingConfig(t_max=20.0, tol_conv=0.0, record_every=2000)
+    traj = ac.run(ac.round_body(ac.make_grid(32), 0.9), p, "round_normalized", stop)
+    assert traj.stop_reason == "t_max"
+    *_, before, last = (rec.t for rec in traj.diagnostics)
+    assert 1e200 < before < math.inf and last == math.inf
+
+
+@pytest.mark.parametrize("losses, reason", [(3, "t_max"), (4, "convexity_lost")])
+def test_convexity_loss_halves_the_step_three_times(grid64, monkeypatch, losses, reason):
+    # the first `losses` attempts lose convexity at their first right side:
+    # each is rejected and retried at half its size, so the third halving,
+    # dt/8, is accepted, and a fourth loss stops the run
+    rhs = _Engine.rhs
+    calls = []
+
+    def losing(self, vals):
+        calls.append(None)
+        if 2 <= len(calls) <= 1 + losses:  # call 1 is the run's start
+            raise ac.ConvexityLostError("lost")
+        return rhs(self, vals)
+
+    monkeypatch.setattr(_Engine, "rhs", losing)
+    dt = 1e-3
+    stop = StoppingConfig(t_max=4 * dt, tol_conv=0.0, fixed_dt=dt)
+    traj = ac.run(ac.round_body(grid64, 1.0), p_of(1, 2.0, -2.0), "raw", stop)
+    stats = traj.stats
+    assert traj.stop_reason == reason
+    assert stats.convexity_rejections == stats.rejected == losses
+    if reason == "t_max":
+        assert stats.step_min == dt / 8 and stats.step_max == dt
+        assert traj.times[-1] == pytest.approx(4 * dt, rel=1e-12)
+    else:
+        assert stats.accepted == 0 and traj.times == [0.0]
 
 
 def test_raw_supercritical_translate_rounds_out_until_step_underflow(grid64):

@@ -83,20 +83,23 @@ def test_parse_rejects_bad_theta(tmp_path):
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
 
 
-def test_parse_rejects_bad_samples_and_horizon(tmp_path):
+def test_parse_rejects_bad_samples_and_t_max(tmp_path):
     # samples = 1 or -3 parsed and failed only at run time ("need at least
-    # two samples"); horizon = inf ran, exited 0 and echoed "horizon": null,
-    # so summary.json could no longer reconstruct the run
+    # two samples"); t_max = inf ran and echoed "t_max": null, so
+    # summary.json could no longer reconstruct the run
     for value in ("1", "0", "-3"):
         with pytest.raises(ConfigError, match="samples must be at least 2"):
             parse_config(f"samples = {value}\n")
     for value in ("0", "-1", "nan", "inf"):
-        with pytest.raises(ConfigError, match="horizon must be positive and finite"):
-            parse_config(f"horizon = {value}\n")
-    assert parse_config("samples = 2\nhorizon = 0.5\n").samples == 2
+        with pytest.raises(ConfigError, match="stopping configuration must be positive and finite"):
+            parse_config(f"t_max = {value}\n")
+    assert parse_config("samples = 2\nt_max = 0.5\n").samples == 2
+    # every run ends at t_max: there is no second end time
+    with pytest.raises(ConfigError, match="unknown key 'horizon'"):
+        parse_config("horizon = 3.0\n")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
-        "experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = 0.5\nN = 32\nhorizon = inf\n"
+        "experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = 0.5\nN = 32\nt_max = inf\n"
     )
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
 
@@ -371,6 +374,46 @@ def test_missing_data_file_ends_in_one_error_line(tmp_path, capsys, spec):
     assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
+    # every input is read before the output directory is made
+    assert not (tmp_path / "o").exists()
+
+
+def test_flow_restarts_from_its_own_snapshot(tmp_path):
+    # snapshots open with a theta,u header, which a bare np.loadtxt could not
+    # read back; the restarted run starts from the same bits, as does one
+    # from a file of the node values alone
+    text = (
+        "experiment = flow\nN = 32\nmode = round_normalized\n"
+        "initial = spheroid 1 1.3\nt_max = 0.05\nrecord_every = 5\n"
+    )
+    assert run_experiment(parse_config(text), tmp_path / "a") == 0
+    snapshot = tmp_path / "a" / "snapshot_0.csv"
+    assert snapshot.read_text().startswith("theta,u\n")
+    restart = text.replace("initial = spheroid 1 1.3", f"initial = file {snapshot}")
+    assert run_experiment(parse_config(restart), tmp_path / "b") == 0
+    assert (tmp_path / "b" / "snapshot_0.csv").read_bytes() == snapshot.read_bytes()
+    bare = tmp_path / "u.csv"
+    np.savetxt(bare, np.loadtxt(snapshot, delimiter=",", skiprows=1)[:, 1], fmt="%.17g")
+    restart = text.replace("initial = spheroid 1 1.3", f"initial = file {bare}")
+    assert run_experiment(parse_config(restart), tmp_path / "c") == 0
+    assert (tmp_path / "c" / "snapshot_0.csv").read_bytes() == snapshot.read_bytes()
+
+
+def test_flow_that_stops_by_step_underflow_exits_2(tmp_path, monkeypatch):
+    # a step floor above every step the run could take stops a
+    # round_normalized flow, which is expected to converge, with
+    # step_underflow: exit status 2, and summary.json is still written
+    from anicurve import flow
+
+    monkeypatch.setattr(flow, "_DT_MIN", 1.0)
+    cfg_path = tmp_path / "u.cfg"
+    cfg_path.write_text(
+        "experiment = flow\nN = 32\nmode = round_normalized\ninitial = round 0.5\nt_max = 0.5\n"
+    )
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["stop_reason"] == "step_underflow"
+    assert summary["stats"]["accepted"] == 0
 
 
 def test_soliton_experiment_on_critical_line(tmp_path):
@@ -391,7 +434,7 @@ def test_soliton_experiment_on_critical_line(tmp_path):
 def test_counterexample_experiment_stats(tmp_path):
     text = (
         "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
-        "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+        "initial = spheroid 1 2\nsamples = 50\nt_max = 0.02\nrecord_every = 5\n"
     )
     assert run_experiment(parse_config(text), tmp_path, seed=0) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -401,7 +444,7 @@ def test_counterexample_experiment_stats(tmp_path):
     assert report == {k: v for k, v in summary.items() if k not in ("stats", "control_stats")}
     # the echo reconstructs the run, down to the counterexample keys
     echo = report["echo"]
-    assert (echo["horizon"], echo["theta"], echo["samples"]) == (0.02, 2.0, 50)
+    assert (echo["t_max"], echo["theta"], echo["samples"]) == (0.02, 2.0, 50)
 
 
 def _strict_json(path):
@@ -420,7 +463,7 @@ def test_written_json_is_strict(tmp_path):
     )
     counterexample = (
         "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
-        "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+        "initial = spheroid 1 2\nsamples = 50\nt_max = 0.02\nrecord_every = 5\n"
     )
     for name, text in (("flow", flow), ("counterexample", counterexample)):
         assert run_experiment(parse_config(text), tmp_path / name, seed=0) == 0
@@ -585,7 +628,7 @@ def test_cli_sweep(tmp_path):
 
 COUNTEREXAMPLE = (
     "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
-    "initial = spheroid 1 2\nsamples = 50\nhorizon = 0.02\nrecord_every = 5\n"
+    "initial = spheroid 1 2\nsamples = 50\nt_max = 0.02\nrecord_every = 5\n"
 )
 
 
