@@ -16,14 +16,20 @@ the first right side in one LAPACK call, keeping the factors for any
 number of later solves.  The flow integrator and the soliton Newton solver
 share this one linearization.
 
-The two LAPACK routines, dgbsv and dgbtrs, come from scipy.linalg.lapack
-and are imported on the first band solve of a process (_lapack), not with
-the package: importing scipy.linalg costs more than the rest of the import,
-and a process that solves no band system (fixed-step flows, geometry,
-diagnostics) never needs it.
+The two LAPACK routines, dgbsv and dgbtrs, come from scipy's compiled
+LAPACK wrapper, the extension module scipy.linalg._flapack, which _lapack
+loads from its file on the first band solve of a process.  The package
+scipy.linalg is never imported: its __init__ loads the whole of scipy's
+linear algebra, over ten times the time and six times the memory of the
+one extension.  A process that solves no band system (fixed-step flows,
+geometry, diagnostics) loads neither.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -216,13 +222,41 @@ def _jacobian_band(vals, s, b11, b22, sig, k, beta, a, scale=None):
     return ab
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @functools.cache
 def _lapack():
-    """(dgbsv, dgbtrs) from scipy.linalg.lapack, imported on the first call
-    and kept for the process."""
-    from scipy.linalg.lapack import dgbsv, dgbtrs
+    """(dgbsv, dgbtrs) of scipy.linalg._flapack, loaded on the first call and
+    kept for the process.
 
-    return dgbsv, dgbtrs
+    The extension is loaded straight from its file in scipy/linalg/, so
+    scipy/linalg/__init__.py never runs.  `import scipy` comes first, so
+    scipy's own start-up runs as it would for any scipy import (on Windows
+    it puts the bundled DLLs on the search path).  The routines are the
+    objects that scipy.linalg.lapack re-exports, so a solve has the same
+    bits whichever loads first.  The extension registers itself in
+    sys.modules as it initializes; a registration this call made is undone,
+    so that a later `import scipy.linalg` loads the module under its
+    package as usual (and gets the same routines).  There is one path and
+    no fallback to importing scipy.linalg: a scipy without the extension
+    raises ImportError here, rather than silently paying for the package.
+    """
+    import scipy
+
+    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        linalg, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"no {_FLAPACK} extension in {linalg}", name=_FLAPACK)
+    registered = _FLAPACK in sys.modules
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    if not registered:
+        sys.modules.pop(_FLAPACK, None)
+    return flapack.dgbsv, flapack.dgbtrs
 
 
 def _band_solver(ab: np.ndarray, b: np.ndarray, shift: float | None = None):

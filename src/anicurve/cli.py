@@ -157,16 +157,6 @@ def _write_trajectory(out: Path, traj: Trajectory, p: FlowParams, prefix: str = 
 def _flow_experiment(
     cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
 ) -> int:
-    if cfg.mode == "volume_normalized" and p.f is not None and cfg.k == 1:
-        margin = anisotropy_condition_margin(p.f, p)
-        if margin <= 0:
-            print(
-                "refusing to run: the anisotropy fails the admissibility condition "
-                "for k < 2 (the curvature matrix of f^(1/(1+k*beta-alpha)) must be "
-                f"positive definite; its minimum entry is {margin:.3e})",
-                file=sys.stderr,
-            )
-            return 1
     if cfg.mode == "volume_normalized":
         u0 = normalize_body(u0, cfg.k)
     traj = run(u0, p, cfg.mode, _stopping(cfg))
@@ -358,15 +348,27 @@ def run_experiment(
 ) -> int:
     """Run the experiment of a validated config; returns the exit status.
 
-    The grid, the flow parameters and the initial body are built, and every
-    input file read, before the output directory is created, so a run that
-    fails on a missing input leaves no directory behind.  runs is the
-    flow-run dict of counterexample.blowup_experiment, shared by the
-    variants of one sweep; the other experiments ignore it.
+    The grid, the flow parameters and the initial body are built, every
+    input file read, and a volume-normalized k = 1 flow's anisotropy held
+    to the admissibility condition, before the output directory is
+    created, so a run that fails on its input leaves no directory behind.
+    runs is the flow-run dict of counterexample.blowup_experiment, shared
+    by the variants of one sweep; the other experiments ignore it.
     """
     grid = make_grid(cfg.N)
     p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build_anisotropy(cfg, grid))
     u0 = _build_initial(cfg, grid)
+    volume_normalized = cfg.experiment == "flow" and cfg.mode == "volume_normalized"
+    if volume_normalized and cfg.k == 1 and p.f is not None:
+        margin = anisotropy_condition_margin(p.f, p)
+        if margin <= 0:
+            print(
+                "error: the anisotropy fails the admissibility condition "
+                "for k < 2 (the curvature matrix of f^(1/(1+k*beta-alpha)) must be "
+                f"positive definite; its minimum entry is {margin:.3e})",
+                file=sys.stderr,
+            )
+            return 1
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "counterexample":

@@ -195,10 +195,12 @@ _LAZY_LAPACK_SCRIPT = r"""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from anicurve import body, cli, flow, functionals, soliton, sphere
 
 def loaded(step):
-    print(step, "scipy.linalg" in sys.modules)
+    print(step, "scipy.linalg" in sys.modules, body._lapack.cache_info().currsize)
 
 loaded("import")
 grid = sphere.make_grid(32)
@@ -216,16 +218,38 @@ cfg = Path(sys.argv[1]) / "missing_table.cfg"
 cfg.write_text("experiment = flow\nN = 32\nf = table " + str(Path(sys.argv[1]) / "f.csv") + "\n")
 assert cli.main(["flow", "--config", str(cfg), "--out", str(Path(sys.argv[1]) / "o")]) == 1
 loaded("failed cli run")
+traj = flow.run(u, p, "raw", flow.StoppingConfig(t_max=1e-3, tol_conv=0.0, record_every=10))
+assert traj.stop_reason == "t_max" and traj.stats.jacobian_evaluations > 0, traj.stop_reason
+loaded("adaptive run")
 f = functionals.tabulated_anisotropy(grid, 1.0 + 0.3 * grid.cos**2)
 result = soliton.solve_soliton(soliton.SolitonProblem(functionals.FlowParams(1, 1.5, -2.0, f)), grid)
 assert result.iterations > 0 and result.residual_sup < 1e-10, result.residual_sup
 loaded("solve_soliton")
+
+# scipy.linalg imported after the direct load registers the extension under
+# its package, and its routines and band solve are the loader's, bit for bit
+import scipy.linalg
+from scipy.linalg.lapack import dgbsv, dgbtrs
+
+dgbsv_, dgbtrs_ = body._lapack()
+assert dgbsv_ is dgbsv is scipy.linalg._flapack.dgbsv and dgbtrs_ is dgbtrs
+rng = np.random.default_rng(3)
+ab = rng.uniform(-1.0, 1.0, (5, 40))
+ab[2] += 4.0
+b = rng.standard_normal(40)
+c = rng.standard_normal((40, 3))
+x, solve = body._band_solver(ab, b.copy())
+assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, b))
+assert np.array_equal(solve(np.asfortranarray(c)), scipy.linalg.solve_banded((2, 2), ab, c))
+loaded("scipy.linalg")
 """
 
 
-def test_scipy_linalg_loads_with_the_first_band_solve(tmp_path):
-    # only the band solver needs scipy's LAPACK, so a process that solves no
-    # band system never imports scipy.linalg; its first solve does
+def test_lapack_loads_with_the_first_band_solve_without_scipy_linalg(tmp_path):
+    # only the band solver needs scipy's LAPACK: a process loads it with its
+    # first band solve (an adaptive flow step here), straight from the
+    # extension file, and never imports scipy.linalg; a later import of
+    # scipy.linalg shares the routines
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -238,13 +262,31 @@ def test_scipy_linalg_loads_with_the_first_band_solve(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "import False",
-        "fixed_dt run False",
-        "diagnostics False",
-        "normalize_body False",
-        "failed cli run False",
-        "solve_soliton True",
+        "import False 0",
+        "fixed_dt run False 0",
+        "diagnostics False 0",
+        "normalize_body False 0",
+        "failed cli run False 0",
+        "adaptive run False 1",
+        "solve_soliton False 1",
+        "scipy.linalg True 1",
     ]
+
+
+def test_lapack_loader_names_the_missing_extension(tmp_path, monkeypatch):
+    # a scipy without the compiled LAPACK wrapper is an ImportError naming
+    # it, with no fallback; the uncached loader leaves the process cache be
+    import scipy
+
+    from anicurve import body
+
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    cached = body._lapack.cache_info()
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as exc:
+        body._lapack.__wrapped__()
+    assert exc.value.name == "scipy.linalg._flapack"
+    assert body._lapack.cache_info() == cached
 
 
 def test_parse_initial_and_f_specs():
@@ -375,6 +417,20 @@ def test_missing_data_file_ends_in_one_error_line(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
     # every input is read before the output directory is made
+    assert not (tmp_path / "o").exists()
+
+
+def test_inadmissible_anisotropy_ends_in_one_error_line_before_out(tmp_path, capsys):
+    # the admissibility condition is checked with the other inputs, before
+    # the output directory is made
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "experiment = flow\nN = 48\nk = 1\nbeta = 2\nalpha = -2\n"
+        "mode = volume_normalized\nf = power-of-linear -0.9 12\n"
+    )
+    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "admissibility condition" in err
     assert not (tmp_path / "o").exists()
 
 
