@@ -2,7 +2,9 @@
 
 Usage:
     anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
+        [--sweep <key>=<v1>,<v2>,...]
     python -m anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
+        [--sweep <key>=<v1>,<v2>,...]
 
 Every run writes a parameter echo into summary.json sufficient to
 reconstruct it; numbers are serialized with 17 significant digits and a "."
@@ -17,15 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .sphere import Grid, ScalarField, integrate, make_field, make_grid
+from .sphere import Grid, ScalarField, make_field, make_grid
 from .body import (
-    convexity_margin,
-    curvature_matrix,
-    mixed_volume,
     normalize_body,
     profile_curve,
     round_body,
-    sigma_k,
     spheroid_support,
     translated_ball,
     write_profile_csv,
@@ -33,7 +31,6 @@ from .body import (
 from .functionals import (
     Anisotropy,
     FlowParams,
-    alexandrov_fenchel_margin,
     anisotropy_condition_margin,
     constant_anisotropy,
     diagnostics_csv_header,
@@ -45,7 +42,7 @@ from .functionals import (
 from .flow import StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
-from .config import _SCALARS, ConfigError, ExperimentConfig, _validate, load_config
+from .config import _SCALARS, EXPERIMENTS, ConfigError, ExperimentConfig, _validate, load_config
 
 __all__ = ["main", "run_experiment"]
 
@@ -65,7 +62,7 @@ def _build_anisotropy(cfg: ExperimentConfig, grid: Grid) -> Anisotropy | None:
         return constant_anisotropy(grid, cfg.f[1])
     if kind == "power-of-linear":
         return power_of_linear_anisotropy(grid, cfg.f[1], cfg.f[2])
-    values = np.loadtxt(cfg.f[1], delimiter=",")
+    values = np.loadtxt(cfg.f[1], delimiter=",", ndmin=1)
     return tabulated_anisotropy(grid, values)
 
 
@@ -82,7 +79,7 @@ def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
     lines = Path(cfg.initial[1]).read_text(encoding="utf-8").splitlines()
     if lines[:1] == [_SNAPSHOT_HEADER]:
         lines = lines[1:]
-    data = np.loadtxt(lines, delimiter=",")
+    data = np.loadtxt(lines, delimiter=",", ndmin=1)
     values = data[:, 1] if data.ndim == 2 else data
     return make_field(grid, values)
 
@@ -97,7 +94,7 @@ def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
     )
 
 
-def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
+def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams) -> dict:
     echo = {key: getattr(cfg, key) for key in _SCALARS}
     echo.update(
         experiment=cfg.experiment,
@@ -105,9 +102,8 @@ def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams | None) -> dict:
         mode=cfg.mode,
         initial=list(cfg.initial),
         seed=seed,
+        derived={"gamma": p.gamma, "q": p.q, "regime": p.regime},
     )
-    if p is not None:
-        echo["derived"] = {"gamma": p.gamma, "q": p.q, "regime": p.regime}
     return echo
 
 
@@ -263,95 +259,25 @@ def _barriers_experiment(
     return 0
 
 
-def _validate_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
-) -> int:
-    grid = u0.grid
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-
-    area = integrate(make_field(grid, 1.0))
-    check("sphere area", abs(area - 4 * np.pi) < 1e-7, f"err={area - 4 * np.pi:.2e}")
-
-    W = curvature_matrix(translated_ball(grid, 0.3))
-    err = max(np.max(np.abs(W.b11.values - 1)), np.max(np.abs(W.b22.values - 1)))
-    check("translate curvature", err < 1e-6, f"err={err:.2e}")
-
-    u = spheroid_support(grid, 1.0, 2.0)
-    s2 = sigma_k(curvature_matrix(u), 2).values
-    oracle = 4.0 / u.values**4
-    rel = np.max(np.abs(s2 - oracle) / oracle)
-    check("spheroid sigma_2", rel < 1e-4, f"rel={rel:.2e}")
-
-    ok = True
-    worst = 0.0
-    for _ in range(20):
-        vals = np.ones(grid.n)
-        for m in range(1, 4):
-            vals += rng.uniform(-0.05, 0.05) * np.cos(m * grid.theta)
-        v = ScalarField(grid, vals)
-        vals2 = np.ones(grid.n) * float(np.exp(rng.uniform(-0.3, 0.3)))
-        for m in range(1, 4):
-            vals2 += rng.uniform(-0.05, 0.05) * np.cos(m * grid.theta)
-        w = ScalarField(grid, vals2)
-        if convexity_margin(v) <= 0 or convexity_margin(w) <= 0:
-            continue
-        scale = max(vals.max(), vals2.max())
-        for k in (1, 2):
-            m_af = alexandrov_fenchel_margin(v, w, k)
-            worst = min(worst, m_af / scale**4)
-            ok = ok and m_af >= -1e-8 * scale**4
-    check("mixed-volume inequality", ok, f"worst margin/scale^4={worst:.2e}")
-
-    p = FlowParams(k=1, beta=2.0, alpha=-2.0)
-    traj = run(
-        round_body(grid, 0.5),
-        p,
-        "round_normalized",
-        StoppingConfig(t_max=1.0, tol_conv=0.0, record_every=100),
-    )
-    err = max(
-        float(np.max(np.abs(s.values - barrier(0.5, tau, p))))
-        for tau, s in zip(traj.times, traj.snapshots)
-    )
-    check("round barrier", err < 1e-6, f"err={err:.2e}")
-
-    nrm = normalize_body(spheroid_support(grid, 1.0, 1.4), 1)
-    vol = mixed_volume(nrm, [nrm], 1)
-    check("normalization", abs(vol - 4 * np.pi) < 1e-6, f"err={vol - 4 * np.pi:.2e}")
-
-    _write_json(
-        out / "summary.json",
-        {
-            "checks": [{"name": n, "pass": okk, "detail": d} for n, okk, d in checks],
-            "echo": _echo(cfg, seed, None),
-        },
-    )
-    return 0 if all(okk for _, okk, _ in checks) else 1
-
-
 _DISPATCH = {
     "flow": _flow_experiment,
     "soliton": _soliton_experiment,
     "counterexample": _counterexample_experiment,
     "barriers": _barriers_experiment,
-    "validate": _validate_experiment,
 }
 
 
 def run_experiment(
     cfg: ExperimentConfig, out_dir=None, seed: int = 0, runs: dict | None = None
 ) -> int:
-    """Run the experiment of a validated config; returns the exit status.
+    """Run the experiment of a checked config; returns the exit status.
 
     The grid, the flow parameters and the initial body are built, every
     input file read, and a volume-normalized k = 1 flow's anisotropy held
     to the admissibility condition, before the output directory is
-    created, so a run that fails on its input leaves no directory behind.
+    created, so a run that fails on its input leaves no directory behind;
+    nor does a driver that raises before it writes a file, since the
+    directories this call made are removed while they are empty.
     runs is the flow-run dict of counterexample.blowup_experiment, shared
     by the variants of one sweep; the other experiments ignore it.
     """
@@ -370,10 +296,18 @@ def run_experiment(
             )
             return 1
     out = Path(out_dir if out_dir is not None else cfg.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment == "counterexample":
-        return _counterexample_experiment(cfg, out, seed, p, u0, runs)
-    return _DISPATCH[cfg.experiment](cfg, out, seed, p, u0)
+    try:
+        if cfg.experiment == "counterexample":
+            return _counterexample_experiment(cfg, out, seed, p, u0, runs)
+        return _DISPATCH[cfg.experiment](cfg, out, seed, p, u0)
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
 
 
 def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
@@ -410,7 +344,7 @@ def main(argv=None) -> int:
         prog="anicurve",
         description="Expanding curvature flows of convex bodies: simulate and verify",
     )
-    parser.add_argument("experiment", choices=sorted(_DISPATCH))
+    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", required=True, help="key-value config file")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument("--seed", type=int, default=0, help="random seed recorded in the echo")
@@ -436,7 +370,7 @@ def main(argv=None) -> int:
         return 1
     cfg.experiment = args.experiment
     try:
-        # a config without an experiment key was validated as a flow
+        # a config without an experiment key was checked as a flow
         _validate(cfg)
         if args.sweep:
             return _run_sweep(cfg, args.sweep, args.out, args.seed)

@@ -13,7 +13,7 @@ from .functionals import critical_offset
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
-EXPERIMENTS = ("flow", "soliton", "counterexample", "validate", "barriers")
+EXPERIMENTS = ("flow", "soliton", "counterexample", "barriers")
 
 _DERIVED = {
     "gamma": "gamma is derived from k and beta, it cannot be set",
@@ -104,7 +104,7 @@ _SCALARS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a key-value config document."""
+    """Parse and check a key-value config document."""
     cfg = ExperimentConfig()
     seen = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):

@@ -654,6 +654,36 @@ def test_analytic_band_matches_dense_differences(k, mode):
     assert np.max(np.abs(band - dense)) <= 1e-7 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("k, beta, alpha", [(1, 2.0, -2.0), (2, 1.0, -2.0), (1, 1.5, 0.5)])
+def test_round_normalized_band_spectrum_at_the_sphere(k, beta, alpha):
+    # at u = 1 with f = 1 the linearized round-normalized right side acts on
+    # the Legendre mode P_l(cos theta) as lambda_l = gamma (q - k beta l(l+1)/2),
+    # from d sigma_k = C(1, k-1) tr at the identity and Delta P_l = -l(l+1) P_l;
+    # the l-th largest eigenvalue of the band is lambda_l.  The scale mode l = 0
+    # holds to rounding (at most 9.3e-12 up to N = 192), and l = 1..5 converge
+    # at order 3.88-3.97 over N = 48, 96, 192: for l = 1 at (1, 2, -2) the
+    # error falls 2.97e-6, 1.95e-7, 1.25e-8
+    p = p_of(k, beta, alpha)
+    ls = np.arange(6)
+    exact = p.gamma * (p.q - k * beta * ls * (ls + 1) / 2.0)
+    errors = []
+    for n in (48, 96, 192):
+        g = ac.make_grid(n)
+        eng = _Engine(g, p, "round_normalized")
+        u = np.ones(n)
+        ab = eng.jacobian(u, eng.rhs(u)[1])[0]
+        band = np.zeros((n, n))
+        for d in range(-2, 3):
+            j = np.arange(max(0, -d), min(n, n - d))
+            band[j + d, j] = ab[2 + d, j]
+        eigenvalues = np.sort(np.linalg.eigvals(band).real)[::-1][: ls.size]
+        errors.append(np.abs(eigenvalues - exact))
+    errors = np.array(errors)
+    assert np.all(errors[:, 0] < 1e-10)
+    orders = np.log2(errors[:-1, 1:] / errors[1:, 1:])
+    assert np.all((3.7 < orders) & (orders < 4.3))
+
+
 def _jacobians_equal(a, b):
     return np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
 
