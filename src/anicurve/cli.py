@@ -42,7 +42,9 @@ from .functionals import (
 from .flow import StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
-from .config import _SCALARS, EXPERIMENTS, ConfigError, ExperimentConfig, _validate, load_config
+from .config import (
+    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _validate, load_config
+)
 
 __all__ = ["main", "run_experiment"]
 
@@ -54,34 +56,40 @@ def _fmt(x: float) -> str:
 _SNAPSHOT_HEADER = "theta,u"
 
 
-def _build_anisotropy(cfg: ExperimentConfig, grid: Grid) -> Anisotropy | None:
-    kind = cfg.f[0]
-    if kind == "constant":
-        if cfg.f[1] == 1.0:
-            return None
-        return constant_anisotropy(grid, cfg.f[1])
-    if kind == "power-of-linear":
-        return power_of_linear_anisotropy(grid, cfg.f[1], cfg.f[2])
-    values = np.loadtxt(cfg.f[1], delimiter=",", ndmin=1)
-    return tabulated_anisotropy(grid, values)
+def _read_table(grid: Grid, path: str) -> Anisotropy:
+    return tabulated_anisotropy(grid, np.loadtxt(path, delimiter=",", ndmin=1))
 
 
-def _build_initial(cfg: ExperimentConfig, grid: Grid) -> ScalarField:
-    """The initial body; a file holds one column of node values or the
-    theta,u columns of a snapshot that _write_snapshot wrote."""
-    kind = cfg.initial[0]
-    if kind == "round":
-        return round_body(grid, cfg.initial[1])
-    if kind == "translate":
-        return translated_ball(grid, cfg.initial[1])
-    if kind == "spheroid":
-        return spheroid_support(grid, cfg.initial[1], cfg.initial[2])
-    lines = Path(cfg.initial[1]).read_text(encoding="utf-8").splitlines()
+def _read_body(grid: Grid, path: str) -> ScalarField:
+    """A body from a file of one column of node values or of the theta,u
+    columns of a snapshot that _write_snapshot wrote."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines[:1] == [_SNAPSHOT_HEADER]:
         lines = lines[1:]
     data = np.loadtxt(lines, delimiter=",", ndmin=1)
-    values = data[:, 1] if data.ndim == 2 else data
-    return make_field(grid, values)
+    return make_field(grid, data[:, 1] if data.ndim == 2 else data)
+
+
+# the builder of each kind of config.parse_config's `f` and `initial` specs,
+# called with the grid and the spec's arguments
+_BUILDERS = {
+    "f": {
+        "constant": constant_anisotropy,
+        "power-of-linear": power_of_linear_anisotropy,
+        "table": _read_table,
+    },
+    "initial": {
+        "round": round_body,
+        "translate": translated_ball,
+        "spheroid": spheroid_support,
+        "file": _read_body,
+    },
+}
+
+
+def _build(cfg: ExperimentConfig, key: str, grid: Grid):
+    kind, *args = getattr(cfg, key)
+    return _BUILDERS[key][kind](grid, *args)
 
 
 def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
@@ -95,15 +103,9 @@ def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
 
 
 def _echo(cfg: ExperimentConfig, seed: int, p: FlowParams) -> dict:
-    echo = {key: getattr(cfg, key) for key in _SCALARS}
-    echo.update(
-        experiment=cfg.experiment,
-        f=list(cfg.f),
-        mode=cfg.mode,
-        initial=list(cfg.initial),
-        seed=seed,
-        derived={"gamma": p.gamma, "q": p.q, "regime": p.regime},
-    )
+    # every config key but the output directory
+    echo = {key: getattr(cfg, key) for key in _TYPES if key != "out"}
+    echo.update(seed=seed, derived={"gamma": p.gamma, "q": p.q, "regime": p.regime})
     return echo
 
 
@@ -282,8 +284,8 @@ def run_experiment(
     by the variants of one sweep; the other experiments ignore it.
     """
     grid = make_grid(cfg.N)
-    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build_anisotropy(cfg, grid))
-    u0 = _build_initial(cfg, grid)
+    p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build(cfg, "f", grid))
+    u0 = _build(cfg, "initial", grid)
     volume_normalized = cfg.experiment == "flow" and cfg.mode == "volume_normalized"
     if volume_normalized and cfg.k == 1 and p.f is not None:
         margin = anisotropy_condition_margin(p.f, p)
@@ -355,6 +357,9 @@ def main(argv=None) -> int:
         help="run one independent variant per value, in out/sweep_<i>/",
     )
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 1
 
     try:
         cfg = load_config(args.config)

@@ -6,7 +6,7 @@ derived quantities (gamma, q, the regime flag) can never be set.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .flow import MODES
 from .functionals import critical_offset
@@ -28,6 +28,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """Every config key with its type and default; raw holds each set key's text."""
+
     experiment: str = "flow"
     N: int = 200
     k: int = 1
@@ -48,59 +50,41 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_f(spec: str, lineno: int):
-    parts = spec.split()
-    kind = parts[0] if parts else ""
-    try:
-        if kind == "constant":
-            value = float(parts[1]) if len(parts) > 1 else 1.0
-            return ("constant", value)
-        if kind == "power-of-linear":
-            return ("power-of-linear", float(parts[1]), float(parts[2]))
-        if kind == "table":
-            return ("table", parts[1])
-    except (IndexError, ValueError):
-        raise ConfigError(f"line {lineno}: malformed anisotropy spec {spec!r}") from None
-    raise ConfigError(
-        f"line {lineno}: unknown anisotropy kind {kind!r} "
-        "(use: constant [v] | power-of-linear <eps> <s> | table <path>)"
-    )
-
-
-def _parse_initial(spec: str, lineno: int):
-    parts = spec.split()
-    kind = parts[0] if parts else ""
-    try:
-        if kind == "round":
-            return ("round", float(parts[1]))
-        if kind == "translate":
-            return ("translate", float(parts[1]))
-        if kind == "spheroid":
-            return ("spheroid", float(parts[1]), float(parts[2]))
-        if kind == "file":
-            return ("file", parts[1])
-    except (IndexError, ValueError):
-        raise ConfigError(f"line {lineno}: malformed initial-body spec {spec!r}") from None
-    raise ConfigError(
-        f"line {lineno}: unknown initial-body kind {kind!r} "
-        "(use: round <r> | translate <eps> | spheroid <a> <b> | file <path>)"
-    )
-
-
-_SCALARS = {
-    "N": int,
-    "k": int,
-    "record_every": int,
-    "trials": int,
-    "samples": int,
-    "beta": float,
-    "alpha": float,
-    "t_max": float,
-    "tol_conv": float,
-    "R_blowup": float,
-    "c": float,
-    "theta": float,
+# The kinds of each spec key and their arguments: "<path>" is a file path,
+# any other a number, and a bracketed one may be left out, when it is 1.
+_SPECS = {
+    "f": (
+        "anisotropy",
+        {"constant": ("[v]",), "power-of-linear": ("<eps>", "<s>"), "table": ("<path>",)},
+    ),
+    "initial": (
+        "initial-body",
+        {"round": ("<r>",), "translate": ("<eps>",), "spheroid": ("<a>", "<b>"),
+         "file": ("<path>",)},
+    ),
 }
+_CHOICES = {"experiment": EXPERIMENTS, "mode": MODES}
+_TYPES = {fld.name: fld.type for fld in fields(ExperimentConfig) if fld.name != "raw"}
+_SCALARS = {key: typ for key, typ in _TYPES.items() if typ in (int, float)}
+
+
+def _parse_spec(key: str, spec: str, lineno: int) -> tuple:
+    """(kind, *arguments) of an `f` or `initial` value; a kind takes exactly
+    its own arguments."""
+    name, kinds = _SPECS[key]
+    kind, *words = spec.split() or [""]
+    if kind not in kinds:
+        use = " | ".join(" ".join((k, *args)) for k, args in kinds.items())
+        raise ConfigError(f"line {lineno}: unknown {name} kind {kind!r} (use: {use})")
+    args = kinds[kind]
+    required = [arg for arg in args if not arg.startswith("[")]
+    try:
+        if not len(required) <= len(words) <= len(args):
+            raise ValueError
+        values = [word if arg == "<path>" else float(word) for arg, word in zip(args, words)]
+    except ValueError:
+        raise ConfigError(f"line {lineno}: malformed {name} spec {spec!r}") from None
+    return (kind, *values, *[1.0] * (len(args) - len(words)))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,31 +103,21 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key == "experiment":
-            if value not in EXPERIMENTS:
+        if key not in _TYPES:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
                 raise ConfigError(
-                    f"line {lineno}: unknown experiment {value!r} (one of {', '.join(EXPERIMENTS)})"
+                    f"line {lineno}: unknown {key} {value!r} (one of {', '.join(_CHOICES[key])})"
                 )
-            cfg.experiment = value
-        elif key == "mode":
-            if value not in MODES:
-                raise ConfigError(
-                    f"line {lineno}: unknown mode {value!r} (one of {', '.join(MODES)})"
-                )
-            cfg.mode = value
-        elif key == "f":
-            cfg.f = _parse_f(value, lineno)
-        elif key == "initial":
-            cfg.initial = _parse_initial(value, lineno)
-        elif key == "out":
-            cfg.out = value
-        elif key in _SCALARS:
+            setattr(cfg, key, value)
+        elif key in _SPECS:
+            setattr(cfg, key, _parse_spec(key, value, lineno))
+        else:
             try:
-                setattr(cfg, key, _SCALARS[key](value))
+                setattr(cfg, key, _TYPES[key](value))
             except ValueError:
                 raise ConfigError(f"line {lineno}: cannot parse {key} value {value!r}") from None
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         cfg.raw[key] = value
     _validate(cfg)
     return cfg
@@ -170,30 +144,21 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.samples < 2:
         raise ConfigError(f"samples must be at least 2 (samples={cfg.samples})")
     q = critical_offset(cfg.k, cfg.beta, cfg.alpha)
-    if cfg.experiment == "soliton":
-        if q > 0:
-            raise ConfigError(
-                "soliton experiments need alpha <= 1 - k*beta "
-                f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
-            )
-        if not 0 < cfg.c < float("inf"):
-            raise ConfigError("speed constant c must be positive and finite")
-    if cfg.experiment == "counterexample":
-        if q <= 0:
-            raise ConfigError(
-                "counterexample experiments need alpha > 1 - k*beta "
-                f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
-            )
-    f_is_one = cfg.f[0] == "constant" and cfg.f[1] == 1.0
+    # the side of the critical line q = 0 that each experiment needs; the
+    # exact barriers are the round solutions of the isotropic flow below it
+    need, holds = {"soliton": ("<=", q <= 0), "counterexample": (">", q > 0),
+                   "barriers": ("<", q < 0)}.get(cfg.experiment, ("", True))
+    if not holds:
+        raise ConfigError(
+            f"{cfg.experiment} experiments need alpha {need} 1 - k*beta "
+            f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
+        )
+    if cfg.experiment == "soliton" and not 0 < cfg.c < float("inf"):
+        raise ConfigError("speed constant c must be positive and finite")
+    f_is_one = cfg.f == ("constant", 1.0)
     if cfg.experiment == "flow" and cfg.mode in ("round_normalized", "dual_radial") and not f_is_one:
         raise ConfigError(f"{cfg.mode} flow requires f = constant 1")
     if cfg.experiment == "barriers":
-        # the exact barriers are the round solutions of the isotropic flow
-        if not q < 0:
-            raise ConfigError(
-                "barriers experiments need alpha < 1 - k*beta "
-                f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
-            )
         if cfg.initial[0] != "round":
             raise ConfigError("barriers experiments need initial = round <r>")
         if not f_is_one:

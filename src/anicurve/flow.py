@@ -155,11 +155,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _require_unit_f(p: FlowParams, mode: str) -> None:
-    if p.f is not None and not np.all(p.f.field.values == 1.0):
-        raise ValueError(f"mode {mode!r} requires f = 1")
-
-
 class _Engine:
     """Array-level right-hand sides bound to one grid and parameter set;
     between calls it keeps nothing but its work counts (stats)."""
@@ -167,8 +162,8 @@ class _Engine:
     def __init__(self, grid: Grid, p: FlowParams, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("round_normalized", "dual_radial"):
-            _require_unit_f(p, mode)
+        if mode in ("round_normalized", "dual_radial") and p.f is not None:
+            raise ValueError(f"mode {mode!r} requires f = 1")
         self.grid = grid
         self.p = p
         self.mode = mode

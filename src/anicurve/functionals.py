@@ -95,6 +95,9 @@ def critical_offset(k: int, beta: float, alpha: float) -> float:
 class FlowParams:
     """Flow exponents (k, beta, alpha) and the anisotropy f (None means f = 1).
 
+    An anisotropy whose node values are all 1 is stored as None, so f = 1
+    has one representation whichever way it was built.
+
     A finite beta > 0 and a finite alpha are required at construction, with
     tests that NaN fails.  The convergence theory of the normalized flows
     additionally needs beta > 1/k; config._validate enforces that stricter
@@ -116,6 +119,8 @@ class FlowParams:
             raise ValueError("alpha must be finite")
         if self.f is not None and self.f.field.values.min() <= 0:
             raise ValueError("anisotropy must be positive")
+        if self.f is not None and np.all(self.f.field.values == 1.0):
+            object.__setattr__(self, "f", None)
 
     @property
     def gamma(self) -> float:

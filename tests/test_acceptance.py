@@ -324,9 +324,11 @@ def test_criterion_10_dual_flow_identity(grid):
     p = ac.FlowParams(k=1, beta=1.5, alpha=-2.0)
     s0 = ac.translated_ball(grid, 0.2)
     r0 = ac.polar_dual(s0)
-    stop = ac.StoppingConfig(t_max=0.5, tol_conv=0.0, record_every=1000, fixed_dt=2e-5)
+    stop = ac.StoppingConfig(t_max=0.5, tol_conv=0.0, record_every=10)
     tr_s = ac.run(s0, p, "raw", stop)
     tr_r = ac.run(r0, p, "dual_radial", stop)
+    # a record every 0.02, at the same times in both runs
+    assert len(tr_s.times) == 26 and tr_r.times == tr_s.times
     worst = max(
         float(np.max(np.abs(r.values * s.values - 1.0)))
         for s, r in zip(tr_s.snapshots, tr_r.snapshots)

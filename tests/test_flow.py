@@ -92,6 +92,21 @@ def test_round_normalized_needs_unit_f(grid200):
         ac.step(ac.round_body(grid200, 1.0), p_of(1, 2.0, -2.0, f=f), "round_normalized", 1e-4)
 
 
+def test_anisotropy_of_ones_is_f_equal_one():
+    # f = 1 has one representation: a raw run with a table of ones recorded
+    # tau = nan, where the same run with f = None records the closed form
+    grid = ac.make_grid(32)
+    assert p_of(1, 2.0, -2.0, f=ac.constant_anisotropy(grid, 1.0)).f is None
+    stop = StoppingConfig(t_max=0.01)
+    ones = p_of(1, 2.0, -2.0, f=ac.tabulated_anisotropy(grid, np.ones(grid.n)))
+    u0 = ac.translated_ball(grid, 0.2)
+    with_table, plain = ac.run(u0, ones, "raw", stop), ac.run(u0, p_of(1, 2.0, -2.0), "raw", stop)
+    assert with_table.diagnostics[-1].tau == plain.diagnostics[-1].tau
+    assert all(a.values.tobytes() == b.values.tobytes()
+               for a, b in zip(with_table.snapshots, plain.snapshots, strict=True))
+    assert plain.diagnostics[-1].tau == ac.normalized_time(0.01, ones)
+
+
 def test_barrier_examples():
     p = p_of(1, 1.0, -2.0)
     assert ac.barrier(1.0, 0.37, p) == pytest.approx(1.0, abs=1e-15)
@@ -200,15 +215,10 @@ def test_raw_normalized_consistency(grid64):
     p = p_of(1, 1.0, -2.0)
     u0 = ac.translated_ball(grid64, 0.2)
     t_end = 1.0
-    raw = ac.run(
-        u0, p, "raw", StoppingConfig(t_max=t_end, tol_conv=0.0, record_every=10**9, fixed_dt=1e-4)
-    )
+    raw = ac.run(u0, p, "raw", StoppingConfig(t_max=t_end, tol_conv=0.0, record_every=10**9))
     tau_end = ac.normalized_time(t_end, p)
     nef = ac.run(
-        u0,
-        p,
-        "round_normalized",
-        StoppingConfig(t_max=tau_end, tol_conv=0.0, record_every=10**9, fixed_dt=tau_end / 10000),
+        u0, p, "round_normalized", StoppingConfig(t_max=tau_end, tol_conv=0.0, record_every=10**9)
     )
     phi = ac.scale_factor(t_end, p)
     assert np.max(np.abs(raw.final().values / phi - nef.final().values)) < 1e-4
@@ -218,7 +228,7 @@ def test_dual_flow_identity(grid200):
     p = p_of(1, 1.5, -2.0)
     s0 = ac.translated_ball(grid200, 0.2)
     r0 = ac.polar_dual(s0)
-    stop = StoppingConfig(t_max=0.25, tol_conv=0.0, record_every=1000, fixed_dt=2e-5)
+    stop = StoppingConfig(t_max=0.25, tol_conv=0.0, record_every=10)
     tr_s = ac.run(s0, p, "raw", stop)
     tr_r = ac.run(r0, p, "dual_radial", stop)
     assert tr_s.stop_reason == tr_r.stop_reason == "t_max"

@@ -297,6 +297,20 @@ def test_parse_initial_and_f_specs():
         parse_config("f = fourier 1 2\n")
     with pytest.raises(ConfigError, match="initial-body kind"):
         parse_config("initial = cube 1\n")
+    # a spec takes exactly its kind's arguments: "round 1 2" ran as "round 1"
+    full = {
+        ("f", "anisotropy"): ["constant 2", "power-of-linear 0.2 5", "table f.csv"],
+        ("initial", "initial-body"): ["round 1", "translate 0.2", "spheroid 1 2", "file u.csv"],
+    }
+    for (key, name), specs in full.items():
+        for spec in specs:
+            assert parse_config(f"{key} = {spec}\n")
+            shorter = spec.rsplit(" ", 1)[0]
+            for bad in ([] if spec == "constant 2" else [shorter]) + [spec + " 7"]:
+                with pytest.raises(ConfigError, match=f"line 1: malformed {name} spec '{bad}'"):
+                    parse_config(f"{key} = {bad}\n")
+    # the constant's value may be left out, and then is 1
+    assert parse_config("f = constant\n").f == ("constant", 1.0)
 
 
 def test_parse_regime_consistency():
@@ -670,6 +684,30 @@ def test_cli_main(tmp_path, capsys):
 
 def test_every_experiment_has_one_driver():
     assert set(_DISPATCH) == set(EXPERIMENTS)
+
+
+def test_every_spec_kind_has_one_builder():
+    from anicurve.cli import _BUILDERS
+    from anicurve.config import _SPECS
+
+    kinds = {key: sorted(table) for key, (_, table) in _SPECS.items()}
+    assert kinds == {key: sorted(table) for key, table in _BUILDERS.items()}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [GOOD_FLOW, "experiment = soliton\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"],
+    ids=["flow", "soliton"],
+)
+def test_negative_seed_is_refused_before_the_run(tmp_path, capsys, text):
+    # a soliton run failed in uniqueness_spread, after it had written its
+    # snapshot, and a flow run echoed "seed": -1
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg_path.write_text(text)
+    experiment = parse_config(text).experiment
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_removed_validate_experiment_ends_in_one_error_line(tmp_path, capsys):

@@ -428,6 +428,33 @@ def test_exact_spheroid_soliton_is_fourth_order(k, beta, a, b):
     assert all(3.7 < order < 4.3 for order in orders), orders
 
 
+@pytest.mark.parametrize(
+    "k, beta, alpha, body",
+    [
+        (2, 1.0, 5.0, lambda grid: ac.spheroid_support(grid, 1.0, 1.5)),
+        (1, 1.5, 1.0, lambda grid: ac.translated_ball(grid, 0.3)),
+    ],
+    ids=["spheroid", "translate"],
+)
+def test_exact_soliton_families_with_unit_f(k, beta, alpha, body):
+    """With f = 1, every origin-centred spheroid solves the soliton equation
+    at k = 2, alpha = 1 + 4 beta, and every translate of the unit ball at
+    alpha = 1, so rho is constant up to the grid error.
+
+    Measured relative variation (max - min) / mean at N = 48, 96, 192:
+    spheroid (1, 1.5) 3.07e-5, 2.06e-6, 1.32e-7 (orders 3.90, 3.96);
+    translated_ball(0.3) 3.51e-7, 2.30e-8, 1.47e-9 (orders 3.93, 3.97).
+    """
+    p = ac.FlowParams(k=k, beta=beta, alpha=alpha)
+    errs = []
+    for n in (48, 96, 192):
+        grid = ac.make_grid(n)
+        rho = ac.speed_factor(body(grid), p).values
+        errs.append(((rho.max() - rho.min()) / rho.mean(), grid.h))
+    orders = observed_orders(errs)
+    assert all(3.7 < order < 4.3 for order in orders), orders
+
+
 def test_fine_phase_newton_statistics(monkeypatch):
     # test_newton_statistics' invariants hold for the iteration on the
     # requested grid, which starts from the prolonged coarse solution
