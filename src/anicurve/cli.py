@@ -43,7 +43,8 @@ from .flow import StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
 from .config import (
-    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _validate, load_config
+    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _parse_scalar, _validate,
+    load_config,
 )
 
 __all__ = ["main", "run_experiment"]
@@ -240,7 +241,8 @@ def _counterexample_experiment(
 def _barriers_experiment(
     cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
 ) -> int:
-    # config._validate admits only q < 0, `initial = round <r>`, f = 1 and this mode
+    # config._validate admits only q < 0, `initial = round <r>` and this mode,
+    # and run_experiment only f = 1
     cfg = replace(cfg, mode="round_normalized")
     a = cfg.initial[1]
     # the comparison runs to t_max, so convergence does not stop it
@@ -275,9 +277,11 @@ def run_experiment(
     """Run the experiment of a checked config; returns the exit status.
 
     The grid, the flow parameters and the initial body are built, every
-    input file read, and a volume-normalized k = 1 flow's anisotropy held
-    to the admissibility condition, before the output directory is
-    created, so a run that fails on its input leaves no directory behind;
+    input file read, the anisotropy of a barriers run or of a
+    round_normalized or dual_radial flow held to f = 1 (ConfigError
+    otherwise), and a volume-normalized k = 1 flow's anisotropy held to the
+    admissibility condition, before the output directory is created, so a
+    run that fails on its input leaves no directory behind;
     nor does a driver that raises before it writes a file, since the
     directories this call made are removed while they are empty.
     runs is the flow-run dict of counterexample.blowup_experiment, shared
@@ -286,6 +290,12 @@ def run_experiment(
     grid = make_grid(cfg.N)
     p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build(cfg, "f", grid))
     u0 = _build(cfg, "initial", grid)
+    # decided from the built anisotropy, so a table of ones is f = 1 too
+    if p.f is not None:
+        if cfg.experiment == "barriers":
+            raise ConfigError("barriers experiments require f = 1")
+        if cfg.experiment == "flow" and cfg.mode in ("round_normalized", "dual_radial"):
+            raise ConfigError(f"{cfg.mode} flow requires f = 1")
     volume_normalized = cfg.experiment == "flow" and cfg.mode == "volume_normalized"
     if volume_normalized and cfg.k == 1 and p.f is not None:
         margin = anisotropy_condition_margin(p.f, p)
@@ -329,7 +339,7 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str, out_dir, seed: int) -> int:
     variants = []
     for raw_value in values.split(","):
         variant = replace(cfg, raw=dict(cfg.raw))
-        setattr(variant, key, _SCALARS[key](raw_value.strip()))
+        setattr(variant, key, _parse_scalar(key, raw_value.strip(), "--sweep"))
         _validate(variant)
         variants.append(variant)
     base = Path(out_dir if out_dir is not None else cfg.out)

@@ -65,7 +65,7 @@ _SPECS = {
 }
 _CHOICES = {"experiment": EXPERIMENTS, "mode": MODES}
 _TYPES = {fld.name: fld.type for fld in fields(ExperimentConfig) if fld.name != "raw"}
-_SCALARS = {key: typ for key, typ in _TYPES.items() if typ in (int, float)}
+_SCALARS = {key for key, typ in _TYPES.items() if typ in (int, float)}
 
 
 def _parse_spec(key: str, spec: str, lineno: int) -> tuple:
@@ -85,6 +85,15 @@ def _parse_spec(key: str, spec: str, lineno: int) -> tuple:
     except ValueError:
         raise ConfigError(f"line {lineno}: malformed {name} spec {spec!r}") from None
     return (kind, *values, *[1.0] * (len(args) - len(words)))
+
+
+def _parse_scalar(key: str, value: str, where: str):
+    """The value of a scalar key (or of out) from its text; where prefixes
+    the error, a config line or --sweep."""
+    try:
+        return _TYPES[key](value)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse {key} value {value!r}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -114,10 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key in _SPECS:
             setattr(cfg, key, _parse_spec(key, value, lineno))
         else:
-            try:
-                setattr(cfg, key, _TYPES[key](value))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: cannot parse {key} value {value!r}") from None
+            setattr(cfg, key, _parse_scalar(key, value, f"line {lineno}"))
         cfg.raw[key] = value
     _validate(cfg)
     return cfg
@@ -155,14 +161,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.experiment == "soliton" and not 0 < cfg.c < float("inf"):
         raise ConfigError("speed constant c must be positive and finite")
-    f_is_one = cfg.f == ("constant", 1.0)
-    if cfg.experiment == "flow" and cfg.mode in ("round_normalized", "dual_radial") and not f_is_one:
-        raise ConfigError(f"{cfg.mode} flow requires f = constant 1")
     if cfg.experiment == "barriers":
         if cfg.initial[0] != "round":
             raise ConfigError("barriers experiments need initial = round <r>")
-        if not f_is_one:
-            raise ConfigError("barriers experiments require f = constant 1")
         if "mode" in cfg.raw and cfg.mode != "round_normalized":
             raise ConfigError("barriers experiments run mode = round_normalized")
 

@@ -16,8 +16,10 @@ it at a trial iterate is also that iterate's convexity test.
 
 While the residual's sup is at least _LOG_ABOVE * c, the step is that of
 the log form log f + (alpha-1) log u + beta log sigma_k = log c in the
-variables log u (_log_band: the same band, its rows divided by rho and its
-columns multiplied by u), and the trial is u * exp(lam * delta).  The
+variables log u, and the trial is u * exp(lam * delta).  That step's
+matrix is the plain band B scaled to diag(1/rho) B diag(u), so it solves
+B itself: B (u delta) = -rho log(rho/c).  Both step forms thus factor the
+one band, the Jacobian band the flow integrator factors too.  The
 equation is homogeneous of degree q = alpha + k*beta - 1 in u, so in this
 form a dilation is an additive constant and a scale error goes in one full
 step (on keeping Newton's variables natural to the problem: Deuflhard,
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import Grid, ScalarField, make_grid, _prolong, _restrict
-from .body import ConvexityLostError, _band_plan, _band_solver, _jacobian_band, _margin
+from .body import ConvexityLostError, _band_solver, _jacobian_band, _margin
 from .functionals import (
     FlowParams,
     _evaluate,
@@ -203,10 +205,12 @@ def solve_soliton(prob: SolitonProblem, grid: Grid | None = None) -> SolitonResu
     While the residual's sup is at least _LOG_ABOVE * c, the step is that of
     the log form log rho = log c in the variables log u, and the trial is u
     * exp(lam * delta); below it, the step is the plain one and the trial u
-    + lam * delta.  Either way a step is accepted only if the iterate stays
-    uniformly convex (its residual evaluates without ConvexityLostError) and
-    the sup norm of the raw residual rho - c decreases; otherwise the step
-    is halved, and so is a log trial that could overflow.
+    + lam * delta.  Both steps solve the one band: the log step's right side
+    is -rho log(rho/c), and its solution divided by u is delta.  Either way
+    a step is accepted only if the iterate stays uniformly convex (its
+    residual evaluates without ConvexityLostError) and the sup norm of the
+    raw residual rho - c decreases; otherwise the step is halved, and so is
+    a log trial that could overflow.
     An initial guess outside the admissible class raises ConvexityLostError.
 
     There is one stop rule.  Convergence is declared at |residual|_inf <
@@ -326,14 +330,6 @@ def _sup(x: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(x), axis=None))
 
 
-def _log_band(jac: np.ndarray, vals: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """jac, the band of d rho / d vals, scaled in place to diag(1/rho) jac
-    diag(vals): the band of d log rho / d log vals."""
-    jac *= vals
-    jac /= rho[_band_plan(vals.size)[1]]
-    return jac
-
-
 def _noise_floor(vals: np.ndarray, res: np.ndarray, grid: Grid, p: FlowParams, c: float) -> float:
     """The residual's rounding noise at vals: the largest sup change of the
     residual res over _FLOOR_DRAWS evaluations at vals * (1 + s eps), with
@@ -383,8 +379,9 @@ def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -
         jac = _jacobian_band(vals, *pieces, p.k, p.beta, p.alpha - 1.0)
         log_step = sup >= _LOG_ABOVE * c
         if log_step:
+            # diag(1/rho) B diag(u) delta = -log(rho/c) is B (u delta) = -rho log(rho/c)
             rho = pieces[0]
-            delta = _band_solver(_log_band(jac, vals, rho), -np.log(rho / c))[0]
+            delta = _band_solver(jac, -rho * np.log(rho / c))[0] / vals
             # vals * exp(lam * delta) stays finite while lam * top <= room
             top = float(np.maximum.reduce(delta, axis=None))
             room = _EXP_REACH - math.log(np.maximum.reduce(vals, axis=None))

@@ -313,13 +313,19 @@ def test_parse_initial_and_f_specs():
     assert parse_config("f = constant\n").f == ("constant", 1.0)
 
 
-def test_parse_regime_consistency():
+def test_parse_regime_consistency(tmp_path, capsys):
     with pytest.raises(ConfigError, match="alpha <= 1 - k\\*beta"):
         parse_config("experiment = soliton\nk = 1\nbeta = 2\nalpha = 0.5\n")
     with pytest.raises(ConfigError, match="alpha > 1 - k\\*beta"):
         parse_config("experiment = counterexample\nk = 1\nbeta = 1.5\nalpha = -2\n")
-    with pytest.raises(ConfigError, match="requires f = constant 1"):
-        parse_config("experiment = flow\nmode = round_normalized\nf = power-of-linear 0.2 5\n")
+    # f = 1 is decided from the built anisotropy, before the output exists
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("experiment = flow\nN = 32\nmode = round_normalized\nf = power-of-linear 0.2 5\n")
+    out = tmp_path / "o"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: round_normalized flow requires f = 1")
+    assert not out.exists()
     # 1 - 1*2.2 rounds to -1.2000000000000002; the line itself is accepted
     parse_config("experiment = soliton\nk = 1\nbeta = 2.2\nalpha = -1.2\n")
     with pytest.raises(ConfigError, match="alpha > 1 - k\\*beta"):
@@ -591,8 +597,14 @@ def test_barriers_reject_bodies_the_barriers_do_not_describe(tmp_path, capsys):
     base = "experiment = barriers\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"
     with pytest.raises(ConfigError, match="initial = round <r>"):
         parse_config(base + "initial = spheroid 1 2\n")
-    with pytest.raises(ConfigError, match="require f = constant 1"):
-        parse_config(base + "f = power-of-linear 0.2 5\n")
+    # f = 1 is decided from the built anisotropy, before the output exists
+    f_path = tmp_path / "f.cfg"
+    f_path.write_text(base + "f = power-of-linear 0.2 5\n")
+    out = tmp_path / "f"
+    assert main(["barriers", "--config", str(f_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: barriers experiments require f = 1")
+    assert not out.exists()
     # they run round_normalized only; any other mode was echoed but not run
     with pytest.raises(ConfigError, match="run mode = round_normalized"):
         parse_config(base + "mode = raw\n")
@@ -602,6 +614,26 @@ def test_barriers_reject_bodies_the_barriers_do_not_describe(tmp_path, capsys):
     cfg_path.write_text("N = 32\nk = 1\nbeta = 2\nalpha = -2\ninitial = spheroid 1 2\n")
     assert main(["barriers", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "initial = round <r>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["round_normalized", "dual_radial"])
+def test_anisotropy_of_ones_runs_as_f_equal_one(tmp_path, mode):
+    # f = 1 was decided from the spec text, so these flows were refused with
+    # a table of ones or with power-of-linear 0 5, both of which build f = 1
+    ones = tmp_path / "ones.csv"
+    ones.write_text("1\n" * 32)
+    base = (
+        "experiment = flow\nN = 32\nk = 1\nbeta = 2\nalpha = -2\nt_max = 0.01\n"
+        f"initial = translate 0.2\nmode = {mode}\n"
+    )
+    trees = []
+    for name, f in (("one", ""), ("table", f"f = table {ones}\n"), ("linear", "f = power-of-linear 0 5\n")):
+        assert run_experiment(parse_config(base + f), tmp_path / name, seed=0) == 0
+        tree = _tree(tmp_path / name)
+        summary = json.loads(tree.pop("summary.json"))
+        summary.pop("echo")
+        trees.append((tree, summary))
+    assert trees[1] == trees[0] and trees[2] == trees[0]
 
 
 def test_barriers_need_the_subcritical_regime(tmp_path, capsys):
@@ -755,6 +787,18 @@ def test_cli_sweep(tmp_path):
         ["flow", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--sweep", "bogus=1"]
     )
     assert code == 1
+
+
+def test_sweep_value_that_does_not_parse_names_sweep_and_key(tmp_path, capsys):
+    # a swept value is parsed as the config parses it: N = 2.5 ended in
+    # "invalid literal for int() with base 10: '2.5'", naming neither
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD_FLOW)
+    out = tmp_path / "s"
+    assert main(["flow", "--config", str(cfg_path), "--out", str(out), "--sweep", "N=48,2.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --sweep: cannot parse N value '2.5'\n"
+    assert not out.exists()
 
 
 
