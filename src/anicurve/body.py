@@ -383,7 +383,7 @@ def profile_curve(u: ScalarField) -> np.ndarray:
 
 
 def write_profile_csv(path, curve: np.ndarray) -> None:
+    """The rho,z columns of curve, 17 significant digits, in one write."""
+    rows = [f"{rho:.17g},{z:.17g}\n" for rho, z in curve.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rho,z\n")
-        for rho, z in curve:
-            fh.write(f"{rho:.17g},{z:.17g}\n")
+        fh.write("rho,z\n" + "".join(rows))

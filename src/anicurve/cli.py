@@ -128,10 +128,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_snapshot(path: Path, u: ScalarField) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_SNAPSHOT_HEADER + "\n")
-        for th, val in zip(u.grid.theta, u.values):
-            fh.write(f"{_fmt(th)},{_fmt(val)}\n")
+    """The theta,u columns, each value as _fmt writes it, in one write."""
+    rows = [f"{th:.17g},{val:.17g}\n" for th, val in zip(u.grid.theta.tolist(), u.values.tolist())]
+    path.write_text(f"{_SNAPSHOT_HEADER}\n{''.join(rows)}", encoding="utf-8")
 
 
 def _record_dict(rec) -> dict:

@@ -26,9 +26,12 @@ value: every mode takes the one solve path).  The six solves of a step
 share one LU factorization of the (2, 2) band (body._band_solver), into
 which I/(gamma dt) - B is written directly; the first solve is made in
 the factorization's own LAPACK call (dgbsv), with f0 and u as the two
-columns of one Fortran-ordered right side.  The stage inputs, the stage
-right sides and the new state are summed in place in the written-out
-order, so a step carries the bits of the formula written out.  A step evaluates five right
+columns of one Fortran-ordered right side.  The stages are the rows of one
+(7, n) array, the state and k_1 .. k_6: each stage input is one product of
+a tableau row (1, a_i1, ..) of _RODAS_A with the rows before it, and each
+stage right side is F plus one product of a row (c_i1, ..) / dt of
+_RODAS_C with the k rows before it, so BLAS dgemv sets the last bits of
+the sums, as dgbtrs sets those of the solves.  A step evaluates five right
 sides of its own (stages 2 to 5 and the embedded solution).  Every right
 side applies the one admissibility rule of body._radii (u > 0 and both
 principal radii > 0, else ConvexityLostError, a ValueError), and the right
@@ -73,24 +76,31 @@ __all__ = [
 
 MODES = ("raw", "round_normalized", "volume_normalized", "dual_radial")
 
-# RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7; rodas.f, METH = 1): for
-# i = 2..5 stage i solves (I/(dt*gamma) - J) k_i = F(y + sum_j a_ij k_j) +
-# sum_j (c_ij/dt) k_j, the embedded solution is y^ = (y + sum_j a_5j k_j) +
-# k_5, k_6 solves with F(y^) and c_6j, and y_new = y^ + k_6; k_6 is the error.
+# RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7; rodas.f, METH = 1) on the
+# stage rows (vals, k_1, .., k_6): for i = 2..6 the stage input is row i-2 of
+# _RODAS_A, (1, a_i1, .., a_i,i-1), times rows 0..i-1, and k_i solves
+# (I/(dt*gamma) - J) k_i = F(input) + (row i-2 of _RODAS_C / dt) times
+# rows 1..i-1.  Stage 6's input is the embedded solution y^ = y_5 + k_5 (its
+# row is stage 5's with a 1 for k_5), y_new = y^ + k_6, and k_6 is the error.
 _RODAS_GAMMA = 0.25
-_RODAS_A = (  # a_ij of stages 2..5, j < i
-    (1.544,),
-    (0.9466785280815826, 0.2557011698983284),
-    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+_RODAS_A = np.array(  # (1, a_ij) of stages 2..6 on rows 0..5, j < i
+    [
+        [1.0, 1.544, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.9466785280815826, 0.2557011698983284, 0.0, 0.0, 0.0],
+        [1.0, 3.314825187068521, 2.896124015972201, 0.9986419139977817, 0.0, 0.0],
+        [1.0, 1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 0.0],
+        [1.0, 1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 1.0],
+    ]
 )
-_RODAS_C = (  # c_ij of stages 2..6, j < i
-    (-5.6688,),
-    (-2.430093356833875, -0.2063599157091915),
-    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
-    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
-    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
-     -6.058818238834054),
+_RODAS_C = np.array(  # c_ij of stages 2..6 on k_1..k_5, j < i
+    [
+        [-5.6688, 0.0, 0.0, 0.0, 0.0],
+        [-2.430093356833875, -0.2063599157091915, 0.0, 0.0, 0.0],
+        [-0.1073529058151375, -9.594562251023355, -20.47028614809616, 0.0, 0.0],
+        [7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160, 0.0],
+        [8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+         -6.058818238834054],
+    ]
 )
 # Tolerances of the scaled RMS error; the record spacing of adaptive runs,
 # which record at each multiple of record_every * _RECORD_DT in the
@@ -130,7 +140,10 @@ class RunStats:
     four, and the run one at its start; an attempt that loses convexity
     stops at the first right side that fails; a Jacobian evaluates no right
     side (it is passed the node values of the right side at its state);
-    record_steps is the accepted-step count at each record."""
+    record_steps is the accepted-step count at each record.  R_min and R_max
+    are the extremes of the ratio max / min of the integrated values (u, or
+    r in the dual mode) over the start and every accepted state, which the
+    records alone can miss between their marks."""
 
     accepted: int = 0
     rejected: int = 0
@@ -139,6 +152,8 @@ class RunStats:
     jacobian_evaluations: int = 0
     step_min: float | None = None
     step_max: float | None = None
+    R_min: float | None = None
+    R_max: float | None = None
     record_steps: list[int] = field(default_factory=list)
 
 
@@ -260,14 +275,20 @@ class _Engine:
         path: every stage solve folds in the rank-1 term by Sherman-Morrison,
         whose corrections change no value when the gradient is zero.
 
-        The sums are formed in place in the written-out order, in arrays of
-        the step's own or in the right side of a stage (never in vals, f0 or
-        the Jacobian), so the bits are those of the expressions in the
-        comments.
+        Row 0 of one (7, n) stage array holds vals and rows 1-6 hold k_1 ..
+        k_6.  Each stage input is one product of a row of _RODAS_A with the
+        rows before it, and each stage right side is F(input) plus one
+        product of a row of _RODAS_C / dt with the k rows before it, added
+        into the stage's own row and solved there (never in vals, f0 or the
+        Jacobian).  BLAS dgemv sets the last bits of these sums, as dgbtrs
+        sets those of the solves.
         """
         band, eta, g = jac
+        n = vals.size
         shift = 1.0 / (_RODAS_GAMMA * dt) + eta
-        tmp = np.empty_like(vals)
+        tmp = np.empty(n)
+        ks = np.empty((7, n))
+        ks[0] = vals
         # Sherman-Morrison: (A + vals g^T)^-1 r = x - z (g.x), x = A^-1 r,
         # z = A^-1 vals / (1 + g.A^-1 vals); A^-1 f0 and A^-1 vals are the two
         # columns of one Fortran-ordered right side, solved in the
@@ -276,40 +297,22 @@ class _Engine:
         x, lu_solve = _band_solver(band, np.array((f0, vals)).T, shift)
         k1, z = x.T
         z /= 1.0 + g @ z
-        k1 -= np.multiply(z, g @ k1, out=tmp)
-
-        def solve(r):
-            x = lu_solve(r)
+        np.subtract(k1, np.multiply(z, g @ k1, out=tmp), out=ks[1])
+        c = _RODAS_C / dt
+        for i in range(2, 7):
+            y = _RODAS_A[i - 2, :i] @ ks[:i]
+            # the right side is solved in its row (a 1-D contiguous b), so x is ks[i]
+            x = lu_solve(np.add(self.rhs(y)[0], c[i - 2, : i - 1] @ ks[1:i], out=ks[i]))
             x -= np.multiply(z, g @ x, out=tmp)
-            return x
-
-        ks = [k1]
-        for i, c in enumerate(_RODAS_C):
-            if i < len(_RODAS_A):
-                # y = ((vals + a_i1 k_1) + a_i2 k_2) + ...
-                a = _RODAS_A[i]
-                y = ks[0] * a[0]
-                y += vals
-                for a_ij, k in zip(a[1:], ks[1:]):
-                    y += np.multiply(k, a_ij, out=tmp)
-            else:
-                y += ks[4]  # the embedded solution y^ = y + k_5
-            # k_i = A^-1 (((F(y) + (c_i1/dt) k_1) + (c_i2/dt) k_2) + ...), summed in F(y)
-            r = self.rhs(y)[0]
-            for c_ij, k in zip(c, ks):
-                r += np.multiply(k, c_ij / dt, out=tmp)
-            ks.append(solve(r))
-        est = ks[5]
         new = y
-        new += est  # new = y^ + k_6
+        new += ks[6]  # new = y^ + k_6
         # err = sqrt(mean((k6 / (atol + rtol max(|vals|, |new|)))^2))
         scale = np.abs(vals)
         np.maximum(scale, np.abs(new, out=tmp), out=scale)
         scale *= _RTOL
         scale += _ATOL
-        est /= scale
-        est *= est
-        return new, float(np.sqrt(est.sum() / est.size))
+        est = np.divide(ks[6], scale, out=scale)
+        return new, math.sqrt((est @ est) / n)
 
 
 def speed(u: ScalarField, p: FlowParams) -> ScalarField:
@@ -430,13 +433,16 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     while True:
         # these rules read only the current state, so a retry passes them again;
         # no sup norm is below tol_conv = 0
+        ratio = float(np.maximum.reduce(vals) / np.minimum.reduce(vals))
+        stats.R_min = min(ratio, stats.R_min or ratio)
+        stats.R_max = max(ratio, stats.R_max or ratio)
         if stop.tol_conv > 0 and float(np.maximum.reduce(np.abs(f0))) < stop.tol_conv:
             traj.stop_reason = "converged"
             break
         if s >= stop.t_max:
             traj.stop_reason = "t_max"
             break
-        if float(np.maximum.reduce(vals) / np.minimum.reduce(vals)) >= stop.R_blowup:
+        if ratio >= stop.R_blowup:
             traj.stop_reason = "ratio_blowup"
             break
         if stats.accepted >= _MAX_STEPS:

@@ -243,6 +243,16 @@ def test_profile_csv(tmp_path, grid200):
     assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
 
 
+def test_profile_csv_bytes(tmp_path, grid200):
+    # the header, then rho and z at 17 significant digits, as formatting the
+    # numpy values gives them
+    curve = profile_curve(spheroid_support(grid200, 1.0, 2.0))
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, curve)
+    want = "rho,z\n" + "".join(f"{rho:.17g},{z:.17g}\n" for rho, z in curve)
+    assert path.read_bytes() == want.encode()
+
+
 def _stack(grid, rows=10, seed=3):
     """rows profiles near one random convex body, as a (rows, n) stack."""
     rng = np.random.default_rng(seed)

@@ -212,6 +212,21 @@ def test_blowup_experiment_supports_blowup_on_capped_body(grid200):
     assert rep.control_r_decreasing
 
 
+def test_run_stats_track_the_ratio_between_records():
+    # at alpha = 0.5 the capped body's R peaks near tau = 0.24 and falls
+    # again by tau = 0.6; with record_every = 200 the records read R = 33.41,
+    # 25.57 and 9.66 at N = 100 and miss the peak, which the run's stats
+    # hold (41.65 at N = 100, 41.73 at N = 200)
+    grid = ac.make_grid(100)
+    sp = SubsolutionParams.from_exponents(alpha=0.5, k=1, beta=1.5, theta=2.0)
+    p = ac.FlowParams(k=1, beta=1.5, alpha=0.5)
+    u0 = ac.normalize_body(capped_profile_body(grid, sp, t=-0.3), 1)
+    traj = ac.run(u0, p, "volume_normalized", ac.StoppingConfig(t_max=0.6, record_every=200))
+    rs = [rec.R for rec in traj.diagnostics]
+    assert max(rs) < 40 < traj.stats.R_max
+    assert traj.stats.R_min <= min(rs) and max(rs) <= traj.stats.R_max
+
+
 def _scalar_case_bounds(sp, p, samples, seed, lo=1e-3, hi=0.5):
     """verify_case_bounds written out as one scalar loop over the public
     functions: per sample (s, rho) from rng.uniform, inner branch on even i."""

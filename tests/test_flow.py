@@ -438,6 +438,30 @@ def test_rodas4_order_against_barrier():
     assert np.log2(errs[0] / errs[1]) >= 3.8
 
 
+def test_rodas4_order_with_rank_one_drift():
+    # criterion 5's case B, volume-normalized from a spheroid: grad eta is
+    # nonzero, so every solve takes a live Sherman-Morrison correction.
+    # Against 2560 steps the errors at 10, 20 and 40 steps measured 8.00e-10,
+    # 4.85e-11 and 2.98e-12 (orders 4.04 and 4.02)
+    g = ac.make_grid(32)
+    f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
+    p = p_of(2, 1.0, -2.0, f=f)
+    u0 = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.5), 2).values
+
+    def final(n):
+        eng = _Engine(g, p, "volume_normalized")
+        v = u0
+        for _ in range(n):
+            v, _ = _rodas4(eng, v, 0.05 / n)
+        return v
+
+    eng = _Engine(g, p, "volume_normalized")
+    assert eng.jacobian(u0, eng.rhs(u0)[1])[2].any()
+    ref = final(2560)
+    errs = [np.max(np.abs(final(n) - ref)) for n in (10, 20, 40)]
+    assert min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])) >= 3.8
+
+
 def test_rk4_order_on_fixed_dt_path():
     g = ac.make_grid(16)
     p = p_of(1, 1.0, -2.0)
@@ -952,12 +976,16 @@ def test_no_function_changes_its_arguments(grid64, mode):
         _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))
 
 
-def _written_out_rodas4(eng, vals, dt, rank_one=False):
+def _written_out_rodas4(eng, vals, dt, rank_one=False, textbook=False):
     """The RODAS4 step with every temporary written out: a fresh -band shifted
-    on its diagonal, each sum as one expression and the mean by np.mean.
-    With a nonzero gradient, or with rank_one, the Sherman-Morrison form:
-    the two-column right side stacked in C order and a correction after
-    every solve; otherwise plain solves."""
+    on its diagonal, each stage input the tableau row (1, a_i1, ..) of
+    _RODAS_A times the freshly stacked (vals, k_1, ..), each right side F
+    plus the row (c_i1, ..) / dt of _RODAS_C times the stacked (k_1, ..),
+    and the error's sum of squares one dot product: the products the step
+    takes.  With textbook, each sum is instead the expression written out
+    term by term and the mean is np.mean.  With a nonzero gradient, or with
+    rank_one, the Sherman-Morrison form: the two-column right side stacked
+    in C order and a correction after every solve; otherwise plain solves."""
     f0, nodes = eng.rhs(vals)
     band, eta, g = eng.jacobian(vals, nodes)
     ab = -band
@@ -985,32 +1013,57 @@ def _written_out_rodas4(eng, vals, dt, rank_one=False):
         k1 = lu_solve(f0)
         solve = lu_solve
 
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _RODAS_A
-    (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = [
-        [c / dt for c in row] for row in _RODAS_C
-    ]
     def rhs(y):
         return eng.rhs(y)[0]
 
-    k2 = solve(rhs(vals + a21 * k1) + c21 * k1)
-    k3 = solve(rhs(vals + a31 * k1 + a32 * k2) + c31 * k1 + c32 * k2)
-    k4 = solve(rhs(vals + a41 * k1 + a42 * k2 + a43 * k3) + c41 * k1 + c42 * k2 + c43 * k3)
-    y5 = vals + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4
-    k5 = solve(rhs(y5) + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4)
-    embedded = y5 + k5
-    k6 = solve(rhs(embedded) + c61 * k1 + c62 * k2 + c63 * k3 + c64 * k4 + c65 * k5)
+    if textbook:
+        (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = [
+            _RODAS_A[i, 1 : i + 2] for i in range(4)
+        ]
+        (c21,), (c31, c32), (c41, c42, c43), (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = [
+            _RODAS_C[i, : i + 1] / dt for i in range(5)
+        ]
+        k2 = solve(rhs(vals + a21 * k1) + c21 * k1)
+        k3 = solve(rhs(vals + a31 * k1 + a32 * k2) + c31 * k1 + c32 * k2)
+        k4 = solve(rhs(vals + a41 * k1 + a42 * k2 + a43 * k3) + c41 * k1 + c42 * k2 + c43 * k3)
+        y5 = vals + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4
+        k5 = solve(rhs(y5) + c51 * k1 + c52 * k2 + c53 * k3 + c54 * k4)
+        embedded = y5 + k5
+        k6 = solve(rhs(embedded) + c61 * k1 + c62 * k2 + c63 * k3 + c64 * k4 + c65 * k5)
+    else:
+        stages = [vals, k1]
+        c = _RODAS_C / dt
+        for i in range(2, 7):
+            embedded = _RODAS_A[i - 2, :i] @ np.stack(stages)
+            stages.append(solve(rhs(embedded) + c[i - 2, : i - 1] @ np.stack(stages[1:])))
+        k6 = stages[6]
     new = embedded + k6
     scale = _ATOL + _RTOL * np.maximum(np.abs(vals), np.abs(new))
-    return new, float(np.sqrt(np.mean((k6 / scale) ** 2)))
+    if textbook:
+        return new, float(np.sqrt(np.mean((k6 / scale) ** 2)))
+    q = k6 / scale
+    return new, math.sqrt((q @ q) / q.size)
+
+
+def test_rodas4_tableau():
+    # stage 6's input is the embedded solution y_5 + k_5, and every row
+    # weighs only the rows before its stage
+    assert _RODAS_A.shape == (5, 6) and _RODAS_C.shape == (5, 5)
+    assert np.array_equal(_RODAS_A[4], np.append(_RODAS_A[3, :5], 1.0))
+    assert np.all(_RODAS_A[:, 0] == 1.0)
+    assert not np.triu(_RODAS_A, 2).any() and not np.triu(_RODAS_C, 1).any()
 
 
 @pytest.mark.parametrize("mode", ["raw", "round_normalized", "volume_normalized", "dual_radial"])
 def test_rodas4_matches_written_out_step(mode):
     # the step forms its band, right sides and sums in buffers of its own;
-    # (new, err) must carry the bits of the step written out above, and a
-    # retry with the same f0 and Jacobian the same bits again.  Without a
-    # gradient the step still takes the Sherman-Morrison path, which must
-    # give the bits of plain solves
+    # (new, err) must carry the bits of the step written out above, on
+    # freshly stacked stages, and a retry with the same f0 and Jacobian the
+    # same bits again.  Without a gradient the step still takes the
+    # Sherman-Morrison path, which must give the bits of plain solves.  The
+    # textbook sums differ from the tableau-row products only in their
+    # rounding: measured at most 2.0e-16 relative in the state and 2.4e-10 in
+    # the error estimate (which reaches 14 here)
     for n in (17, 64):
         g = ac.make_grid(n)
         f = ac.tabulated_anisotropy(g, 1.0 + 0.3 * np.cos(2 * g.theta))
@@ -1024,6 +1077,9 @@ def test_rodas4_matches_written_out_step(mode):
             if mode != "volume_normalized":
                 full = _written_out_rodas4(_Engine(g, p, mode), u, dt, rank_one=True)
                 assert np.array_equal(full[0], want[0]) and full[1] == want[1]
+            book = _written_out_rodas4(_Engine(g, p, mode), u, dt, textbook=True)
+            assert np.max(np.abs(want[0] - book[0])) <= 1e-15 * np.max(np.abs(want[0]))
+            assert abs(want[1] - book[1]) <= 1e-9
             eng = _Engine(g, p, mode)
             f0, nodes = eng.rhs(u)
             jac = eng.jacobian(u, nodes)

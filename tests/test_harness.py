@@ -534,6 +534,31 @@ def test_soliton_experiment_on_critical_line(tmp_path):
     assert "uniqueness_spread" not in summary
 
 
+def test_snapshot_bytes_and_read_back(tmp_path):
+    # the header, then one line per node with theta and u at 17 significant
+    # digits, as formatting the numpy values gives them; the file reads
+    # back bit for bit
+    from anicurve.cli import _read_body, _write_snapshot
+
+    grid = anicurve.make_grid(96)
+    u = anicurve.ScalarField(grid, np.random.default_rng(5).uniform(0.5, 2.0, grid.n))
+    path = tmp_path / "snapshot.csv"
+    _write_snapshot(path, u)
+    want = "theta,u\n" + "".join(f"{th:.17g},{val:.17g}\n" for th, val in zip(grid.theta, u.values))
+    assert path.read_bytes() == want.encode()
+    assert np.array_equal(_read_body(grid, str(path)).values, u.values)
+
+
+def test_summary_stats_bound_the_recorded_ratio(tmp_path):
+    cfg = parse_config(GOOD_FLOW)
+    assert run_experiment(cfg, tmp_path, seed=0) == 0
+    stats = json.loads((tmp_path / "summary.json").read_text())["stats"]
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    column = rows[0].split(",").index("R")
+    for row in rows[1:]:
+        assert stats["R_min"] <= float(row.split(",")[column]) <= stats["R_max"]
+
+
 def test_counterexample_experiment_stats(tmp_path):
     text = (
         "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\n"
