@@ -42,14 +42,12 @@ __all__ = [
     "SPHERE_AREA",
     "ConvexityLostError",
     "CurvatureMatrix",
-    "BodyGeometry",
     "round_body",
     "translated_ball",
     "spheroid_support",
     "curvature_matrix",
     "sigma_k",
     "convexity_margin",
-    "body_geometry",
     "mixed_volume",
     "normalize_body",
     "polar_dual",
@@ -71,18 +69,6 @@ class CurvatureMatrix:
 
     b11: ScalarField
     b22: ScalarField
-
-
-@dataclass(eq=False)
-class BodyGeometry:
-    """Per-node curvature data plus the global convexity margin."""
-
-    W: CurvatureMatrix
-    lambda1: ScalarField  # smaller principal radius
-    lambda2: ScalarField  # larger principal radius
-    sigma1: ScalarField
-    sigma2: ScalarField
-    convexity_margin: float
 
 
 def round_body(grid: Grid, radius: float) -> ScalarField:
@@ -314,21 +300,6 @@ def sigma_k(W: CurvatureMatrix, k: int) -> ScalarField:
 def convexity_margin(u: ScalarField) -> float:
     """Smallest eigenvalue of W_u over the grid; positive iff uniformly convex."""
     return _margin(u.values, u.grid)
-
-
-def body_geometry(u: ScalarField) -> BodyGeometry:
-    g = u.grid
-    b11, b22, _ = _curvature_entries(u.values, g)
-    lam1 = np.minimum(b11, b22)
-    lam2 = np.maximum(b11, b22)
-    return BodyGeometry(
-        W=CurvatureMatrix(ScalarField(g, b11), ScalarField(g, b22)),
-        lambda1=ScalarField(g, lam1),
-        lambda2=ScalarField(g, lam2),
-        sigma1=ScalarField(g, b11 + b22),
-        sigma2=ScalarField(g, b11 * b22),
-        convexity_margin=float(lam1.min()),
-    )
 
 
 def mixed_volume(v: ScalarField, us: Sequence[ScalarField], k: int) -> float:

@@ -277,10 +277,10 @@ def run_experiment(
 
     The grid, the flow parameters and the initial body are built, every
     input file read, the anisotropy of a barriers run or of a
-    round_normalized or dual_radial flow held to f = 1 (ConfigError
-    otherwise), and a volume-normalized k = 1 flow's anisotropy held to the
-    admissibility condition, before the output directory is created, so a
-    run that fails on its input leaves no directory behind;
+    round_normalized or dual_radial flow held to f = 1, and a
+    volume-normalized k = 1 flow's anisotropy held to the admissibility
+    condition (ConfigError otherwise), before the output directory is
+    created, so a run that fails on its input leaves no directory behind;
     nor does a driver that raises before it writes a file, since the
     directories this call made are removed while they are empty.
     runs is the flow-run dict of counterexample.blowup_experiment, shared
@@ -299,13 +299,11 @@ def run_experiment(
     if volume_normalized and cfg.k == 1 and p.f is not None:
         margin = anisotropy_condition_margin(p.f, p)
         if margin <= 0:
-            print(
-                "error: the anisotropy fails the admissibility condition "
+            raise ConfigError(
+                "the anisotropy fails the admissibility condition "
                 "for k < 2 (the curvature matrix of f^(1/(1+k*beta-alpha)) must be "
-                f"positive definite; its minimum entry is {margin:.3e})",
-                file=sys.stderr,
+                f"positive definite; its minimum entry is {margin:.3e})"
             )
-            return 1
     out = Path(out_dir if out_dir is not None else cfg.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,12 @@ def exact_spheroid_soliton(grid, a, b, k, beta, alpha, c=1.0):
     r1, r2 = (a * b) ** 2 / u**3, a * a / u
     sig = r1 + r2 if k == 1 else r1 * r2
     return u, c / (u ** (alpha - 1.0) * sig**beta)
+
+
+def strict_json(text):
+    """json.loads without the NaN and Infinity extension of Python's json."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)

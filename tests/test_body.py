@@ -4,7 +4,6 @@ from scipy.linalg import solve_banded
 
 from anicurve import (
     ScalarField,
-    body_geometry,
     convexity_margin,
     curvature_matrix,
     integrate,
@@ -46,11 +45,11 @@ def _spheroid_sigma2_oracle(u_values, a, b):
 
 def test_spheroid_sigma2(grid200):
     u = spheroid_support(grid200, 1.0, 2.0)
-    geom = body_geometry(u)
+    sigma2 = sigma_k(curvature_matrix(u), 2).values
     oracle = _spheroid_sigma2_oracle(u.values, 1.0, 2.0)
-    assert np.max(np.abs(geom.sigma2.values - oracle) / oracle) < 1e-5
+    assert np.max(np.abs(sigma2 - oracle) / oracle) < 1e-5
     # pole limit: both radii tend to a^2/b, so sigma_2 -> 0.25
-    assert geom.sigma2.values[0] == pytest.approx(0.25, abs=2e-3)
+    assert sigma2[0] == pytest.approx(0.25, abs=2e-3)
 
 
 def test_curvature_matrix_order_spheroid():
@@ -101,9 +100,11 @@ def test_convexity_margin_sign_change(grid200):
 def test_lambda_identities(grid200):
     rng = np.random.default_rng(7)
     u = random_convex_body(grid200, rng)
-    geom = body_geometry(u)
-    assert np.max(np.abs(geom.lambda1.values * geom.lambda2.values - geom.sigma2.values)) < 1e-9
-    assert np.max(np.abs(geom.lambda1.values + geom.lambda2.values - geom.sigma1.values)) < 1e-9
+    W = curvature_matrix(u)
+    lam1 = np.minimum(W.b11.values, W.b22.values)
+    lam2 = np.maximum(W.b11.values, W.b22.values)
+    assert np.max(np.abs(lam1 * lam2 - sigma_k(W, 2).values)) < 1e-9
+    assert np.max(np.abs(lam1 + lam2 - sigma_k(W, 1).values)) < 1e-9
 
 
 def test_mixed_volume_unit_ball(grid200):
@@ -175,12 +176,12 @@ def test_newton_maclaurin(grid200):
     rng = np.random.default_rng(23)
     for _ in range(5):
         u = random_convex_body(grid200, rng)
-        geom = body_geometry(u)
-        s1, s2 = geom.sigma1.values, geom.sigma2.values
+        W = curvature_matrix(u)
+        s1, s2 = sigma_k(W, 1).values, sigma_k(W, 2).values
         assert np.all(s1**2 - 4 * s2 > -1e-11 * np.max(s1) ** 2)
     # equality exactly at umbilic points: the round body
-    geom = body_geometry(round_body(grid200, 1.3))
-    assert np.max(np.abs(geom.sigma1.values**2 - 4 * geom.sigma2.values)) < 1e-9
+    W = curvature_matrix(round_body(grid200, 1.3))
+    assert np.max(np.abs(sigma_k(W, 1).values ** 2 - 4 * sigma_k(W, 2).values)) < 1e-9
 
 
 def test_normalize_body_round(grid200):

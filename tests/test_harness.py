@@ -15,6 +15,9 @@ import pytest
 import anicurve
 from anicurve.cli import _DISPATCH, main, run_experiment
 from anicurve.config import EXPERIMENTS, ConfigError, load_config, parse_config
+from conftest import strict_json
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD_FLOW = """
 # minimal normalized-flow run
@@ -173,17 +176,21 @@ def test_package_exports_only_module_all():
     assert [n for n in public if n not in exported] == []
 
 
+def _src_env():
+    """The environment of a child process that imports the package from src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_python_m_anicurve_runs_without_warnings():
     # `python -m anicurve.cli` makes runpy warn, because the package imports
     # cli before running it as __main__; the package's own entry point does not
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "anicurve", "--help"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -250,14 +257,11 @@ def test_lapack_loads_with_the_first_band_solve_without_scipy_linalg(tmp_path):
     # first band solve (an adaptive flow step here), straight from the
     # extension file, and never imports scipy.linalg; a later import of
     # scipy.linalg shares the routines
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-W", "error", "-c", _LAZY_LAPACK_SCRIPT, str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -399,86 +403,191 @@ def test_soliton_experiment_reports_its_noise_floor(tmp_path):
     assert np.max(np.abs(u - star)) < 1e-11
 
 
-@pytest.mark.parametrize(
-    "setting, message",
-    [
-        (
-            "N = 200\nalpha = -1\nf = power-of-linear 0.2 5\ninitial = spheroid 1 1.5\n",
-            "error: Newton stagnated at",
-        ),
-        (
-            "N = 200\nalpha = -1.001\nf = power-of-linear 0.2 5\n",
-            "error: the round soliton's scale",
-        ),
-        (
-            "N = 48\nalpha = -2\nf = power-of-linear -0.9 12\n",
-            "error: anisotropy fails the admissibility condition",
-        ),
-    ],
-    ids=["critical", "near-critical", "inadmissible"],
+_SOLITON_BASE = (
+    "experiment = soliton\nN = 200\nk = 1\nbeta = 2\nf = power-of-linear 0.2 5\nc = 1.0\n"
 )
-def test_soliton_failure_ends_in_one_error_line(tmp_path, capsys, setting, message):
-    # on the critical line c = 1 is not the eigenvalue, so Newton stalls (its
-    # log trials would overflow on the way); just below it the round
-    # soliton's scale overflows a double; a k = 1 anisotropy that fails the
-    # admissibility condition is refused: exit 1, one error line, no warning,
-    # and no output directory, though the solve fails after it was made
-    cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(f"experiment = soliton\nk = 1\nbeta = 2\nc = 1\n{setting}")
+
+# Configs that cannot be run, each as (config text, experiment, extra argv,
+# expected stderr).  {tmp} in a text or message is the test's directory, where
+# missing.csv does not exist and one.csv holds one value.  An expected stderr
+# that ends in a newline is the whole of it; any other is its start.
+FAILURES = {
+    # on the soliton critical line c = 1 is not the eigenvalue, so Newton
+    # stalls (its log trials would overflow on the way); just below the line
+    # the round soliton's scale is not representable as a double
+    "critical": (
+        _SOLITON_BASE + "alpha = -1\ninitial = spheroid 1 1.5\n",
+        "soliton",
+        [],
+        "error: Newton stagnated at",
+    ),
+    "near-critical": (
+        _SOLITON_BASE + "alpha = -1.001\n",
+        "soliton",
+        [],
+        "error: the round soliton's scale",
+    ),
+    # a k = 1 anisotropy that fails the admissibility condition is refused,
+    # by the soliton solve after the output directory was made, which the
+    # failed run removes, and by a volume-normalized flow before it is made
+    "soliton-inadmissible": (
+        "experiment = soliton\nN = 48\nk = 1\nbeta = 2\nc = 1\nalpha = -2\n"
+        "f = power-of-linear -0.9 12\n",
+        "soliton",
+        [],
+        "error: anisotropy fails the admissibility condition",
+    ),
+    "flow-inadmissible": (
+        "experiment = flow\nN = 48\nk = 1\nbeta = 2\nalpha = -2\n"
+        "mode = volume_normalized\nf = power-of-linear -0.9 12\n",
+        "flow",
+        [],
+        "error: the anisotropy fails the admissibility condition for k < 2 (the "
+        "curvature matrix of f^(1/(1+k*beta-alpha)) must be positive definite; its "
+        "minimum entry is -6.313e-01)\n",
+    ),
+    # the exact barriers need alpha < 1 - k*beta
+    "barriers-critical": (
+        "experiment = barriers\nN = 32\nk = 1\nbeta = 2\nalpha = -1\ninitial = round 0.5\n",
+        "barriers",
+        [],
+        "error: barriers experiments need alpha < 1 - k*beta",
+    ),
+    # the step floor is a constant, and every run ends at t_max
+    "flow-dt-min": (
+        "experiment = flow\nN = 32\ndt_min = 1e-12\n",
+        "flow",
+        [],
+        "error: line 3: unknown key 'dt_min'\n",
+    ),
+    "counterexample-horizon": (
+        "experiment = counterexample\nN = 32\nk = 1\nbeta = 1.5\nalpha = 0.5\nhorizon = 3.0\n",
+        "counterexample",
+        [],
+        "error: line 6: unknown key 'horizon'\n",
+    ),
+    # a run to t_max = inf could not be replayed
+    "flow-infinite-t-max": (
+        "experiment = flow\nN = 32\nt_max = inf\n",
+        "flow",
+        [],
+        "error: stopping configuration must be positive and finite\n",
+    ),
+    # np.loadtxt raises FileNotFoundError, an OSError; a file of one value,
+    # which make_field would broadcast to a constant field, is refused for
+    # its length; every input is read before the output directory is made
+    "flow-missing-table": (
+        "experiment = flow\nN = 32\nf = table {tmp}/missing.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/missing.csv not found.\n",
+    ),
+    "flow-missing-file": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/missing.csv\n",
+        "flow",
+        [],
+        "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n",
+    ),
+    "flow-one-value-table": (
+        "experiment = flow\nN = 32\nf = table {tmp}/one.csv\n",
+        "flow",
+        [],
+        "error: expected 32 values, got shape (1,)\n",
+    ),
+    "flow-one-value-file": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/one.csv\n",
+        "flow",
+        [],
+        "error: expected 32 values, got shape (1,)\n",
+    ),
+    # the consistency battery lives in the test suite alone; a config that
+    # still names it fails as an unknown experiment (run as a flow, since
+    # validate is no command-line choice)
+    "validate": (
+        "experiment = validate\nN = 64\n",
+        "flow",
+        [],
+        "error: line 1: unknown experiment 'validate' "
+        "(one of flow, soliton, counterexample, barriers)\n",
+    ),
+    # a spec takes exactly its kind's arguments
+    "flow-extra-word": (
+        "experiment = flow\nN = 32\ninitial = round 1 2\n",
+        "flow",
+        [],
+        "error: line 3: malformed initial-body spec 'round 1 2'\n",
+    ),
+    # a soliton run failed in uniqueness_spread, after it had written its
+    # snapshot, and a flow run echoed "seed": -1
+    "soliton-negative-seed": (
+        (CONFIG_DIR / "soliton.cfg").read_text(),
+        "soliton",
+        ["--seed", "-1"],
+        "error: --seed must be a non-negative integer, got -1\n",
+    ),
+    "flow-negative-seed": (
+        GOOD_FLOW,
+        "flow",
+        ["--seed", "-1"],
+        "error: --seed must be a non-negative integer, got -1\n",
+    ),
+    # a swept value is parsed as the config parses it: N = 2.5 ended in
+    # "invalid literal for int() with base 10: '2.5'", naming neither
+    "flow-sweep-fraction": (
+        (CONFIG_DIR / "flow_soliton.cfg").read_text(),
+        "flow",
+        ["--sweep", "N=48,2.5"],
+        "error: --sweep: cannot parse N value '2.5'\n",
+    ),
+    # a config that is not UTF-8 ended in a UnicodeDecodeError traceback
+    "not-utf-8": (
+        b"experiment = flow\nN = 32\n# caf\xe9\n",
+        "flow",
+        [],
+        "error: {tmp}/run.cfg is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 30: invalid continuation byte\n",
+    ),
+}
+
+
+def _failure_argv(tmp_path, name):
+    """(argv, expected stderr, out) of FAILURES[name], its files written."""
+    text, experiment, extra, expected = FAILURES[name]
+    (tmp_path / "one.csv").write_text("1.0\n")
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg_path.write_bytes(text if isinstance(text, bytes) else text.format(tmp=tmp_path).encode())
+    argv = [experiment, "--config", str(cfg_path), "--out", str(out), *extra]
+    return argv, expected.format(tmp=tmp_path), out
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_config_failure_ends_in_one_error_line(tmp_path, capsys, name):
+    # exit status 1, no warning, one stderr line that starts with "error: ",
+    # and no output directory left behind
+    argv, expected, out = _failure_argv(tmp_path, name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["soliton", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    assert code == 1
+        assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(message)
-    assert not (tmp_path / "o").exists()
+    assert err.count("\n") == 1 and err.startswith("error: ") and err.startswith(expected)
+    assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "spec", ["f = table {missing}\n", "initial = file {missing}\n"], ids=["table", "file"]
-)
-def test_missing_data_file_ends_in_one_error_line(tmp_path, capsys, spec):
-    # np.loadtxt raises FileNotFoundError, an OSError: exit 1 and one error
-    # line, not a traceback
-    missing = tmp_path / "missing.csv"
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("experiment = flow\nN = 32\n" + spec.format(missing=missing))
-    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
-    # every input is read before the output directory is made
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "spec", ["f = table {path}\n", "initial = file {path}\n"], ids=["table", "file"]
-)
-def test_one_value_data_file_ends_in_one_error_line(tmp_path, capsys, spec):
-    # np.loadtxt reads a file of one value as a 0-d array, which make_field
-    # would broadcast to a constant field; read as one value, it is refused
-    # for its length
-    path = tmp_path / "one.csv"
-    path.write_text("1.0\n")
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("experiment = flow\nN = 32\n" + spec.format(path=path))
-    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: expected 32 values, got shape (1,)\n"
-    assert not (tmp_path / "o").exists()
-
-
-def test_inadmissible_anisotropy_ends_in_one_error_line_before_out(tmp_path, capsys):
-    # the admissibility condition is checked with the other inputs, before
-    # the output directory is made
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "experiment = flow\nN = 48\nk = 1\nbeta = 2\nalpha = -2\n"
-        "mode = volume_normalized\nf = power-of-linear -0.9 12\n"
+def test_failed_run_exits_1_without_a_traceback(tmp_path):
+    # the process itself: Newton's stall on the soliton critical line,
+    # with overflow, division by zero and invalid values raised as errors
+    argv, expected, out = _failure_argv(tmp_path, "critical")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "anicurve", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=120,
     )
-    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "admissibility condition" in err
-    assert not (tmp_path / "o").exists()
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith(expected)
+    assert not out.exists()
 
 
 def test_flow_restarts_from_its_own_snapshot(tmp_path):
@@ -575,13 +684,6 @@ def test_counterexample_experiment_stats(tmp_path):
     assert (echo["t_max"], echo["theta"], echo["samples"]) == (0.02, 2.0, 50)
 
 
-def _strict_json(path):
-    def reject(token):
-        raise ValueError(f"{path.name}: {token} is not JSON")
-
-    return json.loads(path.read_text(), parse_constant=reject)
-
-
 def test_written_json_is_strict(tmp_path):
     # volume-normalized records carry t = nan; every JSON file the experiments
     # write must still parse without the NaN/Infinity extension
@@ -598,8 +700,8 @@ def test_written_json_is_strict(tmp_path):
     written = sorted(tmp_path.rglob("*.json"))
     assert len(written) == 3
     for path in written:
-        _strict_json(path)
-    summary = _strict_json(tmp_path / "flow" / "summary.json")
+        strict_json(path.read_text())
+    summary = strict_json((tmp_path / "flow" / "summary.json").read_text())
     assert summary["final"]["t"] is None and summary["final"]["tau"] == 0.05
 
 
@@ -655,7 +757,7 @@ def test_anisotropy_of_ones_runs_as_f_equal_one(tmp_path, mode):
     for name, f in (("one", ""), ("table", f"f = table {ones}\n"), ("linear", "f = power-of-linear 0 5\n")):
         assert run_experiment(parse_config(base + f), tmp_path / name, seed=0) == 0
         tree = _tree(tmp_path / name)
-        summary = json.loads(tree.pop("summary.json"))
+        summary = strict_json(tree.pop("summary.json"))
         summary.pop("echo")
         trees.append((tree, summary))
     assert trees[1] == trees[0] and trees[2] == trees[0]
@@ -705,17 +807,15 @@ def test_barriers_run_with_the_config_stopping_rules(tmp_path, monkeypatch):
     assert echo["mode"] == "round_normalized"
 
 
-def test_flow_refuses_inadmissible_anisotropy(tmp_path, capsys):
+def test_flow_refuses_inadmissible_anisotropy(tmp_path):
     # a strongly oscillating anisotropy violates the convergence hypothesis
     text = (
         "experiment = flow\nN = 48\nk = 1\nbeta = 2\nalpha = -2\n"
         "mode = volume_normalized\nf = power-of-linear -0.9 12\nt_max = 0.1\n"
     )
-    cfg = parse_config(text)
-    code = run_experiment(cfg, tmp_path, seed=0)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "admissibility condition" in captured.err
+    with pytest.raises(ConfigError, match="admissibility condition"):
+        run_experiment(parse_config(text), tmp_path / "o", seed=0)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_main(tmp_path, capsys):
@@ -751,36 +851,6 @@ def test_every_spec_kind_has_one_builder():
     assert kinds == {key: sorted(table) for key, table in _BUILDERS.items()}
 
 
-@pytest.mark.parametrize(
-    "text",
-    [GOOD_FLOW, "experiment = soliton\nN = 32\nk = 1\nbeta = 2\nalpha = -2\n"],
-    ids=["flow", "soliton"],
-)
-def test_negative_seed_is_refused_before_the_run(tmp_path, capsys, text):
-    # a soliton run failed in uniqueness_spread, after it had written its
-    # snapshot, and a flow run echoed "seed": -1
-    cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
-    cfg_path.write_text(text)
-    experiment = parse_config(text).experiment
-    assert main([experiment, "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
-    assert not out.exists()
-
-
-def test_removed_validate_experiment_ends_in_one_error_line(tmp_path, capsys):
-    # the consistency battery lives in the test suite alone; a config that
-    # still names it fails as an unknown experiment
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("experiment = validate\nN = 64\n")
-    assert main(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err == (
-        "error: line 1: unknown experiment 'validate' "
-        "(one of flow, soliton, counterexample, barriers)\n"
-    )
-    assert not (tmp_path / "o").exists()
-
-
 def test_flow_writes_final_profile(tmp_path):
     cfg = parse_config(GOOD_FLOW)
     run_experiment(cfg, tmp_path, seed=0)
@@ -812,19 +882,6 @@ def test_cli_sweep(tmp_path):
         ["flow", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--sweep", "bogus=1"]
     )
     assert code == 1
-
-
-def test_sweep_value_that_does_not_parse_names_sweep_and_key(tmp_path, capsys):
-    # a swept value is parsed as the config parses it: N = 2.5 ended in
-    # "invalid literal for int() with base 10: '2.5'", naming neither
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_FLOW)
-    out = tmp_path / "s"
-    assert main(["flow", "--config", str(cfg_path), "--out", str(out), "--sweep", "N=48,2.5"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: --sweep: cannot parse N value '2.5'\n"
-    assert not out.exists()
-
 
 
 COUNTEREXAMPLE = (
