@@ -31,6 +31,7 @@ from .body import (
 from .functionals import (
     Anisotropy,
     FlowParams,
+    _require_admissible,
     anisotropy_condition_margin,
     constant_anisotropy,
     diagnostics_csv_header,
@@ -43,8 +44,8 @@ from .flow import StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
 from .config import (
-    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _parse_scalar, _validate,
-    load_config,
+    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _parse_scalar, _utf8_text,
+    _validate, load_config,
 )
 
 __all__ = ["main", "run_experiment"]
@@ -58,13 +59,16 @@ _SNAPSHOT_HEADER = "theta,u"
 
 
 def _read_table(grid: Grid, path: str) -> Anisotropy:
-    return tabulated_anisotropy(grid, np.loadtxt(path, delimiter=",", ndmin=1))
+    with _utf8_text(path):
+        values = np.loadtxt(path, delimiter=",", ndmin=1, encoding="utf-8")
+    return tabulated_anisotropy(grid, values)
 
 
 def _read_body(grid: Grid, path: str) -> ScalarField:
     """A body from a file of one column of node values or of the theta,u
     columns of a snapshot that _write_snapshot wrote."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with _utf8_text(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines[:1] == [_SNAPSHOT_HEADER]:
         lines = lines[1:]
     data = np.loadtxt(lines, delimiter=",", ndmin=1)
@@ -297,13 +301,7 @@ def run_experiment(
             raise ConfigError(f"{cfg.mode} flow requires f = 1")
     volume_normalized = cfg.experiment == "flow" and cfg.mode == "volume_normalized"
     if volume_normalized and cfg.k == 1 and p.f is not None:
-        margin = anisotropy_condition_margin(p.f, p)
-        if margin <= 0:
-            raise ConfigError(
-                "the anisotropy fails the admissibility condition "
-                "for k < 2 (the curvature matrix of f^(1/(1+k*beta-alpha)) must be "
-                f"positive definite; its minimum entry is {margin:.3e})"
-            )
+        _require_admissible(anisotropy_condition_margin(p.f, p), ConfigError)
     out = Path(out_dir if out_dir is not None else cfg.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ derived quantities (gamma, q, the regime flag) can never be set.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from .flow import MODES
@@ -168,10 +169,17 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("barriers experiments run mode = round_normalized")
 
 
+@contextmanager
+def _utf8_text(path):
+    """Turns a UnicodeDecodeError raised while path is read into a
+    ConfigError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh, _utf8_text(path):
+        text = fh.read()
     return parse_config(text)

@@ -18,7 +18,7 @@ once, in a private kernel that takes plain floats or arrays.  The public
 scalar functions wrap it with their domain checks and keep the bits of float
 arithmetic; verify_case_bounds samples the bounds as arrays, in the stream
 order of a scalar loop and in blocks of bounded size, and
-capped_profile_body evaluates its meridian samples in one call.
+capped_profile_body takes its body's exact support function node by node.
 """
 
 from dataclasses import astuple, dataclass
@@ -250,70 +250,54 @@ def verify_case_bounds(
     }
 
 
-# meridian samples of capped_profile_body, half on the graph, half on the
-# closing sphere
-_MERIDIAN_SAMPLES = 24_000
-# entries per array of one block of capped_profile_body's support maximum:
-# its two 512 kB arrays fit in a core's L2 cache (4 MB blocks measured slower
-# than the node loop)
-_SUPPORT_BLOCK = 1 << 16
+# the direction angle of the rim normal: the closing sphere supports the body
+# up to it, the graph beyond it
+_THETA_RIM = np.pi - np.arctan(2.0)
+
+
+def _cap_support(theta: np.ndarray, s: float, sp: SubsolutionParams) -> np.ndarray:
+    """Support of the capped body in the directions (sin theta, cos theta),
+    theta in (0, pi): (psi(1) + 1/2) cos theta + sqrt(5)/2 on the closing
+    sphere up to the rim normal, rho sin theta + psi(rho) cos theta beyond
+    it, at the rho where psi'(rho) = m = -tan theta.  psi' is inverted on
+    its branch: rho = (m/2) s^(theta_c (1-mu)) below the junction slope
+    2 s^(theta_c mu), (m/2)^(1/mu) above it, theta_c the cap exponent."""
+    u = (_profile(1.0, s, sp) + 0.5) * np.cos(theta) + np.sqrt(5.0) / 2.0
+    graph = theta > _THETA_RIM
+    m = -np.tan(theta[graph])
+    rho = np.where(
+        m < 2.0 * s ** (sp.theta * sp.mu),
+        0.5 * m * s ** (sp.theta * (1.0 - sp.mu)),
+        (0.5 * m) ** (1.0 / sp.mu),
+    )
+    u[graph] = rho * np.sin(theta[graph]) + _profile(rho, s, sp) * np.cos(theta[graph])
+    return u
 
 
 def capped_profile_body(grid: Grid, sp: SubsolutionParams, t: float) -> ScalarField:
     """Support function of the convex body bounded below by the cap profile.
 
     The lower boundary is the rotation graph of psi(., t) over rho in [0, 1];
-    a sphere tangent at the rim (the profile slope there is 2 for every
-    admissible parameter set) closes the body on top.  The support function
-    is evaluated as a discrete maximum over the meridian, sampled at
-    _MERIDIAN_SAMPLES // 2 log-spaced graph points plus the axis point and
-    as many points on the sphere, which yields the support of the convex
-    hull of the samples.
+    a sphere tangent at the rim closes the body on top (the profile slope
+    there is 2 for every admissible parameter set, so the sphere has radius
+    sqrt(5)/2 and its center on the axis half a unit above the rim).  The
+    support in each node direction is exact (_cap_support): it is attained
+    where the boundary's outer normal is that direction (Schneider, Convex
+    Bodies: The Brunn-Minkowski Theory, sec. 1.7).
 
-    Its lowest point sits at distance |t|^theta below the origin under a cap
-    whose curvature radii shrink like |t|^(theta(1-mu)), so the expansion
-    speed there vanishes as t -> 0- while the bulk expands at unit rate.
-    Whether the volume-normalized flow then drives R = max u / min u up
-    without bound depends on alpha.  Measured at k = 1, beta = 1.5,
-    theta = 2, t = -0.3 with the cap built from the flow's own exponents:
+    Its lowest point sits at distance |t|^theta_c below the origin under a
+    cap whose curvature radii shrink like |t|^(theta_c (1-mu)), so the
+    expansion speed there vanishes as t -> 0- while the bulk expands at unit
+    rate.  Whether the volume-normalized flow then drives R = max u / min u
+    up without bound depends on alpha.  Measured at k = 1, beta = 1.5,
+    theta_c = 2, t = -0.3 with the cap built from the flow's own exponents:
     at alpha = 1 (mu = 2/3) R rises monotonically from about 30 to 3.8e3 by
-    tau = 3; at alpha = 0.5 (mu = 1/2) R peaks near 41.7 at tau ~ 0.24 and
+    tau = 3; at alpha = 0.5 (mu = 1/3) R peaks near 41.7 at tau ~ 0.24 and
     the body then rounds out (R ~ 9.7 by tau = 0.6), and deeper caps
     (t = -0.2 ... -0.1) behave the same way.
     """
     _check_domain(0.0, t)
-    s = -t
-    # graph part, log-spaced toward the tip to resolve the cap
-    rho = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, _MERIDIAN_SAMPLES // 2)))
-    z = _profile(rho, s, sp)
-    # closing sphere, tangent at (1, psi(1)) with slope 2: radius sqrt(5)/2,
-    # center on the axis half a unit above the rim
-    z_rim = z[-1]
-    radius = np.sqrt(5.0) / 2.0
-    z_center = z_rim + 0.5
-    a_rim = np.arctan2(1.0, z_rim - z_center)
-    arc = np.linspace(0.0, a_rim, _MERIDIAN_SAMPLES // 2)
-    rho_cap = radius * np.sin(arc)
-    z_cap = z_center + radius * np.cos(arc)
-
-    pr = np.concatenate([rho, rho_cap])
-    pz = np.concatenate([z, z_cap])
-    # support of an axisymmetric set: maximize sin(theta_i) pr + cos(theta_i) pz
-    # over the meridian samples, a block of nodes at a time; with the sines and
-    # cosines of the scalar node angles, each product and sum is that of one
-    # node's scan, so the maxima carry its bits
-    sin = np.array([np.sin(a) for a in grid.theta])
-    cos = np.array([np.cos(a) for a in grid.theta])
-    rows = min(grid.n, max(1, _SUPPORT_BLOCK // pr.size))
-    dots, term = np.empty((rows, pr.size)), np.empty((rows, pr.size))
-    u = np.empty(grid.n)
-    for start in range(0, grid.n, rows):
-        block = slice(start, min(start + rows, grid.n))
-        d, e = dots[: block.stop - start], term[: block.stop - start]
-        np.multiply(sin[block, None], pr, out=d)
-        np.multiply(cos[block, None], pz, out=e)
-        d += e
-        np.maximum.reduce(d, axis=1, out=u[block])
+    u = _cap_support(grid.theta, -t, sp)
     body = ScalarField(grid, u)
     if u.min() <= 0 or convexity_margin(body) <= 0:
         raise ValueError("cap parameters give an unresolvable body on this grid")

@@ -202,6 +202,18 @@ def anisotropy_condition_margin(f: Anisotropy, p: FlowParams) -> float:
     return _margin(f.field.values ** (1.0 / expo), f.field.grid)
 
 
+def _require_admissible(margin: float, error: type[ValueError] = ValueError) -> None:
+    """Raise error, naming the margin, unless an anisotropy_condition_margin
+    is positive: the k = 1 refusal of the soliton solve and of the
+    volume-normalized flow run from a config."""
+    if margin <= 0:
+        raise error(
+            "the anisotropy fails the admissibility condition for k < 2 (the "
+            "curvature matrix of f^(1/(1+k*beta-alpha)) must be positive definite; "
+            f"its minimum entry is {margin:.3e})"
+        )
+
+
 def alexandrov_fenchel_margin(v: ScalarField, u: ScalarField, k: int) -> float:
     """Quadratic mixed-volume margin, nonnegative for uniformly convex pairs.
 

@@ -74,6 +74,7 @@ from .body import ConvexityLostError, _band_solver, _jacobian_band, _margin
 from .functionals import (
     FlowParams,
     _evaluate,
+    _require_admissible,
     anisotropy_condition_margin,
     tabulated_anisotropy,
 )
@@ -305,11 +306,7 @@ def _checked_start(prob: SolitonProblem, grid: Grid | None) -> tuple[np.ndarray,
     if grid is None:
         raise ValueError("pass a grid or an initial guess")
     if p.f is not None and p.k == 1:
-        if _condition_margin(p) <= 0:
-            raise ValueError(
-                "anisotropy fails the admissibility condition: the curvature "
-                "matrix of f^(1/(1+k*beta-alpha)) must be positive definite for k < 2"
-            )
+        _require_admissible(_condition_margin(p))
 
     if prob.init is not None:
         vals = prob.init.values.copy()

@@ -243,7 +243,7 @@ def test_criterion_08_blowup_ab(grid):
     R to 1.
 
     Open question, not asserted: from the same construction at
-    alpha = 0.5 (mu = 1/2) R peaks near 41.7 at tau ~ 0.24 on N = 100 and
+    alpha = 0.5 (mu = 1/3) R peaks near 41.7 at tau ~ 0.24 on N = 100 and
     200 and then falls (to 9.7 by tau = 0.6); deeper caps (t = -0.2,
     -0.15, -0.1) peak at 1.36x, 1.44x and 1.56x their initial R at N = 100
     and also round out.  Neither the paper's abstract nor this package states

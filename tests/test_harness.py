@@ -409,8 +409,9 @@ _SOLITON_BASE = (
 
 # Configs that cannot be run, each as (config text, experiment, extra argv,
 # expected stderr).  {tmp} in a text or message is the test's directory, where
-# missing.csv does not exist and one.csv holds one value.  An expected stderr
-# that ends in a newline is the whole of it; any other is its start.
+# missing.csv does not exist, one.csv holds one value and latin1.csv holds a
+# byte that is not UTF-8.  An expected stderr that ends in a newline is the
+# whole of it; any other is its start.
 FAILURES = {
     # on the soliton critical line c = 1 is not the eigenvalue, so Newton
     # stalls (its log trials would overflow on the way); just below the line
@@ -435,7 +436,9 @@ FAILURES = {
         "f = power-of-linear -0.9 12\n",
         "soliton",
         [],
-        "error: anisotropy fails the admissibility condition",
+        "error: the anisotropy fails the admissibility condition for k < 2 (the "
+        "curvature matrix of f^(1/(1+k*beta-alpha)) must be positive definite; its "
+        "minimum entry is -6.313e-01)\n",
     ),
     "flow-inadmissible": (
         "experiment = flow\nN = 48\nk = 1\nbeta = 2\nalpha = -2\n"
@@ -500,6 +503,22 @@ FAILURES = {
         [],
         "error: expected 32 values, got shape (1,)\n",
     ),
+    # a data file that is not UTF-8 ended in the codec's message alone,
+    # naming no file
+    "flow-table-not-utf-8": (
+        "experiment = flow\nN = 32\nf = table {tmp}/latin1.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/latin1.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 11: invalid continuation byte\n",
+    ),
+    "flow-file-not-utf-8": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/latin1.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/latin1.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 11: invalid continuation byte\n",
+    ),
     # the consistency battery lives in the test suite alone; a config that
     # still names it fails as an unknown experiment (run as a flow, since
     # validate is no command-line choice)
@@ -554,6 +573,7 @@ def _failure_argv(tmp_path, name):
     """(argv, expected stderr, out) of FAILURES[name], its files written."""
     text, experiment, extra, expected = FAILURES[name]
     (tmp_path / "one.csv").write_text("1.0\n")
+    (tmp_path / "latin1.csv").write_bytes(b"1.0\n1.0\ncaf\xe9\n")
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
     cfg_path.write_bytes(text if isinstance(text, bytes) else text.format(tmp=tmp_path).encode())
     argv = [experiment, "--config", str(cfg_path), "--out", str(out), *extra]
