@@ -52,7 +52,6 @@ __all__ = [
     "normalize_body",
     "polar_dual",
     "profile_curve",
-    "write_profile_csv",
 ]
 
 SPHERE_AREA = 4.0 * np.pi
@@ -351,10 +350,3 @@ def profile_curve(u: ScalarField) -> np.ndarray:
     rho = u.values * g.sin + d1 * g.cos
     z = u.values * g.cos - d1 * g.sin
     return np.column_stack([rho, z])
-
-
-def write_profile_csv(path, curve: np.ndarray) -> None:
-    """The rho,z columns of curve, 17 significant digits, in one write."""
-    rows = [f"{rho:.17g},{z:.17g}\n" for rho, z in curve.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rho,z\n" + "".join(rows))

@@ -14,7 +14,7 @@ decimal separator, so identical configs and seeds replay bit-identically.
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +26,13 @@ from .body import (
     round_body,
     spheroid_support,
     translated_ball,
-    write_profile_csv,
 )
 from .functionals import (
-    Anisotropy,
+    DiagnosticsRecord,
     FlowParams,
     _require_admissible,
     anisotropy_condition_margin,
     constant_anisotropy,
-    diagnostics_csv_header,
-    diagnostics_csv_row,
     moment_powers,
     power_of_linear_anisotropy,
     tabulated_anisotropy,
@@ -51,27 +48,29 @@ from .config import (
 __all__ = ["main", "run_experiment"]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
+# every number in a CSV file: 17 significant digits, "." decimal point
+_FMT = "{:.17g}"
 
 _SNAPSHOT_HEADER = "theta,u"
 
 
-def _read_table(grid: Grid, path: str) -> Anisotropy:
-    with _utf8_text(path):
-        values = np.loadtxt(path, delimiter=",", ndmin=1, encoding="utf-8")
-    return tabulated_anisotropy(grid, values)
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then one line per row of numbers, in one write."""
+    line = ",".join([_FMT] * (header.count(",") + 1)).format
+    path.write_text("\n".join([header, *[line(*row) for row in rows], ""]), encoding="utf-8")
 
 
 def _read_body(grid: Grid, path: str) -> ScalarField:
-    """A body from a file of one column of node values or of the theta,u
-    columns of a snapshot that _write_snapshot wrote."""
+    """The node values of a data file, `f = table` or `initial = file`: one
+    column of them, or the theta,u columns of a snapshot the lab wrote."""
     with _utf8_text(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines[:1] == [_SNAPSHOT_HEADER]:
         lines = lines[1:]
-    data = np.loadtxt(lines, delimiter=",", ndmin=1)
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a CSV of numbers: {exc}") from None
     return make_field(grid, data[:, 1] if data.ndim == 2 else data)
 
 
@@ -81,7 +80,7 @@ _BUILDERS = {
     "f": {
         "constant": constant_anisotropy,
         "power-of-linear": power_of_linear_anisotropy,
-        "table": _read_table,
+        "table": lambda grid, path: tabulated_anisotropy(grid, _read_body(grid, path).values),
     },
     "initial": {
         "round": round_body,
@@ -132,9 +131,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_snapshot(path: Path, u: ScalarField) -> None:
-    """The theta,u columns, each value as _fmt writes it, in one write."""
-    rows = [f"{th:.17g},{val:.17g}\n" for th, val in zip(u.grid.theta.tolist(), u.values.tolist())]
-    path.write_text(f"{_SNAPSHOT_HEADER}\n{''.join(rows)}", encoding="utf-8")
+    _write_csv(path, _SNAPSHOT_HEADER, zip(u.grid.theta.tolist(), u.values.tolist()))
 
 
 def _record_dict(rec) -> dict:
@@ -143,12 +140,20 @@ def _record_dict(rec) -> dict:
     return d
 
 
+def _diagnostics_row(rec: DiagnosticsRecord) -> list:
+    """rec's fields in order, Z as one cell per moment power."""
+    row = []
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        row.extend(value.values() if f.name == "Z" else [value])
+    return row
+
+
 def _write_trajectory(out: Path, traj: Trajectory, p: FlowParams, prefix: str = "") -> None:
-    powers = moment_powers(p.beta)
-    with open(out / f"{prefix}diagnostics.csv", "w", encoding="utf-8") as fh:
-        fh.write(diagnostics_csv_header(powers) + "\n")
-        for rec in traj.diagnostics:
-            fh.write(diagnostics_csv_row(rec) + "\n")
+    z_columns = ",".join(f"Z_{pw:g}" for pw in moment_powers(p.beta))
+    header = ",".join(z_columns if f.name == "Z" else f.name for f in fields(DiagnosticsRecord))
+    rows = [_diagnostics_row(rec) for rec in traj.diagnostics]
+    _write_csv(out / f"{prefix}diagnostics.csv", header, rows)
     # cap the snapshot files; the diagnostics carry the full time series
     n = len(traj.snapshots)
     take = sorted(set(np.linspace(0, n - 1, min(n, 33)).astype(int)))
@@ -164,7 +169,7 @@ def _flow_experiment(
     traj = run(u0, p, cfg.mode, _stopping(cfg))
     _write_trajectory(out, traj, p)
     if cfg.mode != "dual_radial":
-        write_profile_csv(out / "profile_final.csv", profile_curve(traj.final()))
+        _write_csv(out / "profile_final.csv", "rho,z", profile_curve(traj.final()).tolist())
     usigma = [v for v in traj.usigma if np.isfinite(v)]
     summary = {
         "stop_reason": traj.stop_reason,
@@ -250,14 +255,13 @@ def _barriers_experiment(
     a = cfg.initial[1]
     # the comparison runs to t_max, so convergence does not stop it
     traj = run(u0, p, cfg.mode, replace(_stopping(cfg), tol_conv=0.0))
-    worst = 0.0
-    with open(out / "barrier_comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write("tau,u_numeric,u_exact,abs_err\n")
-        for tau, snap in zip(traj.times, traj.snapshots):
-            exact = barrier(a, tau, p)
-            err = float(np.max(np.abs(snap.values - exact)))
-            worst = max(worst, err)
-            fh.write(f"{_fmt(tau)},{_fmt(float(snap.values[0]))},{_fmt(exact)},{_fmt(err)}\n")
+    worst, rows = 0.0, []
+    for tau, snap in zip(traj.times, traj.snapshots):
+        exact = barrier(a, tau, p)
+        err = float(np.max(np.abs(snap.values - exact)))
+        worst = max(worst, err)
+        rows.append((tau, float(snap.values[0]), exact, err))
+    _write_csv(out / "barrier_comparison.csv", "tau,u_numeric,u_exact,abs_err", rows)
     _write_json(
         out / "summary.json",
         {"max_abs_error": worst, "records": len(traj.times), "echo": _echo(cfg, seed, p)},

@@ -9,7 +9,7 @@ exactly on self-similar solutions, and its weighted moments drive the
 monotone functionals used to certify convergence.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
     "alexandrov_fenchel_margin",
     "moment_powers",
     "diagnostics",
-    "diagnostics_csv_header",
-    "diagnostics_csv_row",
 ]
 
 
@@ -258,8 +256,8 @@ class DiagnosticsRecord:
 def diagnostics(u: ScalarField, p: FlowParams, t: float, tau: float) -> DiagnosticsRecord:
     """Evaluate the full diagnostics vector at one state.
 
-    Z holds the speed moments at moment_powers(p.beta), and eta is Z[1]
-    over the sphere area.
+    Z holds the speed moments at moment_powers(p.beta); J, the Lyapunov
+    functional, is Z[-1/beta], and eta is Z[1] over the sphere area.
     """
     g = u.grid
     vals = u.values
@@ -275,7 +273,7 @@ def diagnostics(u: ScalarField, p: FlowParams, t: float, tau: float) -> Diagnost
         tau=tau,
         R=float(vals.max() / vals.min()),
         eta=Z[1.0] / SPHERE_AREA,
-        J=float(g.weights @ (vals * sig * rho ** (-1.0 / p.beta))),
+        J=Z[-1.0 / p.beta],
         Z=Z,
         umin=float(vals.min()),
         umax=float(vals.max()),
@@ -285,19 +283,3 @@ def diagnostics(u: ScalarField, p: FlowParams, t: float, tau: float) -> Diagnost
         Q_min=float(rho.min()),
         Q_max=float(rho.max()),
     )
-
-
-def diagnostics_csv_header(powers: tuple[float, ...]) -> str:
-    """Column names in DiagnosticsRecord field order, Z as one Z_<p> per power."""
-    cols = []
-    for f in fields(DiagnosticsRecord):
-        cols.extend([f"Z_{pw:g}" for pw in powers] if f.name == "Z" else [f.name])
-    return ",".join(cols)
-
-
-def diagnostics_csv_row(rec: DiagnosticsRecord) -> str:
-    cells = []
-    for f in fields(rec):
-        value = getattr(rec, f.name)
-        cells.extend(value.values() if f.name == "Z" else [value])
-    return ",".join(f"{c:.17g}" for c in cells)

@@ -206,8 +206,12 @@ def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray,
 
     Each stencil is one "valid" correlation of the padded profile with its
     integer taps, which gives the n interior values, divided once by 12h or
-    12h^2; this rounds as the 5-term sum written out (taps pre-scaled by
-    1/(12h^2) round differently).
+    12h^2; this rounds as the 5-term sum written out.  The taps stay
+    integers because, measured with taps prescaled by 1/(12h) and
+    1/(12h^2), Newton's iterates for the exact spheroid solitons at N =
+    1200 and 1600 converge at order 0.8-2.2 instead of about 4 (k = 1 and
+    2, prolate and oblate), and sigma_2 of a body scaled by 2.5 misses
+    2.5^2 sigma_2 by 4.9e-11 against a 3.3e-11 (1e-12 relative) bound.
     """
     v = _extend(values, parity)
     d1 = np.correlate(v, _D1_TAPS, "valid")

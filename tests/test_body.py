@@ -17,7 +17,6 @@ from anicurve import (
     sigma_k,
     spheroid_support,
     translated_ball,
-    write_profile_csv,
 )
 from anicurve.body import ConvexityLostError, _band_solver, _entry_bands, _radii
 from anicurve.sphere import _derivatives
@@ -232,26 +231,6 @@ def test_profile_spheroid(grid200):
     prof = profile_curve(spheroid_support(grid200, 1.0, 2.0))
     resid = prof[:, 0] ** 2 + (prof[:, 1] / 2.0) ** 2 - 1.0
     assert np.max(np.abs(resid)) < 1e-6
-
-
-def test_profile_csv(tmp_path, grid200):
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, profile_curve(round_body(grid200, 1.0)))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rho,z"
-    assert len(lines) == grid200.n + 1
-    rho, z = map(float, lines[1].split(","))
-    assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
-
-
-def test_profile_csv_bytes(tmp_path, grid200):
-    # the header, then rho and z at 17 significant digits, as formatting the
-    # numpy values gives them
-    curve = profile_curve(spheroid_support(grid200, 1.0, 2.0))
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, curve)
-    want = "rho,z\n" + "".join(f"{rho:.17g},{z:.17g}\n" for rho, z in curve)
-    assert path.read_bytes() == want.encode()
 
 
 def _stack(grid, rows=10, seed=3):

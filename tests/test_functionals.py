@@ -29,7 +29,7 @@ from anicurve import (
     tabulated_anisotropy,
     translated_ball,
 )
-from anicurve.functionals import critical_offset, diagnostics_csv_header, diagnostics_csv_row
+from anicurve.functionals import critical_offset
 from conftest import random_convex_body
 
 
@@ -247,10 +247,19 @@ def test_diagnostics_record(grid200):
     assert rec.Q_min <= rec.Q_max
     assert rec.eta == pytest.approx(rec.Z[1.0] / SPHERE_AREA, rel=1e-14)
 
-    header = diagnostics_csv_header(moment_powers(p.beta))
-    row = diagnostics_csv_row(rec)
-    assert header.startswith("t,tau,R,eta,J,Z_-0.5")
-    assert len(header.split(",")) == len(row.split(","))
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [48, 200, 800])
+def test_lyapunov_record_is_its_moment(n, k):
+    # J is the moment at power -1/beta, bit for bit, and within rounding of
+    # the Lyapunov functional summed on its own
+    grid = make_grid(n)
+    p = FlowParams(k=k, beta=1.5, alpha=-1.0, f=power_of_linear_anisotropy(grid, 0.2, 3.0))
+    u = random_convex_body(grid, np.random.default_rng(n + k))
+    rec = diagnostics(u, p, 0.0, 0.0)
+    assert moment_powers(p.beta)[0] == -1.0 / p.beta
+    assert rec.J == rec.Z[-1.0 / p.beta]
+    assert rec.J == pytest.approx(lyapunov_functional(u, p), rel=1e-14)
 
 
 def test_one_admissibility_rule():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import anicurve
-from anicurve.cli import _DISPATCH, main, run_experiment
+from anicurve.cli import _DISPATCH, _write_csv, main, run_experiment
 from anicurve.config import EXPERIMENTS, ConfigError, load_config, parse_config
 from conftest import strict_json
 
@@ -409,8 +409,8 @@ _SOLITON_BASE = (
 
 # Configs that cannot be run, each as (config text, experiment, extra argv,
 # expected stderr).  {tmp} in a text or message is the test's directory, where
-# missing.csv does not exist, one.csv holds one value and latin1.csv holds a
-# byte that is not UTF-8.  An expected stderr that ends in a newline is the
+# missing.csv does not exist, one.csv holds one value, latin1.csv holds a
+# byte that is not UTF-8 and abc.csv a cell that is not a number.  An expected stderr that ends in a newline is the
 # whole of it; any other is its start.
 FAILURES = {
     # on the soliton critical line c = 1 is not the eigenvalue, so Newton
@@ -476,14 +476,15 @@ FAILURES = {
         [],
         "error: stopping configuration must be positive and finite\n",
     ),
-    # np.loadtxt raises FileNotFoundError, an OSError; a file of one value,
-    # which make_field would broadcast to a constant field, is refused for
-    # its length; every input is read before the output directory is made
+    # both specs read a data file with the one reader, which fails in one
+    # way for each: a missing file is an OSError, a file of one value, which
+    # make_field would broadcast to a constant field, is refused for its
+    # length; every input is read before the output directory is made
     "flow-missing-table": (
         "experiment = flow\nN = 32\nf = table {tmp}/missing.csv\n",
         "flow",
         [],
-        "error: {tmp}/missing.csv not found.\n",
+        "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n",
     ),
     "flow-missing-file": (
         "experiment = flow\nN = 32\ninitial = file {tmp}/missing.csv\n",
@@ -518,6 +519,21 @@ FAILURES = {
         [],
         "error: {tmp}/latin1.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
         "in position 11: invalid continuation byte\n",
+    ),
+    # a cell that is not a number ended in numpy's message alone, naming no file
+    "flow-table-not-a-number": (
+        "experiment = flow\nN = 32\nf = table {tmp}/abc.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/abc.csv is not a CSV of numbers: could not convert string 'abc' "
+        "to float64 at row 1, column 1.\n",
+    ),
+    "flow-file-not-a-number": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/abc.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/abc.csv is not a CSV of numbers: could not convert string 'abc' "
+        "to float64 at row 1, column 1.\n",
     ),
     # the consistency battery lives in the test suite alone; a config that
     # still names it fails as an unknown experiment (run as a flow, since
@@ -574,6 +590,7 @@ def _failure_argv(tmp_path, name):
     text, experiment, extra, expected = FAILURES[name]
     (tmp_path / "one.csv").write_text("1.0\n")
     (tmp_path / "latin1.csv").write_bytes(b"1.0\n1.0\ncaf\xe9\n")
+    (tmp_path / "abc.csv").write_text("1.0\nabc\n")
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
     cfg_path.write_bytes(text if isinstance(text, bytes) else text.format(tmp=tmp_path).encode())
     argv = [experiment, "--config", str(cfg_path), "--out", str(out), *extra]
@@ -661,6 +678,50 @@ def test_soliton_experiment_on_critical_line(tmp_path):
     assert summary["echo"]["derived"]["regime"] == "critical"
     assert summary["residual_sup"] < 1e-10 * 2**2.2
     assert "uniqueness_spread" not in summary
+
+
+def test_profile_csv(tmp_path):
+    grid = anicurve.make_grid(200)
+    path = tmp_path / "profile.csv"
+    _write_csv(path, "rho,z", anicurve.profile_curve(anicurve.round_body(grid, 1.0)).tolist())
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "rho,z"
+    assert len(lines) == grid.n + 1
+    rho, z = map(float, lines[1].split(","))
+    assert rho**2 + z**2 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_profile_csv_bytes(tmp_path):
+    # the header, then rho and z at 17 significant digits, as formatting the
+    # numpy values gives them
+    grid = anicurve.make_grid(200)
+    curve = anicurve.profile_curve(anicurve.spheroid_support(grid, 1.0, 2.0))
+    path = tmp_path / "profile.csv"
+    _write_csv(path, "rho,z", curve.tolist())
+    want = "rho,z\n" + "".join(f"{rho:.17g},{z:.17g}\n" for rho, z in curve)
+    assert path.read_bytes() == want.encode()
+
+
+def test_diagnostics_csv_bytes(tmp_path):
+    # one Z_<p> column per moment power in the field order of the record,
+    # then one row per record at 17 significant digits; J is Z_-0.5's cell
+    from anicurve.cli import _write_trajectory
+    from anicurve.flow import Trajectory
+
+    grid = anicurve.make_grid(200)
+    p = anicurve.FlowParams(k=1, beta=2.0, alpha=-2.0)
+    u = anicurve.translated_ball(grid, 0.3)
+    rec = anicurve.diagnostics(u, p, t=0.5, tau=0.25)
+    _write_trajectory(tmp_path, Trajectory(times=[0.25], snapshots=[u], diagnostics=[rec]), p)
+    header, row = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert header == (
+        "t,tau,R,eta,J,Z_-0.5,Z_0.5,Z_1,Z_2,umin,umax,gradmax,"
+        "lambda_min,lambda_max,Q_min,Q_max"
+    )
+    cells = [rec.t, rec.tau, rec.R, rec.eta, rec.J, *rec.Z.values(), rec.umin, rec.umax]
+    cells += [rec.gradmax, rec.lambda_min, rec.lambda_max, rec.Q_min, rec.Q_max]
+    assert row == ",".join(f"{c:.17g}" for c in cells)
+    assert row.split(",")[4] == row.split(",")[5]
 
 
 def test_snapshot_bytes_and_read_back(tmp_path):
