@@ -11,7 +11,6 @@ from .functionals import *
 from .flow import *
 from .soliton import *
 from .counterexample import *
-from .config import *
 from .cli import *
 
 __version__ = "0.1.0"

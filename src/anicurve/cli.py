@@ -1,10 +1,14 @@
-"""Command-line entry point and experiment drivers.
+"""Command line: key-value configs, experiment drivers and the lab's data files.
 
 Usage:
     anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
         [--sweep <key>=<v1>,<v2>,...]
     python -m anicurve <experiment> --config <path> [--out <dir>] [--seed <u64>]
         [--sweep <key>=<v1>,<v2>,...]
+
+A config is a plain text document of "key = value" lines with "#" comments.
+Unknown keys are rejected so that typos cannot silently change a run;
+derived quantities (gamma, q, the regime flag) can never be set.
 
 Every run writes a parameter echo into summary.json sufficient to
 reconstruct it; numbers are serialized with 17 significant digits and a "."
@@ -13,8 +17,11 @@ decimal separator, so identical configs and seeds replay bit-identically.
 
 import argparse
 import json
+import math
+import operator
 import sys
-from dataclasses import asdict, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +40,46 @@ from .functionals import (
     _require_admissible,
     anisotropy_condition_margin,
     constant_anisotropy,
+    critical_offset,
     moment_powers,
     power_of_linear_anisotropy,
     tabulated_anisotropy,
 )
-from .flow import StoppingConfig, Trajectory, barrier, run
+from .flow import F_ONE_MODES, MODES, StoppingConfig, Trajectory, barrier, run
 from .soliton import SolitonProblem, solve_soliton, uniqueness_spread
 from .counterexample import SubsolutionParams, blowup_experiment, verify_case_bounds
-from .config import (
-    _SCALARS, _TYPES, EXPERIMENTS, ConfigError, ExperimentConfig, _parse_scalar, _utf8_text,
-    _validate, load_config,
-)
 
-__all__ = ["main", "run_experiment"]
+__all__ = [
+    "ConfigError", "ExperimentConfig", "parse_config", "load_config", "main", "run_experiment",
+]
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class ExperimentConfig:
+    """Every config key with its type and default; raw holds each set key's text."""
+
+    experiment: str = "flow"
+    N: int = 200
+    k: int = 1
+    beta: float = 2.0
+    alpha: float = -2.0
+    f: tuple = ("constant", 1.0)
+    mode: str = "volume_normalized"
+    initial: tuple = ("round", 1.0)
+    t_max: float = StoppingConfig.t_max
+    tol_conv: float = StoppingConfig.tol_conv
+    R_blowup: float = StoppingConfig.R_blowup
+    record_every: int = StoppingConfig.record_every
+    c: float = 1.0
+    trials: int = 3
+    theta: float = 2.0
+    samples: int = 1000
+    out: str = "out"
+    raw: dict = field(default_factory=dict)
 
 
 # every number in a CSV file: 17 significant digits, "." decimal point
@@ -60,6 +94,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header, *[line(*row) for row in rows], ""]), encoding="utf-8")
 
 
+@contextmanager
+def _utf8_text(path):
+    """Turns a UnicodeDecodeError raised while path is read into a
+    ConfigError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_body(grid: Grid, path: str) -> ScalarField:
     """The node values of a data file, `f = table` or `initial = file`: one
     column of them, or the theta,u columns of a snapshot the lab wrote."""
@@ -67,33 +111,15 @@ def _read_body(grid: Grid, path: str) -> ScalarField:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines[:1] == [_SNAPSHOT_HEADER]:
         lines = lines[1:]
+    # np.loadtxt skips a line that is empty once its "#" comment is cut, and
+    # only warns when it skips them all
+    if not any(line.split("#", 1)[0] for line in lines):
+        raise ConfigError(f"{path} holds no values")
     try:
         data = np.loadtxt(lines, delimiter=",", ndmin=1)
     except ValueError as exc:
         raise ConfigError(f"{path} is not a CSV of numbers: {exc}") from None
     return make_field(grid, data[:, 1] if data.ndim == 2 else data)
-
-
-# the builder of each kind of config.parse_config's `f` and `initial` specs,
-# called with the grid and the spec's arguments
-_BUILDERS = {
-    "f": {
-        "constant": constant_anisotropy,
-        "power-of-linear": power_of_linear_anisotropy,
-        "table": lambda grid, path: tabulated_anisotropy(grid, _read_body(grid, path).values),
-    },
-    "initial": {
-        "round": round_body,
-        "translate": translated_ball,
-        "spheroid": spheroid_support,
-        "file": _read_body,
-    },
-}
-
-
-def _build(cfg: ExperimentConfig, key: str, grid: Grid):
-    kind, *args = getattr(cfg, key)
-    return _BUILDERS[key][kind](grid, *args)
 
 
 def _stopping(cfg: ExperimentConfig) -> StoppingConfig:
@@ -162,7 +188,7 @@ def _write_trajectory(out: Path, traj: Trajectory, p: FlowParams, prefix: str = 
 
 
 def _flow_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField, runs: dict | None
 ) -> int:
     if cfg.mode == "volume_normalized":
         u0 = normalize_body(u0, cfg.k)
@@ -189,7 +215,7 @@ def _flow_experiment(
 
 
 def _soliton_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField, runs: dict | None
 ) -> int:
     grid = u0.grid
     # on the critical line no round radius is singled out: start from `initial`
@@ -217,12 +243,7 @@ def _soliton_experiment(
 
 
 def _counterexample_experiment(
-    cfg: ExperimentConfig,
-    out: Path,
-    seed: int,
-    p: FlowParams,
-    u0: ScalarField,
-    runs: dict | None = None,
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField, runs: dict | None
 ) -> int:
     sp = SubsolutionParams.from_exponents(cfg.alpha, cfg.k, cfg.beta, cfg.theta)
     bounds = verify_case_bounds(sp, p, samples=cfg.samples, seed=seed)
@@ -247,10 +268,10 @@ def _counterexample_experiment(
 
 
 def _barriers_experiment(
-    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField
+    cfg: ExperimentConfig, out: Path, seed: int, p: FlowParams, u0: ScalarField, runs: dict | None
 ) -> int:
-    # config._validate admits only q < 0, `initial = round <r>` and this mode,
-    # and run_experiment only f = 1
+    # _validate admits only q < 0, `initial = round <r>` and this mode, and
+    # _barriers_anisotropy only f = 1
     cfg = replace(cfg, mode="round_normalized")
     a = cfg.initial[1]
     # the comparison runs to t_max, so convergence does not stop it
@@ -270,12 +291,175 @@ def _barriers_experiment(
     return 0
 
 
-_DISPATCH = {
-    "flow": _flow_experiment,
-    "soliton": _soliton_experiment,
-    "counterexample": _counterexample_experiment,
-    "barriers": _barriers_experiment,
+def _flow_anisotropy(cfg: ExperimentConfig, p: FlowParams) -> None:
+    """f = 1 in the modes that need it, and an admissible f in a
+    volume-normalized k = 1 flow."""
+    if p.f is None:
+        return
+    if cfg.mode in F_ONE_MODES:
+        raise ConfigError(f"{cfg.mode} flow requires f = 1")
+    if cfg.mode == "volume_normalized" and cfg.k == 1:
+        _require_admissible(anisotropy_condition_margin(p.f, p), ConfigError)
+
+
+def _barriers_anisotropy(cfg: ExperimentConfig, p: FlowParams) -> None:
+    if p.f is not None:
+        raise ConfigError("barriers experiments require f = 1")
+
+
+# each experiment's driver, the side of the critical line q = 0 it needs
+# (None: either side; the exact barriers are the round solutions of the
+# isotropic flow below it) and the check of its built anisotropy (None: any)
+_EXPERIMENTS = {
+    "flow": (_flow_experiment, None, _flow_anisotropy),
+    "soliton": (_soliton_experiment, "<=", None),
+    "counterexample": (_counterexample_experiment, ">", None),
+    "barriers": (_barriers_experiment, "<", _barriers_anisotropy),
 }
+_SIDES = {"<=": operator.le, ">": operator.gt, "<": operator.lt}
+
+# each kind of each spec key: its arguments and its builder, which is called
+# with the grid and their values; "<path>" is a file path, any other a
+# number, and a bracketed one may be left out, when it is 1
+_SPECS = {
+    "f": (
+        "anisotropy",
+        {
+            "constant": (("[v]",), constant_anisotropy),
+            "power-of-linear": (("<eps>", "<s>"), power_of_linear_anisotropy),
+            "table": (
+                ("<path>",),
+                lambda grid, path: tabulated_anisotropy(grid, _read_body(grid, path).values),
+            ),
+        },
+    ),
+    "initial": (
+        "initial-body",
+        {
+            "round": (("<r>",), round_body),
+            "translate": (("<eps>",), translated_ball),
+            "spheroid": (("<a>", "<b>"), spheroid_support),
+            "file": (("<path>",), _read_body),
+        },
+    ),
+}
+_CHOICES = {"experiment": _EXPERIMENTS, "mode": MODES}
+_TYPES = {fld.name: fld.type for fld in fields(ExperimentConfig) if fld.name != "raw"}
+_SCALARS = {key for key, typ in _TYPES.items() if typ in (int, float)}
+
+_DERIVED = {
+    "gamma": "gamma is derived from k and beta, it cannot be set",
+    "q": "q is derived from alpha, k and beta, it cannot be set",
+    "regime": "the regime flag is derived, it cannot be set",
+}
+
+
+def _parse_spec(key: str, spec: str, lineno: int) -> tuple:
+    """(kind, *arguments) of an `f` or `initial` value; a kind takes exactly
+    its own arguments."""
+    name, kinds = _SPECS[key]
+    kind, *words = spec.split() or [""]
+    if kind not in kinds:
+        use = " | ".join(" ".join((k, *args)) for k, (args, _) in kinds.items())
+        raise ConfigError(f"line {lineno}: unknown {name} kind {kind!r} (use: {use})")
+    args, _ = kinds[kind]
+    required = [arg for arg in args if not arg.startswith("[")]
+    try:
+        if not len(required) <= len(words) <= len(args):
+            raise ValueError
+        values = [word if arg == "<path>" else float(word) for arg, word in zip(args, words)]
+    except ValueError:
+        raise ConfigError(f"line {lineno}: malformed {name} spec {spec!r}") from None
+    return (kind, *values, *[1.0] * (len(args) - len(words)))
+
+
+def _parse_scalar(key: str, value: str, where: str):
+    """The value of a scalar key (or of out) from its text; where prefixes
+    the error, a config line or --sweep."""
+    try:
+        return _TYPES[key](value)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse {key} value {value!r}") from None
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and check a key-value config document."""
+    cfg = ExperimentConfig()
+    seen = set()
+    for lineno, rawline in enumerate(text.splitlines(), start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in _DERIVED:
+            raise ConfigError(f"line {lineno}: {_DERIVED[key]}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        if key not in _TYPES:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise ConfigError(
+                    f"line {lineno}: unknown {key} {value!r} (one of {', '.join(_CHOICES[key])})"
+                )
+            setattr(cfg, key, value)
+        elif key in _SPECS:
+            setattr(cfg, key, _parse_spec(key, value, lineno))
+        else:
+            setattr(cfg, key, _parse_scalar(key, value, f"line {lineno}"))
+        cfg.raw[key] = value
+    _validate(cfg)
+    return cfg
+
+
+def _validate(cfg: ExperimentConfig) -> None:
+    if cfg.N < 16:
+        raise ConfigError("N must be at least 16")
+    if cfg.k not in (1, 2):
+        raise ConfigError("k must be 1 or 2")
+    # written so that NaN fails every test
+    if not cfg.beta * cfg.k > 1.0:
+        raise ConfigError(f"beta must exceed 1/k (beta={cfg.beta:g}, k={cfg.k})")
+    if not (math.isfinite(cfg.beta) and math.isfinite(cfg.alpha)):
+        raise ConfigError(f"beta and alpha must be finite (beta={cfg.beta:g}, alpha={cfg.alpha:g})")
+    if cfg.f[0] == "constant" and cfg.f[1] <= 0:
+        raise ConfigError("anisotropy must be positive")
+    if not (0 <= cfg.tol_conv < math.inf and 0 < cfg.t_max < math.inf) or cfg.record_every < 1:
+        raise ConfigError("stopping configuration must be positive and finite")
+    if not cfg.R_blowup > 1.0:
+        raise ConfigError(f"R_blowup must exceed 1 (R_blowup={cfg.R_blowup:g})")
+    if not 0 < cfg.theta < float("inf"):
+        raise ConfigError("theta must be positive and finite")
+    if cfg.samples < 2:
+        raise ConfigError(f"samples must be at least 2 (samples={cfg.samples})")
+    _, need, _ = _EXPERIMENTS[cfg.experiment]
+    if need is not None and not _SIDES[need](critical_offset(cfg.k, cfg.beta, cfg.alpha), 0.0):
+        raise ConfigError(
+            f"{cfg.experiment} experiments need alpha {need} 1 - k*beta "
+            f"(alpha={cfg.alpha:g}, 1-k*beta={1.0 - cfg.k * cfg.beta:g})"
+        )
+    if cfg.experiment == "soliton" and not 0 < cfg.c < float("inf"):
+        raise ConfigError("speed constant c must be positive and finite")
+    if cfg.experiment == "barriers":
+        if cfg.initial[0] != "round":
+            raise ConfigError("barriers experiments need initial = round <r>")
+        if "mode" in cfg.raw and cfg.mode != "round_normalized":
+            raise ConfigError("barriers experiments run mode = round_normalized")
+
+
+def load_config(path) -> ExperimentConfig:
+    with open(path, "r", encoding="utf-8") as fh, _utf8_text(path):
+        text = fh.read()
+    return parse_config(text)
+
+
+def _build(cfg: ExperimentConfig, key: str, grid: Grid):
+    kind, *args = getattr(cfg, key)
+    _, build = _SPECS[key][1][kind]
+    return build(grid, *args)
 
 
 def run_experiment(
@@ -297,22 +481,15 @@ def run_experiment(
     grid = make_grid(cfg.N)
     p = FlowParams(k=cfg.k, beta=cfg.beta, alpha=cfg.alpha, f=_build(cfg, "f", grid))
     u0 = _build(cfg, "initial", grid)
+    driver, _, check_anisotropy = _EXPERIMENTS[cfg.experiment]
     # decided from the built anisotropy, so a table of ones is f = 1 too
-    if p.f is not None:
-        if cfg.experiment == "barriers":
-            raise ConfigError("barriers experiments require f = 1")
-        if cfg.experiment == "flow" and cfg.mode in ("round_normalized", "dual_radial"):
-            raise ConfigError(f"{cfg.mode} flow requires f = 1")
-    volume_normalized = cfg.experiment == "flow" and cfg.mode == "volume_normalized"
-    if volume_normalized and cfg.k == 1 and p.f is not None:
-        _require_admissible(anisotropy_condition_margin(p.f, p), ConfigError)
+    if check_anisotropy is not None:
+        check_anisotropy(cfg, p)
     out = Path(out_dir if out_dir is not None else cfg.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if cfg.experiment == "counterexample":
-            return _counterexample_experiment(cfg, out, seed, p, u0, runs)
-        return _DISPATCH[cfg.experiment](cfg, out, seed, p, u0)
+        return driver(cfg, out, seed, p, u0, runs)
     except BaseException:
         for d in made:
             if any(d.iterdir()):
@@ -355,7 +532,7 @@ def main(argv=None) -> int:
         prog="anicurve",
         description="Expanding curvature flows of convex bodies: simulate and verify",
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    parser.add_argument("experiment", choices=sorted(_EXPERIMENTS))
     parser.add_argument("--config", required=True, help="key-value config file")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument("--seed", type=int, default=0, help="random seed recorded in the echo")

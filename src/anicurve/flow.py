@@ -62,6 +62,7 @@ from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics
 
 __all__ = [
     "MODES",
+    "F_ONE_MODES",
     "StoppingConfig",
     "RunStats",
     "Trajectory",
@@ -75,6 +76,8 @@ __all__ = [
 ]
 
 MODES = ("raw", "round_normalized", "volume_normalized", "dual_radial")
+# the modes whose equation holds for f = 1 only
+F_ONE_MODES = ("round_normalized", "dual_radial")
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, IV.7; rodas.f, METH = 1) on the
 # stage rows (vals, k_1, .., k_6): for i = 2..6 the stage input is row i-2 of
@@ -177,7 +180,7 @@ class _Engine:
     def __init__(self, grid: Grid, p: FlowParams, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("round_normalized", "dual_radial") and p.f is not None:
+        if mode in F_ONE_MODES and p.f is not None:
             raise ValueError(f"mode {mode!r} requires f = 1")
         self.grid = grid
         self.p = p

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .sphere import Grid, ScalarField, make_field
-from .body import SPHERE_AREA, _margin, _radii
+from .body import SPHERE_AREA, _margin, _radii, mixed_volume
 
 __all__ = [
     "Anisotropy",
@@ -218,8 +218,6 @@ def alexandrov_fenchel_margin(v: ScalarField, u: ScalarField, k: int) -> float:
     k = 1: V2(v,u)^2 - V2(v,v) * V2(u,u)
     k = 2: V3(v,u,u)^2 - V3(v,v,u) * V3(u,u,u)
     """
-    from .body import mixed_volume
-
     if k == 1:
         vu = mixed_volume(v, [u], 1)
         return vu * vu - mixed_volume(v, [v], 1) * mixed_volume(u, [u], 1)

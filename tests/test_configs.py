@@ -3,8 +3,7 @@ from pathlib import Path
 import pytest
 from conftest import strict_json
 
-from anicurve.cli import main
-from anicurve.config import load_config
+from anicurve.cli import load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import anicurve
-from anicurve.cli import _DISPATCH, _write_csv, main, run_experiment
-from anicurve.config import EXPERIMENTS, ConfigError, load_config, parse_config
+from anicurve.cli import ConfigError, _write_csv, load_config, main, parse_config, run_experiment
 from conftest import strict_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -410,8 +409,9 @@ _SOLITON_BASE = (
 # Configs that cannot be run, each as (config text, experiment, extra argv,
 # expected stderr).  {tmp} in a text or message is the test's directory, where
 # missing.csv does not exist, one.csv holds one value, latin1.csv holds a
-# byte that is not UTF-8 and abc.csv a cell that is not a number.  An expected stderr that ends in a newline is the
-# whole of it; any other is its start.
+# byte that is not UTF-8, abc.csv a cell that is not a number, empty.csv
+# nothing and header.csv a snapshot's header alone.  An expected stderr that
+# ends in a newline is the whole of it; any other is its start.
 FAILURES = {
     # on the soliton critical line c = 1 is not the eigenvalue, so Newton
     # stalls (its log trials would overflow on the way); just below the line
@@ -520,6 +520,26 @@ FAILURES = {
         "error: {tmp}/latin1.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
         "in position 11: invalid continuation byte\n",
     ),
+    # an empty data file, or a snapshot with its header alone, made numpy
+    # warn before a length error that named no file
+    "flow-table-empty": (
+        "experiment = flow\nN = 32\nf = table {tmp}/empty.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/empty.csv holds no values\n",
+    ),
+    "flow-file-empty": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/empty.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/empty.csv holds no values\n",
+    ),
+    "flow-file-header-only": (
+        "experiment = flow\nN = 32\ninitial = file {tmp}/header.csv\n",
+        "flow",
+        [],
+        "error: {tmp}/header.csv holds no values\n",
+    ),
     # a cell that is not a number ended in numpy's message alone, naming no file
     "flow-table-not-a-number": (
         "experiment = flow\nN = 32\nf = table {tmp}/abc.csv\n",
@@ -591,6 +611,8 @@ def _failure_argv(tmp_path, name):
     (tmp_path / "one.csv").write_text("1.0\n")
     (tmp_path / "latin1.csv").write_bytes(b"1.0\n1.0\ncaf\xe9\n")
     (tmp_path / "abc.csv").write_text("1.0\nabc\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text("theta,u\n")
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "o"
     cfg_path.write_bytes(text if isinstance(text, bytes) else text.format(tmp=tmp_path).encode())
     argv = [experiment, "--config", str(cfg_path), "--out", str(out), *extra]
@@ -918,18 +940,6 @@ def test_cli_main(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "beta must exceed 1/k" in captured.err
-
-
-def test_every_experiment_has_one_driver():
-    assert set(_DISPATCH) == set(EXPERIMENTS)
-
-
-def test_every_spec_kind_has_one_builder():
-    from anicurve.cli import _BUILDERS
-    from anicurve.config import _SPECS
-
-    kinds = {key: sorted(table) for key, (_, table) in _SPECS.items()}
-    assert kinds == {key: sorted(table) for key, table in _BUILDERS.items()}
 
 
 def test_flow_writes_final_profile(tmp_path):
