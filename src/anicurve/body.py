@@ -23,6 +23,31 @@ scipy.linalg is never imported: its __init__ loads the whole of scipy's
 linear algebra, over ten times the time and six times the memory of the
 one extension.  A process that solves no band system (fixed-step flows,
 geometry, diagnostics) loads neither.
+
+Every right side, Newton trial and band solve runs this kernel, and at
+N = 200 NumPy's cost per call, not the arithmetic, sets its time.  So the
+kernel code keeps two rules, whose costs were measured with NumPy 2.4.6 at
+N = 200:
+
+- A reduction is _smallest, _largest or _all_finite, built on argmin or
+  argmax and one item: about 0.3-0.4 us, against about 1.0 us for a ufunc
+  reduction (np.minimum.reduce, ndarray.min, .all).  argmin and argmax
+  return the first NaN, so NaN propagates as through the ufunc reduction
+  and fails every check; signed zeros compare equal, though the sign of a
+  zero result may differ from the reduction's.  argmin ravels a 2-D array
+  that is not C-contiguous through a copy, so a Fortran-ordered array is
+  passed transposed.  The call sites: _radii, _band_solver and its solve,
+  flow.run's ratio and converged test, soliton._sup and the log step's
+  top and room.
+- A scalar operand fixed per grid size, per FlowParams object or per
+  module is a read-only float64 0-d array built once (sphere._constant):
+  a binary ufunc takes it for about 0.44 us, against about 0.63 us for a
+  Python float or NumPy scalar, with the same bits.  The call sites: the
+  12h and 12h^2 divisors of sphere._derivatives, the exponents of
+  functionals._evaluate, and the exponent 2 - alpha, the 1 of 1/r and
+  gamma of flow._Engine's right sides.  A scalar that changes per call
+  (a step's dt, eta, a dot product) stays a float: a fresh 0-d array costs
+  about 0.21 us, as much as it saves.
 """
 
 import functools
@@ -110,29 +135,48 @@ def _sigma_values(b11: np.ndarray, b22: np.ndarray, k: int) -> np.ndarray:
     raise ValueError(f"k must be 1 or 2, got {k}")
 
 
+def _smallest(a: np.ndarray) -> float:
+    """The smallest element of a, NaN if a holds one (argmin returns the
+    first NaN), as np.minimum.reduce gives it; see the module docstring."""
+    return a.item(a.argmin())
+
+
+def _largest(a: np.ndarray) -> float:
+    """The largest element of a, NaN if a holds one, as np.maximum.reduce
+    gives it."""
+    return a.item(a.argmax())
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(): argmin of the finiteness mask finds its first
+    False."""
+    ok = np.isfinite(a)
+    return ok.item(ok.argmin())
+
+
 def _radii(values: np.ndarray, grid: Grid, k: int):
     """(b11, b22, d1, sigma_k) of an admissible body.
 
     The one admissibility rule of every speed, rho, diagnostic, flow step
     and Newton trial: u > 0 and b11, b22 > 0 at every node, else
-    ConvexityLostError.  One reduction decides, over the node-wise minimum of
-    u, b11 and b22 (np.minimum and the test propagate NaN, so NaN fails);
-    only a failure looks again to name its cause.
+    ConvexityLostError, naming u when a support value breaks it.  Each
+    test is over the NaN-propagating minimum (_smallest), so NaN fails.
     """
     b11, b22, d1 = _curvature_entries(values, grid)
-    low = np.minimum(values, b11)
-    np.minimum(low, b22, out=low)
-    if not np.minimum.reduce(low, axis=None) > 0:
-        if not values.min() > 0:
-            raise ConvexityLostError("support values must be positive")
+    if not _smallest(values) > 0:
+        raise ConvexityLostError("support values must be positive")
+    if not (_smallest(b11) > 0 and _smallest(b22) > 0):
         raise ConvexityLostError("uniform convexity lost")
     return b11, b22, d1, _sigma_values(b11, b22, k)
 
 
 def _margin(values: np.ndarray, grid: Grid) -> float:
-    """Smallest principal radius over the grid."""
-    b11, b22, _ = _curvature_entries(values, grid)
-    return float(min(b11.min(), b22.min()))
+    """Smallest principal radius over the grid; NaN, with no warning, when
+    a value or a radius is not a number, so that every test not margin > 0
+    refuses it."""
+    with np.errstate(invalid="ignore"):
+        b11, b22, _ = _curvature_entries(values, grid)
+    return _smallest(np.minimum(b11, b22))
 
 
 # Half-bandwidth of the Jacobian of a node-wise function of u, b11 and b22:
@@ -266,7 +310,8 @@ def _band_solver(ab: np.ndarray, b: np.ndarray, shift: float | None = None):
     else:
         np.negative(ab, out=padded[_BAND:])
         padded[2 * _BAND] += shift
-    if not (np.isfinite(padded).all() and np.isfinite(b).all()):
+    # the transposes are C-contiguous for a Fortran-ordered band or b
+    if not (_all_finite(padded.T) and _all_finite(b.T)):
         raise ValueError("array must not contain infs or NaNs")
     dgbsv, dgbtrs = _lapack()
     lu, piv, x, info = dgbsv(_BAND, _BAND, padded, b, overwrite_ab=True, overwrite_b=True)
@@ -276,7 +321,7 @@ def _band_solver(ab: np.ndarray, b: np.ndarray, shift: float | None = None):
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        if not np.isfinite(b).all():
+        if not _all_finite(b.T):
             raise ValueError("array must not contain infs or NaNs")
         x, info = dgbtrs(lu, _BAND, _BAND, b, piv, overwrite_b=True)
         if info < 0:
@@ -329,7 +374,7 @@ def normalize_body(u: ScalarField, k: int) -> ScalarField:
     The scale factor is (4*pi / V_{k+1})^(1/(k+1)); degree-(k+1) homogeneity
     of the integral makes the normalization exact.
     """
-    if convexity_margin(u) <= 0:
+    if not convexity_margin(u) > 0:
         raise ValueError("cannot normalize a body that is not uniformly convex")
     vol = mixed_volume(u, [u] * k, k)
     scale = (SPHERE_AREA / vol) ** (1.0 / (k + 1))
@@ -338,8 +383,8 @@ def normalize_body(u: ScalarField, k: int) -> ScalarField:
 
 def polar_dual(u: ScalarField) -> ScalarField:
     """Radial function of the polar dual body: r* = 1/u."""
-    if u.values.min() <= 0:
-        raise ValueError("support function must be positive")
+    if not (_smallest(u.values) > 0 and _largest(u.values) < np.inf):
+        raise ValueError("support function must be positive and finite")
     return ScalarField(u.grid, 1.0 / u.values)
 
 

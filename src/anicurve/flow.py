@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import Grid, ScalarField
+from .sphere import Grid, ScalarField, _constant
 from .body import (
     SPHERE_AREA,
     _BAND,
@@ -56,7 +56,9 @@ from .body import (
     _band_plan,
     _band_solver,
     _jacobian_band,
+    _largest,
     _radii,
+    _smallest,
 )
 from .functionals import DiagnosticsRecord, FlowParams, _evaluate, diagnostics
 
@@ -119,6 +121,8 @@ _DT_MIN = 1e-12
 _MAX_STEPS = 20_000_000
 # Courant number of adaptive_dt
 _CFL = 0.4
+# the 1 of the dual right side's w = 1/r, a _constant operand (see body)
+_ONE = _constant(1.0)
 
 
 @dataclass
@@ -185,8 +189,8 @@ class _Engine:
         self.grid = grid
         self.p = p
         self.mode = mode
-        self.gamma = p.gamma
-        self._dual_power = 2.0 - p.alpha
+        self.gamma = _constant(p.gamma)
+        self._dual_power = _constant(2.0 - p.alpha)
         self.stats = RunStats()
 
     def rhs(self, vals: np.ndarray):
@@ -197,12 +201,12 @@ class _Engine:
         self.stats.rhs_evaluations += 1
         p = self.p
         if self.mode == "dual_radial":
-            b11, b22, _, sig = _radii(1.0 / vals, self.grid, p.k)
+            b11, b22, _, sig = _radii(np.divide(_ONE, vals), self.grid, p.k)
             spd = vals**self._dual_power
-            spd *= sig**p.beta
+            spd *= sig**p._beta
             np.negative(spd, out=spd)
         else:
-            spd, b11, b22, _, sig = _evaluate(vals, self.grid, p, p.alpha)
+            spd, b11, b22, _, sig = _evaluate(vals, self.grid, p, p._speed_power)
         eta = 0.0
         if self.mode == "round_normalized":
             f = spd - self.gamma * vals
@@ -321,7 +325,7 @@ class _Engine:
 def speed(u: ScalarField, p: FlowParams) -> ScalarField:
     """Node-wise flow speed f * u^alpha * sigma_k^beta; raises
     ConvexityLostError for a body outside the admissible class."""
-    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha)[0])
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p._speed_power)[0])
 
 
 def adaptive_dt(u: ScalarField, p: FlowParams) -> float:
@@ -436,10 +440,10 @@ def run(u0: ScalarField, p: FlowParams, mode: str, stop: StoppingConfig | None =
     while True:
         # these rules read only the current state, so a retry passes them again;
         # no sup norm is below tol_conv = 0
-        ratio = float(np.maximum.reduce(vals) / np.minimum.reduce(vals))
+        ratio = _largest(vals) / _smallest(vals)
         stats.R_min = min(ratio, stats.R_min or ratio)
         stats.R_max = max(ratio, stats.R_max or ratio)
-        if stop.tol_conv > 0 and float(np.maximum.reduce(np.abs(f0))) < stop.tol_conv:
+        if stop.tol_conv > 0 and _largest(np.abs(f0)) < stop.tol_conv:
             traj.stop_reason = "converged"
             break
         if s >= stop.t_max:

@@ -14,8 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .sphere import Grid, ScalarField, make_field
-from .body import SPHERE_AREA, _margin, _radii, mixed_volume
+from .sphere import Grid, ScalarField, make_field, _constant
+from .body import SPHERE_AREA, _margin, _radii, _smallest, mixed_volume
 
 __all__ = [
     "Anisotropy",
@@ -98,9 +98,14 @@ class FlowParams:
 
     A finite beta > 0 and a finite alpha are required at construction, with
     tests that NaN fails.  The convergence theory of the normalized flows
-    additionally needs beta > 1/k; config._validate enforces that stricter
+    additionally needs beta > 1/k; cli._validate enforces that stricter
     condition for every CLI run, while direct calls, such as raw-flow and
     blowup experiments, keep the full beta > 0 range.
+
+    The exponents of _evaluate, alpha - 1 (the speed factor), alpha (the
+    speed) and beta, are kept as _rho_power, _speed_power and _beta,
+    read-only float64 0-d arrays built once (sphere._constant), the form in
+    which a ufunc takes a fixed operand fastest (see body).
     """
 
     k: int
@@ -115,10 +120,13 @@ class FlowParams:
             raise ValueError("beta must be positive and finite")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.f is not None and self.f.field.values.min() <= 0:
+        if self.f is not None and not _smallest(self.f.field.values) > 0:
             raise ValueError("anisotropy must be positive")
         if self.f is not None and np.all(self.f.field.values == 1.0):
             object.__setattr__(self, "f", None)
+        object.__setattr__(self, "_rho_power", _constant(self.alpha - 1.0))
+        object.__setattr__(self, "_speed_power", _constant(self.alpha))
+        object.__setattr__(self, "_beta", _constant(self.beta))
 
     @property
     def gamma(self) -> float:
@@ -145,29 +153,30 @@ class FlowParams:
         return self.f.field.values
 
 
-def _evaluate(values: np.ndarray, grid: Grid, p: FlowParams, power: float):
+def _evaluate(values: np.ndarray, grid: Grid, p: FlowParams, power: np.ndarray):
     """(f * u^power * sigma_k^beta, b11, b22, d1, sigma_k) of an admissible body.
 
-    power = alpha - 1 gives the speed factor rho, power = alpha the flow
-    speed.  A body outside the admissible class (body._radii) raises
-    ConvexityLostError.  With f = 1 the factor f is skipped, which is exact.
+    power = p._rho_power (alpha - 1) gives the speed factor rho, power =
+    p._speed_power (alpha) the flow speed.  A body outside the admissible
+    class (body._radii) raises ConvexityLostError.  With f = 1 the factor f
+    is skipped, which is exact.
     """
     b11, b22, d1, sig = _radii(values, grid, p.k)
     term = values**power
     if p.f is not None:
         term *= p.f_values(grid)
-    term *= sig**p.beta
+    term *= sig**p._beta
     return term, b11, b22, d1, sig
 
 
 def speed_factor(u: ScalarField, p: FlowParams) -> ScalarField:
     """Node-wise f * u^(alpha-1) * sigma_k^beta."""
-    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha - 1.0)[0])
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p._rho_power)[0])
 
 
 def speed_moment(u: ScalarField, p: FlowParams, power: float) -> float:
     """Weighted moment of the speed factor: integral of u * sigma_k * rho^power."""
-    rho, *_, sig = _evaluate(u.values, u.grid, p, p.alpha - 1.0)
+    rho, *_, sig = _evaluate(u.values, u.grid, p, p._rho_power)
     return float(u.grid.weights @ (u.values * sig * rho**power))
 
 
@@ -192,19 +201,22 @@ def anisotropy_condition_margin(f: Anisotropy, p: FlowParams) -> float:
     With g = f^(1/(1+k*beta-alpha)), returns the minimum entry of the
     curvature matrix of g; positive means Hess(g) + g*I is positive definite,
     the hypothesis under which the normalized anisotropic flow converges for
-    k < n.
+    k < n.  A g that overflows gives NaN, with no warning, which
+    _require_admissible refuses.
     """
     expo = 1.0 + p.k * p.beta - p.alpha
     if expo <= 0:
         raise ValueError("1 + k*beta - alpha must be positive")
-    return _margin(f.field.values ** (1.0 / expo), f.field.grid)
+    with np.errstate(over="ignore"):
+        g = f.field.values ** (1.0 / expo)
+    return _margin(g, f.field.grid)
 
 
 def _require_admissible(margin: float, error: type[ValueError] = ValueError) -> None:
     """Raise error, naming the margin, unless an anisotropy_condition_margin
     is positive: the k = 1 refusal of the soliton solve and of the
-    volume-normalized flow run from a config."""
-    if margin <= 0:
+    volume-normalized flow run from a config; a NaN margin is refused."""
+    if not margin > 0:
         raise error(
             "the anisotropy fails the admissibility condition for k < 2 (the "
             "curvature matrix of f^(1/(1+k*beta-alpha)) must be positive definite; "
@@ -260,7 +272,7 @@ def diagnostics(u: ScalarField, p: FlowParams, t: float, tau: float) -> Diagnost
     g = u.grid
     vals = u.values
     powers = moment_powers(p.beta)
-    rho, b11, b22, d1, sig = _evaluate(vals, g, p, p.alpha - 1.0)
+    rho, b11, b22, d1, sig = _evaluate(vals, g, p, p._rho_power)
     # near-degenerate bodies can push high moments past the float range;
     # record them as inf rather than warn
     with np.errstate(over="ignore", invalid="ignore"):

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import Grid, ScalarField, make_grid, _prolong, _restrict
-from .body import ConvexityLostError, _band_solver, _jacobian_band, _margin
+from .body import ConvexityLostError, _band_solver, _jacobian_band, _largest, _margin
 from .functionals import (
     FlowParams,
     _evaluate,
@@ -170,7 +170,7 @@ def soliton_residual(u: ScalarField, prob: SolitonProblem) -> ScalarField:
     """Node-wise defect f * u^(alpha-1) * sigma_k^beta - c; raises
     ConvexityLostError for a body outside the admissible class."""
     p = prob.params
-    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p.alpha - 1.0)[0] - prob.c)
+    return ScalarField(u.grid, _evaluate(u.values, u.grid, p, p._rho_power)[0] - prob.c)
 
 
 def round_soliton_radius(prob: SolitonProblem, grid: Grid) -> float:
@@ -318,13 +318,13 @@ def _checked_start(prob: SolitonProblem, grid: Grid | None) -> tuple[np.ndarray,
 def _residual(v: np.ndarray, grid: Grid, p: FlowParams, c: float):
     """(residual, (rho, b11, b22, sigma_k)) at v: the defect and the node
     values its Jacobian is assembled from."""
-    rho, b11, b22, _, sig = _evaluate(v, grid, p, p.alpha - 1.0)
+    rho, b11, b22, _, sig = _evaluate(v, grid, p, p._rho_power)
     return rho - c, (rho, b11, b22, sig)
 
 
 def _sup(x: np.ndarray) -> float:
-    """max |x|, by the ufunc reduction without np.max's Python wrapper."""
-    return float(np.maximum.reduce(np.abs(x), axis=None))
+    """max |x|, NaN if x holds one (body._largest)."""
+    return _largest(np.abs(x))
 
 
 def _noise_floor(vals: np.ndarray, res: np.ndarray, grid: Grid, p: FlowParams, c: float) -> float:
@@ -380,8 +380,8 @@ def _newton(vals: np.ndarray, grid: Grid, p: FlowParams, c: float, tol: float) -
             rho = pieces[0]
             delta = _band_solver(jac, -rho * np.log(rho / c))[0] / vals
             # vals * exp(lam * delta) stays finite while lam * top <= room
-            top = float(np.maximum.reduce(delta, axis=None))
-            room = _EXP_REACH - math.log(np.maximum.reduce(vals, axis=None))
+            top = _largest(delta)
+            room = _EXP_REACH - math.log(_largest(vals))
         else:
             delta = _band_solver(jac, -res)[0]
 

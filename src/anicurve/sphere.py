@@ -26,6 +26,14 @@ _D1_TAPS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _D2_TAPS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 
 
+def _constant(x: float) -> np.ndarray:
+    """x as a read-only float64 0-d array: the form of a ufunc operand that is
+    fixed per grid size, per FlowParams or per module (see body)."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform interior grid on (0, pi): theta_i = i*h, i = 1..n, h = pi/(n+1)."""
@@ -200,24 +208,31 @@ def _prolong(values: np.ndarray, grid: Grid) -> np.ndarray:
     return _prolongation(values.size, grid.n) @ _extend(values, "even")[1:-1]
 
 
+@functools.cache
+def _divisors(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(12h, 12h^2) of _derivatives as _constant operands, built once per h."""
+    return _constant(12.0 * h), _constant(12.0 * h * h)
+
+
 def _derivatives(values: np.ndarray, h: float, parity: str) -> tuple[np.ndarray, np.ndarray]:
     """4th-order centered first and second differences of a nodal profile,
     with the parity ghost closure of _extend.
 
     Each stencil is one "valid" correlation of the padded profile with its
-    integer taps, which gives the n interior values, divided once by 12h or
-    12h^2; this rounds as the 5-term sum written out.  The taps stay
-    integers because, measured with taps prescaled by 1/(12h) and
+    integer taps, which gives the n interior values, divided once by 12h
+    or 12h^2 (_divisors); this rounds as the 5-term sum written out.  The
+    taps stay integers because, measured with taps prescaled by 1/(12h) and
     1/(12h^2), Newton's iterates for the exact spheroid solitons at N =
     1200 and 1600 converge at order 0.8-2.2 instead of about 4 (k = 1 and
     2, prolate and oblate), and sigma_2 of a body scaled by 2.5 misses
     2.5^2 sigma_2 by 4.9e-11 against a 3.3e-11 (1e-12 relative) bound.
     """
     v = _extend(values, parity)
+    by1, by2 = _divisors(h)
     d1 = np.correlate(v, _D1_TAPS, "valid")
-    d1 /= 12.0 * h
+    d1 /= by1
     d2 = np.correlate(v, _D2_TAPS, "valid")
-    d2 /= 12.0 * h * h
+    d2 /= by2
     return d1, d2
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -18,7 +20,15 @@ from anicurve import (
     spheroid_support,
     translated_ball,
 )
-from anicurve.body import ConvexityLostError, _band_solver, _entry_bands, _radii
+from anicurve.body import (
+    ConvexityLostError,
+    _all_finite,
+    _band_solver,
+    _entry_bands,
+    _largest,
+    _radii,
+    _smallest,
+)
 from anicurve.sphere import _derivatives
 from conftest import observed_orders, random_convex_body
 
@@ -206,6 +216,15 @@ def test_normalize_body_rejects_nonconvex(grid200):
     u = make_field(grid200, lambda t: 1.0 + 0.8 * np.cos(2 * t))
     with pytest.raises(ValueError):
         normalize_body(u, 1)
+    # one NaN or infinite node makes the margin NaN, which is refused with
+    # no warning (a NaN margin used to pass the guard: the body came back
+    # all NaN)
+    for bad in (np.nan, np.inf):
+        vals = spheroid_support(grid200, 1.0, 1.3).values
+        vals[40] = bad
+        assert np.isnan(convexity_margin(ScalarField(grid200, vals)))
+        with pytest.raises(ValueError, match="not uniformly convex"):
+            normalize_body(ScalarField(grid200, vals), 1)
 
 
 def test_polar_dual(grid200):
@@ -213,6 +232,11 @@ def test_polar_dual(grid200):
     assert np.max(np.abs(polar_dual(u).values - 0.5)) < 1e-15
     v = translated_ball(grid200, 0.3)
     assert np.max(np.abs(polar_dual(v).values - 1.0 / v.values)) == 0.0
+    for bad in (np.nan, np.inf, 0.0):
+        vals = v.values.copy()
+        vals[17] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            polar_dual(ScalarField(grid200, vals))
 
 
 def test_profile_unit_ball(grid200):
@@ -353,3 +377,56 @@ def test_entry_bands_apply_the_kernel_differences(n):
         assert not ab[0, :2].any() and not ab[1, 0] and not ab[3, -1] and not ab[4, -2:].any()
         assert not ab.flags.writeable
     assert _entry_bands(n) is _entry_bands(n)  # built once per n
+
+
+def _reduction_inputs(grid):
+    """Arrays for the reduction helpers: random profiles, strided rows of a
+    Fortran-ordered stack, and (5, n) bands in C and in Fortran order, each
+    as drawn, with a NaN, +-inf or a signed zero first, in the middle or
+    last (in C order), and all zeros of alternating sign."""
+    rng = np.random.default_rng(5)
+    stack = np.asfortranarray(_stack(grid))
+    band = rng.standard_normal((5, grid.n))
+    profiles = [rng.uniform(-2.0, 3.0, grid.n) for _ in range(3)]
+    makers = [lambda x=x: x.copy() for x in profiles]
+    makers += [
+        lambda: np.array(stack, order="F")[7],
+        lambda: band.copy(),
+        lambda: np.array(band, order="F"),
+    ]
+    for make in makers:
+        size = make().size
+        yield make()
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            for i in (0, size // 2, size - 1):
+                a = make()
+                a[np.unravel_index(i, a.shape)] = bad
+                yield a
+        a = make()
+        a.flat[::2] = 0.0
+        a.flat[1::2] = -0.0
+        yield a
+        yield -a
+
+
+def test_reduction_helpers_match_the_ufunc_reductions(grid64):
+    # _smallest, _largest and _all_finite take argmin/argmax and one item in
+    # place of a ufunc reduction: the same value (NaN for NaN; a zero may
+    # differ in sign only), the same verdict, and no warning, for contiguous
+    # profiles, strided rows of a Fortran-ordered stack and 2-D bands in
+    # either order
+    seen = set()
+    for a in _reduction_inputs(grid64):
+        seen.add((a.ndim, a.flags.c_contiguous, a.flags.f_contiguous))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _smallest(a), _largest(a), _all_finite(a)
+        want = (
+            float(np.minimum.reduce(a, axis=None)),
+            float(np.maximum.reduce(a, axis=None)),
+            bool(np.isfinite(a).all()),
+        )
+        assert type(got[0]) is type(got[1]) is float and type(got[2]) is bool
+        assert np.array_equal(got[:2], want[:2], equal_nan=True) and got[2] is want[2]
+    # contiguous and strided profiles, C- and Fortran-ordered bands
+    assert {(1, True, True), (1, False, False), (2, True, False), (2, False, True)} <= seen

@@ -936,17 +936,29 @@ def _unchanged(arrays, call):
 def test_no_function_changes_its_arguments(grid64, mode):
     # the kernel, the right sides, the Jacobian band and the steps read their
     # inputs and write only arrays of their own; rk4's in-place sums never
-    # touch vals or k1, and nothing writes the node values rhs() returned
+    # touch vals or k1, and nothing writes the node values rhs() returned.
+    # The cached 0-d operands (the divisors of the differences, the
+    # exponents, the 1 of the dual's 1/r, gamma) are read-only and keep
+    # their values through every call
     from anicurve.body import _jacobian_band, _radii
-    from anicurve.sphere import _derivatives, _extend, _prolong, _restrict
+    from anicurve.sphere import _derivatives, _divisors, _extend, _prolong, _restrict
 
     g = grid64
     u = ac.normalize_body(ac.spheroid_support(g, 1.0, 1.3), 1).values
     if mode == "dual_radial":
         u = 1.0 / u
     p = p_of(1, 2.0, -2.0)
+    eng = _Engine(g, p, mode)
+    constants = [
+        *_divisors(g.h), p._rho_power, p._speed_power, p._beta,
+        flow._ONE, eng.gamma, eng._dual_power,
+    ]
+    for a in constants:
+        assert a.shape == () and a.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
     for vals, owners in _layouts(u):
-        held = [vals, *owners]
+        held = [vals, *owners, *constants]
         if mode == "raw":  # the kernel does not depend on the mode
             for parity in ("even", "odd"):
                 _unchanged(held, lambda: _extend(vals, parity))
@@ -963,7 +975,6 @@ def test_no_function_changes_its_arguments(grid64, mode):
                     [*held, *pieces, scale],
                     lambda: _jacobian_band(vals, rho, b11, b22, sig, k, p.beta, p.alpha, scale),
                 )
-        eng = _Engine(g, p, mode)
         k1, nodes = _unchanged(held, lambda: eng.rhs(vals))
         held.append(k1)
         held.extend(a for a in nodes if isinstance(a, np.ndarray))
@@ -974,6 +985,9 @@ def test_no_function_changes_its_arguments(grid64, mode):
         held.extend(a for a in jac if isinstance(a, np.ndarray))
         _unchanged(held, lambda: eng.rodas4(vals, 1e-3, k1, jac))
         _unchanged(held, lambda: ac.step(ac.ScalarField(g, vals), p, mode, 1e-5))
+    assert [float(a) for a in constants] == [
+        12.0 * g.h, 12.0 * g.h * g.h, p.alpha - 1.0, p.alpha, p.beta, 1.0, p.gamma, 2.0 - p.alpha,
+    ]
 
 
 def _written_out_rodas4(eng, vals, dt, rank_one=False, textbook=False):
@@ -1086,3 +1100,57 @@ def test_rodas4_matches_written_out_step(mode):
             for _ in range(2):
                 new, err = eng.rodas4(u, dt, f0, jac)
                 assert np.array_equal(new, want[0]) and err == want[1]
+
+
+def _written_out_radii(u, g):
+    """(b11, b22) of u from the 5-point stencils written out, on the even
+    ghost padding of sphere._extend."""
+    from anicurve.sphere import _extend
+
+    v = _extend(u, "even")
+    d1 = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * g.h)
+    d2 = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * g.h * g.h)
+    return d2 + u, d1 * g.cot + u
+
+
+@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize(
+    "mode", ["raw", "round_normalized", "volume_normalized", "dual_radial", "soliton"]
+)
+def test_right_sides_match_written_out_formulas(mode, n):
+    # every right side, and the soliton residual, carries the bits of its
+    # formula written with Python-float operands and **, whatever form the
+    # kernel gives its fixed operands; the exponents alpha, alpha - 1, beta
+    # and 2 - alpha cover 0, +-0.5, +-1 and 2, which ** with a Python float
+    # takes by its own fast paths
+    g = ac.make_grid(n)
+    u = ac.spheroid_support(g, 1.0, 1.3).values
+    f = 1.0 + 0.3 * np.cos(2 * g.theta)
+    tabulated = mode in ("raw", "volume_normalized", "soliton")
+    cases = ((1, 2.0, -2.0), (2, 1.0, 0.5), (1, 1.5, 1.0), (2, 0.5, -0.5), (1, 1.0, 0.0))
+    for k, beta, alpha in cases:
+        p = p_of(k, beta, alpha, f=ac.tabulated_anisotropy(g, f) if tabulated else None)
+        vals = 1.0 / u if mode == "dual_radial" else u
+        # the dual right side's curvature is that of w = 1/r
+        b11, b22 = _written_out_radii(1.0 / vals if mode == "dual_radial" else u, g)
+        sig = b11 + b22 if k == 1 else b11 * b22
+        if mode == "soliton":
+            if p.q > 0:
+                continue
+            c = 1.3
+            got = ac.soliton_residual(ac.ScalarField(g, vals), ac.SolitonProblem(p, c)).values
+            want = u ** (alpha - 1.0) * f * sig**beta - c
+        else:
+            got = _Engine(g, p, mode).rhs(vals)[0]
+            if mode == "dual_radial":
+                want = -(vals ** (2.0 - alpha) * sig**beta)
+            else:
+                spd = u**alpha * f * sig**beta if tabulated else u**alpha * sig**beta
+                if mode == "round_normalized":
+                    want = spd - p.gamma * u
+                elif mode == "volume_normalized":
+                    eta = (g.weights @ (spd * sig)) / ac.SPHERE_AREA
+                    want = spd - eta * u
+                else:
+                    want = spd
+        assert np.array_equal(got, want)

@@ -29,7 +29,7 @@ from anicurve import (
     tabulated_anisotropy,
     translated_ball,
 )
-from anicurve.functionals import critical_offset
+from anicurve.functionals import Anisotropy, _require_admissible, critical_offset
 from conftest import random_convex_body
 
 
@@ -45,6 +45,16 @@ def test_flow_params_validation(grid200):
     assert FlowParams(k=1, beta=1.5, alpha=-0.5).regime == "critical"
     assert FlowParams(k=1, beta=1.5, alpha=0.5).regime == "supercritical"
     assert FlowParams(k=2, beta=1.0, alpha=0.0).gamma == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+def test_flow_params_reject_a_nonpositive_or_nan_anisotropy(grid64, bad):
+    # Anisotropy itself does not check its values; FlowParams refuses a NaN
+    # node as it refuses a non-positive one (a NaN used to pass)
+    vals = 1.0 + 0.2 * grid64.cos
+    vals[10] = bad
+    with pytest.raises(ValueError, match="anisotropy must be positive"):
+        FlowParams(k=1, beta=2.0, alpha=-2.0, f=Anisotropy(ScalarField(grid64, vals)))
 
 
 @pytest.mark.parametrize(
@@ -211,6 +221,20 @@ def test_anisotropy_condition(grid200):
 
     with pytest.raises(ValueError):
         anisotropy_condition_margin(one, FlowParams(k=1, beta=1.0, alpha=3.0))
+
+    # a NaN margin is refused; it comes, with no warning, from a
+    # g = f^(1/(1+k*beta-alpha)) = f^2 that overflows to inf everywhere or
+    # at one node (the NaN margin used to pass the refusal)
+    with pytest.raises(ValueError, match="admissibility condition"):
+        _require_admissible(float("nan"))
+    steep = FlowParams(k=1, beta=2.0, alpha=2.5)
+    peak = np.ones(grid200.n)
+    peak[60] = 1e300
+    for huge in (constant_anisotropy(grid200, 1e300), tabulated_anisotropy(grid200, peak)):
+        margin = anisotropy_condition_margin(huge, steep)
+        assert np.isnan(margin)
+        with pytest.raises(ValueError, match="admissibility condition"):
+            _require_admissible(margin)
 
 
 def test_af_margin_equality_cases(grid200):
